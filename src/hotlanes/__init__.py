@@ -30,8 +30,6 @@ from .bathtub import (
     density,
     excess_density,
     exit_rate,
-    per_vehicle_toll,
-    per_vehicle_travel_time,
     residual_service_rate,
     step,
     travel_time_gap,

@@ -19,12 +19,12 @@ __all__ = [
     "SaturationStats",
     "HotGridlockError",
     "density",
+    "completion_rate",
+    "euler_update",
     "exit_rate",
     "excess_density",
     "residual_service_rate",
     "travel_time_gap",
-    "per_vehicle_travel_time",
-    "per_vehicle_toll",
     "jam_trip_cap",
     "step",
 ]
@@ -125,16 +125,20 @@ def density(state: BathtubState) -> float:
     return state.delta / state.lane_length
 
 
-def exit_rate(state: BathtubState, fd: FdParams) -> float:
-    """Trip completion rate (delta / D) * V(rho) [veh/h].
+def completion_rate(delta: float, v: float, mean_remaining_distance: float) -> float:
+    """Trip completion rate (delta / D) * v [veh/h] of ``delta`` trips at speed ``v``.
 
     This differs from the internal flow rho * V(rho): completions scale with
     the count of trips about to finish, not with vehicles passing a point.
     """
-    if state.delta == 0.0:
+    if delta == 0.0:
         return 0.0
-    v = speed(fd, density(state))
-    return state.delta / state.mean_remaining_distance * v
+    return delta / mean_remaining_distance * v
+
+
+def exit_rate(state: BathtubState, fd: FdParams) -> float:
+    """Trip completion rate of a lane group at its diagram speed [veh/h]."""
+    return completion_rate(state.delta, speed(fd, density(state)), state.mean_remaining_distance)
 
 
 def excess_density(state: BathtubState, fd: FdParams) -> float:
@@ -168,26 +172,6 @@ def travel_time_gap(v1: float, v2: float) -> float:
     return 1.0 / v2 - 1.0 / v1
 
 
-def per_vehicle_travel_time(x: float, v: float) -> float:
-    """Instantaneous travel time estimate x / v for a trip of length x."""
-    if x < 0:
-        raise ValueError("trip distance cannot be negative")
-    if v <= 0:
-        return math.inf if x > 0 else 0.0
-    return x / v
-
-
-def per_vehicle_toll(u: float, x: float) -> float:
-    """Total toll u * x paid by one vehicle for a trip of length x.
-
-    Distance-based pricing makes the per-unit rate identical across trips,
-    which is what keeps the lane choice consistent across trip lengths.
-    """
-    if u < 0 or x < 0:
-        raise ValueError("toll rate and trip distance cannot be negative")
-    return u * x
-
-
 def jam_trip_cap(state: BathtubState, fd: FdParams) -> float:
     """Largest active-trip count the group can hold.
 
@@ -199,15 +183,28 @@ def jam_trip_cap(state: BathtubState, fd: FdParams) -> float:
     return fd.rho_j * state.lane_length
 
 
+def euler_update(
+    delta: float, inflow: float, outflow: float, cap: float, dt: float
+) -> tuple[float, float, bool]:
+    """One explicit-Euler update of an active-trip count, kept in [0, cap].
+
+    Returns (new count, vehicles dropped at the cap, clamped?).
+    """
+    raw = delta + dt * (inflow - outflow)
+    if raw < 0.0:
+        return 0.0, 0.0, True
+    if raw > cap:
+        return cap, raw - cap, True
+    return raw, 0.0, False
+
+
 def _step_one(
     state: BathtubState, fd: FdParams, inflow: float, dt: float
 ) -> tuple[BathtubState, float, bool]:
     """Euler-update one bathtub; returns (state, vehicles dropped, clamped?)."""
-    raw = state.delta + dt * (inflow - exit_rate(state, fd))
-    cap = jam_trip_cap(state, fd)
-    clamped = raw < 0.0 or raw > cap
-    new = min(max(raw, 0.0), cap)
-    dropped = max(raw - cap, 0.0)
+    new, dropped, clamped = euler_update(
+        state.delta, inflow, exit_rate(state, fd), jam_trip_cap(state, fd), dt
+    )
     return replace(state, delta=new), dropped, clamped
 
 

@@ -10,7 +10,7 @@ service remains).  The reference is (0, 0).
 from dataclasses import dataclass, replace
 import math
 
-__all__ = ["ControllerState", "toll", "update"]
+__all__ = ["ControllerState", "posted_toll", "toll", "integrate", "update"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,13 +37,26 @@ class ControllerState:
             raise ValueError("toll ceiling must be positive")
 
 
-def toll(ctrl: ControllerState, omega: float) -> float:
-    """Posted distance-based toll, clamped to be non-negative."""
+def posted_toll(a: float, b: float, omega: float, ceiling: float) -> float:
+    """Toll ``a * omega + b`` clamped to be non-negative; ``ceiling`` at an unbounded gap."""
     if omega < 0:
         raise ValueError("travel time gap cannot be negative")
     if math.isinf(omega):
-        return ctrl.toll_ceiling
-    return max(0.0, ctrl.a * omega + ctrl.b)
+        return ceiling
+    return max(0.0, a * omega + b)
+
+
+def toll(ctrl: ControllerState, omega: float) -> float:
+    """Posted distance-based toll, clamped to be non-negative."""
+    return posted_toll(ctrl.a, ctrl.b, omega, ctrl.toll_ceiling)
+
+
+def integrate(
+    a: float, b: float, lam: float, xi: float, dt: float,
+    k1: float, k2: float, k3: float, k4: float,
+) -> tuple[float, float]:
+    """One explicit-Euler step of the coefficient ODEs; returns the new (a, b)."""
+    return a + dt * (k1 * lam - k2 * xi), b + dt * (k3 * lam - k4 * xi)
 
 
 def update(ctrl: ControllerState, lam: float, xi: float, dt: float) -> ControllerState:
@@ -57,8 +70,5 @@ def update(ctrl: ControllerState, lam: float, xi: float, dt: float) -> Controlle
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return replace(
-        ctrl,
-        a=ctrl.a + dt * (ctrl.k1 * lam - ctrl.k2 * xi),
-        b=ctrl.b + dt * (ctrl.k3 * lam - ctrl.k4 * xi),
-    )
+    a, b = integrate(ctrl.a, ctrl.b, lam, xi, dt, ctrl.k1, ctrl.k2, ctrl.k3, ctrl.k4)
+    return replace(ctrl, a=a, b=b)

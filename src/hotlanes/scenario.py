@@ -12,29 +12,21 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import analysis
 from .bathtub import (
     BathtubState,
-    CorridorState,
     HotGridlockError,
-    Inflows,
     SaturationStats,
-    density,
-    exit_rate,
-    step,
+    completion_rate,
+    euler_update,
+    jam_trip_cap,
     travel_time_gap,
 )
-from .controller import ControllerState, toll, update
-from .lane_choice import (
-    ExponentialVot,
-    LogitChoice,
-    LogitParams,
-    UeChoice,
-    UniformVot,
-    split_inflow,
-)
+from .controller import ControllerState, integrate, posted_toll
+from .lane_choice import ExponentialVot, LogitChoice, LogitParams, UeChoice, UniformVot
 from .nfd import FdParams, classify_phase, critical_density, speed
 
 __all__ = [
@@ -84,6 +76,10 @@ class DemandProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "trapezoid", "piecewise"):
             raise ConfigError(f"unknown demand kind {self.kind!r}")
+        numbers = (self.hov_rate, self.sov_rate, self.t0, self.t1, self.t2, self.t3,
+                   *self.breakpoints, *self.hov_rates, *self.sov_rates)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigError("demand rates and breakpoints must be finite")
         if self.hov_rate < 0 or self.sov_rate < 0:
             raise ConfigError("demand rates cannot be negative")
         if self.kind == "trapezoid":
@@ -169,14 +165,21 @@ class ScenarioConfig:
             raise ConfigError(f"unknown choice model {self.choice_model!r}")
         if self.vot_family not in ("exponential", "uniform"):
             raise ConfigError(f"unknown VOT family {self.vot_family!r}")
+        numbers = (self.dt_s, self.horizon_h, self.output_dt_s, self.corridor_length,
+                   self.hot_lanes, self.gp_lanes, self.mean_trip_distance,
+                   self.initial_hot_trips, self.initial_gp_trips)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigError("times, geometry and initial trip counts must be finite")
         if self.dt_s <= 0 or self.horizon_h <= 0:
             raise ConfigError("dt and horizon must be positive")
         if self.output_dt_s < self.dt_s:
             raise ConfigError("output cadence cannot be finer than dt")
         if self.control_decimation < 1:
             raise ConfigError("control decimation must be >= 1")
-        if min(self.corridor_length, self.hot_lanes, self.gp_lanes, self.mean_trip_distance) <= 0:
+        if min(self.corridor_length, self.mean_trip_distance) <= 0:
             raise ConfigError("geometry values must be positive")
+        if min(self.hot_lanes, self.gp_lanes) < 1:
+            raise ConfigError("each lane group needs at least one lane")
         if self.initial_hot_trips < 0 or self.initial_gp_trips < 0:
             raise ConfigError("initial trip counts cannot be negative")
 
@@ -239,6 +242,15 @@ CSV_COLUMNS = tuple(SimulationRecord.__dataclass_fields__)
 _FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 
 
+_A1_PREFIX = "demand assumption violated at peak"
+
+
+def _warn_a1(config: ScenarioConfig) -> None:
+    """Warn, at the caller of the public function calling this, per violated A1 condition."""
+    for msg in config.a1_warnings():
+        warnings.warn(f"{_A1_PREFIX}: {msg}", stacklevel=3)
+
+
 def run(
     config: ScenarioConfig,
     stats: SaturationStats | None = None,
@@ -250,36 +262,38 @@ def run(
     ``stop_at_gp_jam`` ends the run once the GP lanes hit jam density
     (useful for gridlock studies under the plain triangular diagram).
     """
-    for msg in config.a1_warnings():
-        warnings.warn(f"demand assumption violated at peak: {msg}", stacklevel=2)
+    _warn_a1(config)
     if stats is None:
         stats = SaturationStats()
     dt = config.dt_s / 3600.0
     n_steps = max(1, round(config.horizon_h * 3600.0 / config.dt_s))
     record_every = max(1, round(config.output_dt_s / config.dt_s))
-    choice = config.build_choice()
+    share = config.build_choice().share
     hov_mode = config.mode == "hov"
     ctrl = config.controller
+    a, b = ctrl.a, ctrl.b
+    k1, k2, k3, k4, ceiling = ctrl.k1, ctrl.k2, ctrl.k3, ctrl.k4, ctrl.toll_ceiling
+    decim = config.control_decimation
+    dt_ctrl = dt * decim
     fd_hot, fd_gp = config.fd_hot, config.fd_gp
     D = config.mean_trip_distance
-    corridor = CorridorState(
-        hot=BathtubState(config.initial_hot_trips, config.hot_lanes, config.corridor_length, D),
-        gp=BathtubState(config.initial_gp_trips, config.gp_lanes, config.corridor_length, D),
-    )
+    hot = BathtubState(config.initial_hot_trips, config.hot_lanes, config.corridor_length, D)
+    gp = BathtubState(config.initial_gp_trips, config.gp_lanes, config.corridor_length, D)
+    L1, L2 = hot.lane_length, gp.lane_length
+    cap1, cap2 = jam_trip_cap(hot, fd_hot), jam_trip_cap(gp, fd_gp)
+    d1_init = d1 = hot.delta
+    d2_init = d2 = gp.delta
     rho_c_hot = critical_density(fd_hot)
-    d1_init, d2_init = corridor.hot.delta, corridor.gp.delta
-    gp_jam_trips = fd_gp.rho_j * corridor.gp.lane_length
+    gp_jam_level = fd_gp.rho_j * L2 * (1.0 - 1e-12) if stop_at_gp_jam else math.inf
     G1 = G2 = 0.0
-    u = 0.0
+    u = p = 0.0
     records: list[SimulationRecord] = []
     demand_rates = config.demand.rates
-    decim = config.control_decimation
 
     for i in range(n_steps):
         t = i * dt
         e1t, e2t = demand_rates(t)
-        hot, gp = corridor.hot, corridor.gp
-        rho1, rho2 = density(hot), density(gp)
+        rho1, rho2 = d1 / L1, d2 / L2
         v1, v2 = speed(fd_hot, rho1), speed(fd_gp, rho2)
         if v1 <= 0.0:
             raise HotGridlockError(
@@ -289,61 +303,41 @@ def run(
         # The choice models are defined for a non-negative gap; if the HOT
         # lanes are transiently slower than the GP lanes nobody pays.
         gap = max(omega, 0.0)
-        if hov_mode:
-            u, p, toll_clamped = 0.0, 0.0, False
-        else:
+        if not hov_mode:
             if i % decim == 0:
-                u = toll(ctrl, gap)
-            toll_clamped = math.isfinite(gap) and ctrl.a * gap + ctrl.b < 0.0
-            p = 0.0 if omega < 0.0 else choice.share(u, gap)
-        e21, _ = split_inflow(e2t, p)
-        inflows = Inflows(e1t, e2t, e21)
-        g1, g2 = exit_rate(hot, fd_hot), exit_rate(gp, fd_gp)
+                u = posted_toll(a, b, gap, ceiling)
+            p = 0.0 if omega < 0.0 else share(u, gap)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"paying share {p} outside [0, 1]")
+        e21 = p * e2t
+        in1, in2 = e1t + e21, e2t - e21
+        g1, g2 = completion_rate(d1, v1, D), completion_rate(d2, v2, D)
         lam = rho1 - rho_c_hot
-        xi = g1 - inflows.hot_inflow
+        xi = g1 - in1
 
-        emit = i % record_every == 0 or i == n_steps - 1
-        gp_jammed = stop_at_gp_jam and gp.delta >= gp_jam_trips * (1.0 - 1e-12)
-        if emit or gp_jammed:
-            records.append(
-                SimulationRecord(
-                    t=t,
-                    delta1=hot.delta,
-                    delta2=gp.delta,
-                    rho1=rho1,
-                    rho2=rho2,
-                    v1=v1,
-                    v2=v2,
-                    omega=omega,
-                    lam=lam,
-                    xi=xi,
-                    a=ctrl.a,
-                    b=ctrl.b,
-                    u=u,
-                    p=p,
-                    e1_tilde=e1t,
-                    e2_tilde=e2t,
-                    e21_tilde=e21,
-                    g1=g1,
-                    g2=g2,
-                    E1=hot.delta - d1_init + G1,
-                    E2=gp.delta - d2_init + G2,
-                    G1=G1,
-                    G2=G2,
-                    phase1=classify_phase(fd_hot, rho1).value,
-                    phase2=classify_phase(fd_gp, rho2).value,
-                    toll_clamped=int(toll_clamped),
-                    hot_clamped=int(stats.hot_clamp_steps > 0),
-                    gp_clamped=int(stats.gp_clamp_steps > 0),
-                )
-            )
-        if gp_jammed:
-            break
-        corridor = step(corridor, fd_hot, fd_gp, inflows, dt, stats)
+        gp_jammed = d2 >= gp_jam_level
+        if i % record_every == 0 or i == n_steps - 1 or gp_jammed:
+            records.append(SimulationRecord(  # fields in CSV column order
+                t, d1, d2, rho1, rho2, v1, v2, omega, lam, xi, a, b, u, p,
+                e1t, e2t, e21, g1, g2, d1 - d1_init + G1, d2 - d2_init + G2, G1, G2,
+                classify_phase(fd_hot, rho1).value, classify_phase(fd_gp, rho2).value,
+                int(not hov_mode and math.isfinite(gap) and a * gap + b < 0.0),
+                int(stats.hot_clamp_steps > 0), int(stats.gp_clamp_steps > 0),
+            ))
+            if gp_jammed:
+                break
+        d1, dropped, clamped = euler_update(d1, in1, g1, cap1, dt)
+        if clamped:
+            stats.hot_clamp_steps += 1
+            stats.hot_dropped += dropped
+        d2, dropped, clamped = euler_update(d2, in2, g2, cap2, dt)
+        if clamped:
+            stats.gp_clamp_steps += 1
+            stats.gp_dropped += dropped
         G1 += dt * g1
         G2 += dt * g2
         if not hov_mode and i % decim == 0:
-            ctrl = update(ctrl, lam, xi, dt * decim)
+            a, b = integrate(a, b, lam, xi, dt_ctrl, k1, k2, k3, k4)
     return records
 
 
@@ -427,17 +421,15 @@ def compare_hov_hot(config: ScenarioConfig) -> ComparisonResult:
     """Run the scenario twice, with and without pricing, and compare.
 
     The HOV run forces the paying share to zero; demand, geometry and the
-    diagram are identical.  The two runs are independent and execute
-    concurrently.
+    diagram are identical.  The runs execute one after the other: the work
+    holds the interpreter lock, so threads would not overlap it.  A violated
+    overload assumption is warned once, at the caller.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    cfg_hot = replace(config, mode="hot")
-    cfg_hov = replace(config, mode="hov")
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        fut_hot = pool.submit(run, cfg_hot)
-        fut_hov = pool.submit(run, cfg_hov)
-        rec_hot, rec_hov = fut_hot.result(), fut_hov.result()
+    _warn_a1(config)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=_A1_PREFIX)
+        rec_hot = run(replace(config, mode="hot"))
+        rec_hov = run(replace(config, mode="hov"))
     return ComparisonResult(
         hov=metrics(rec_hov, config.mean_trip_distance),
         hot=metrics(rec_hot, config.mean_trip_distance),
@@ -478,8 +470,9 @@ def constant_equilibrium(config: ScenarioConfig) -> analysis.EquilibriumPredicti
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+_FLOAT_VALUES = attrgetter(*_FLOAT_COLUMNS)
+_OTHER_VALUES = attrgetter(*CSV_COLUMNS[len(_FLOAT_COLUMNS):])
+_fmt = "{:.9g}".format
 
 
 def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
@@ -487,13 +480,9 @@ def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    _fmt(getattr(r, c)) if c in _FLOAT_COLUMNS else getattr(r, c)
-                    for c in CSV_COLUMNS
-                ]
-            )
+        writer.writerows(
+            [*map(_fmt, _FLOAT_VALUES(r)), *_OTHER_VALUES(r)] for r in records
+        )
 
 
 def read_csv(path: str) -> list[SimulationRecord]:

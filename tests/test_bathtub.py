@@ -15,8 +15,6 @@ from hotlanes.bathtub import (
     excess_density,
     exit_rate,
     jam_trip_cap,
-    per_vehicle_toll,
-    per_vehicle_travel_time,
     residual_service_rate,
     step,
     travel_time_gap,
@@ -90,27 +88,6 @@ class TestTravelTimeGap:
     def test_hot_gridlock_raises(self):
         with pytest.raises(HotGridlockError):
             travel_time_gap(0.0, 50.0)
-
-
-class TestPerVehicleTravelTime:
-    def test_zero_distance(self):
-        assert per_vehicle_travel_time(0.0, 100.0) == 0.0
-
-    def test_direct(self):
-        assert per_vehicle_travel_time(5.0, 100.0) == pytest.approx(0.05)
-
-    def test_consistent_with_gap(self):
-        gap = per_vehicle_travel_time(5.0, 50.0) - per_vehicle_travel_time(5.0, 100.0)
-        assert gap == pytest.approx(5.0 * travel_time_gap(100.0, 50.0))
-
-    def test_zero_speed_unbounded(self):
-        assert per_vehicle_travel_time(5.0, 0.0) == math.inf
-
-    def test_per_vehicle_toll_scales_with_distance(self):
-        assert per_vehicle_toll(0.7, 5.0) == pytest.approx(3.5)
-        assert per_vehicle_toll(0.7, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            per_vehicle_toll(-0.1, 5.0)
 
 
 def make_corridor(d1, d2, length=10.0, d=5.0):

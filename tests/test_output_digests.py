@@ -1,0 +1,133 @@
+"""Pinned CSV digests and saturation counts of short runs.
+
+The digests were taken from the step loop that rebuilt its state objects on
+every step; the scalar kernel must reproduce them byte for byte.  A change
+that alters the numerics on purpose must say so and pin new digests.
+"""
+
+import hashlib
+import warnings
+from dataclasses import replace
+
+import pytest
+
+from hotlanes.bathtub import HotGridlockError, SaturationStats
+from hotlanes.presets import preset
+from hotlanes.scenario import DemandProfile, run, write_csv
+
+
+def case_config(case: str):
+    """(config, stop_at_gp_jam) of a pinned case; every horizon is 0.25 h."""
+    name, _, variant = case.partition("/")
+    cfg = replace(preset(name), horizon_h=0.25)
+    stop = False
+    if variant == "decimation10":
+        cfg = replace(cfg, control_decimation=10)
+    elif variant == "hov":
+        cfg = replace(cfg, mode="hov")
+    elif variant == "uniform-vot":
+        cfg = replace(cfg, vot_family="uniform", vot_low=10.0, vot_high=90.0)
+    elif variant == "initial-trips":
+        cfg = replace(cfg, initial_hot_trips=30.0, initial_gp_trips=60.0)
+    elif variant == "short-pulse":
+        # the whole pulse and its tail fit in the horizon: the toll clamps at 0
+        cfg = replace(cfg, demand=DemandProfile(
+            kind="trapezoid", hov_rate=200.0, sov_rate=700.0, t0=0.0, t1=0.05, t2=0.15, t3=0.2))
+    elif variant == "stop-at-gp-jam":
+        cfg = replace(cfg, initial_gp_trips=130.0)
+        stop = True
+    elif variant == "hot-gridlock":
+        cfg = replace(cfg, initial_gp_trips=130.0,
+                      demand=DemandProfile(kind="constant", hov_rate=2000.0, sov_rate=3000.0))
+    elif variant:
+        raise KeyError(case)
+    return cfg, stop
+
+
+# case -> (sha256 of the CSV, final SaturationStats as
+# (hot_clamp_steps, gp_clamp_steps, hot_dropped, gp_dropped))
+PINNED = {
+    "constant": (
+        "44f9c4c31d5a3a876749e7e906c1fa65ca93f64cffee648197a4d0a5136375f0",
+        (0, 0, 0.0, 0.0),
+    ),
+    "constant-logit": (
+        "4c01afb1ca54c2cf1267e2d02dceeba4fa2ff375df2a00bd004e058cca9013a2",
+        (0, 0, 0.0, 0.0),
+    ),
+    "trapezoid": (
+        "2b27069ea54010499b0c808dfaa41bcba36fbfd4eca88aeca59edcc9d75b341d",
+        (0, 0, 0.0, 0.0),
+    ),
+    "triangular-gridlock": (
+        "5b82d49b7c051e098f6580381edb65f2821d2323c90bcaa0e15bec3e0525e2db",
+        (0, 1, 0.0, 0.004459805088771418),
+    ),
+    "constant/decimation10": (
+        "9558367c67ab4e6c54aa803bff4ceb288594bf66ca6a78b776ec630fc2188f20",
+        (0, 0, 0.0, 0.0),
+    ),
+    "constant/hov": (
+        "e73376f10aee04bed653727a7d776f13ed9d2a742c3b7fd31b91e47c16473751",
+        (0, 0, 0.0, 0.0),
+    ),
+    "constant/uniform-vot": (
+        "5607f3c19748eca55857fcda603f14143ddf24161ab73c2da79374076e1e523b",
+        (0, 0, 0.0, 0.0),
+    ),
+    "constant/initial-trips": (
+        "6c23de01c6183f040d63afe1811cc878a920753194a8747f80db4dd3286e169d",
+        (0, 0, 0.0, 0.0),
+    ),
+    "trapezoid/hov": (
+        "abfdb7913eebeca75bc3b0c3c9cb52e86b9e5f62516219c7abd067f45f469414",
+        (0, 0, 0.0, 0.0),
+    ),
+    "trapezoid/short-pulse": (
+        "5f28a17e9e856573d06839b995c82758a042d7daa42fb90f0f951f7c75fd18e4",
+        (0, 0, 0.0, 0.0),
+    ),
+    "triangular-gridlock/stop-at-gp-jam": (
+        "a0bd80e2fd936436850ee30da435f914951017c5af31b8eff0bd68e583b8aecb",
+        (0, 1, 0.0, 0.008957186338818701),
+    ),
+}
+
+# case -> (message of the HotGridlockError, SaturationStats when it was raised)
+PINNED_GRIDLOCK = {
+    "triangular-gridlock/hot-gridlock": (
+        "managed lanes gridlocked at t=0.0315 h (rho1=140.000)",
+        (1, 1, 0.020848906199063322, 0.052432159319636185),
+    ),
+}
+
+
+def run_case(case: str, stats: SaturationStats):
+    cfg, stop = case_config(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run(cfg, stats=stats, stop_at_gp_jam=stop)
+
+
+def stats_tuple(stats: SaturationStats):
+    return (stats.hot_clamp_steps, stats.gp_clamp_steps, stats.hot_dropped, stats.gp_dropped)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_csv_and_stats_match_pinned(case, tmp_path):
+    stats = SaturationStats()
+    path = tmp_path / "run.csv"
+    write_csv(run_case(case, stats), str(path))
+    digest, want_stats = PINNED[case]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert stats_tuple(stats) == want_stats
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GRIDLOCK))
+def test_gridlock_abort_matches_pinned(case):
+    stats = SaturationStats()
+    with pytest.raises(HotGridlockError) as info:
+        run_case(case, stats)
+    message, want_stats = PINNED_GRIDLOCK[case]
+    assert str(info.value) == message
+    assert stats_tuple(stats) == want_stats

@@ -70,6 +70,14 @@ class TestDemandProfile:
         with pytest.raises(ConfigError):
             DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),
                           hov_rates=(1.0, -2.0), sov_rates=(1.0, 1.0))
+        with pytest.raises(ConfigError):
+            DemandProfile(kind="piecewise", breakpoints=(0.0, math.nan),
+                          hov_rates=(1.0, 2.0), sov_rates=(1.0, 1.0))
+        with pytest.raises(ConfigError):
+            DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),
+                          hov_rates=(1.0, 2.0), sov_rates=(1.0, math.inf))
+        with pytest.raises(ConfigError):
+            DemandProfile(kind="constant", hov_rate=math.nan, sov_rate=860.0)
 
     def test_peak_rates(self):
         d = DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),
@@ -105,6 +113,15 @@ class TestConfig:
             replace(cfg, output_dt_s=0.01)  # finer than dt
         with pytest.raises(ConfigError):
             replace(cfg, choice_model="probit")
+        # the step loop builds no state objects, so the config is the only check
+        for bad in (
+            {"dt_s": math.nan}, {"horizon_h": math.inf}, {"output_dt_s": math.nan},
+            {"corridor_length": math.inf}, {"mean_trip_distance": math.nan},
+            {"initial_hot_trips": math.nan}, {"initial_gp_trips": math.inf},
+            {"hot_lanes": 0.5}, {"gp_lanes": math.nan},
+        ):
+            with pytest.raises(ConfigError):
+                replace(cfg, **bad)
 
     def test_load_ini(self, tmp_path):
         path = tmp_path / "scenario.ini"
@@ -306,6 +323,15 @@ class TestMetrics:
         assert isinstance(result.hov, Metrics) and isinstance(result.hot, Metrics)
         assert isinstance(result.hov.hot, LaneMetrics)
 
+    def test_compare_warns_a1_once_at_the_caller(self):
+        cfg = short(preset("trapezoid"), horizon_h=0.1, dt_s=1.0)
+        with pytest.warns(UserWarning, match="demand assumption violated") as caught:
+            compare_hov_hot(cfg)
+        assert [str(w.message) for w in caught] == [
+            f"demand assumption violated at peak: {msg}" for msg in cfg.a1_warnings()
+        ]
+        assert all(w.filename == __file__ for w in caught)
+
     def test_needs_records(self):
         with pytest.raises(ValueError):
             metrics([], 5.0)
@@ -377,6 +403,16 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.ini"), "--out", "x.csv"]) == 1
         assert main(["run", "--set", "a.b=1", "--out", "x.csv"]) == 1
+
+    @pytest.mark.parametrize(
+        "override", ["demand.sov_veh_h=nan", "geometry.hot_lanes=0.5", "simulation.dt_s=nan"]
+    )
+    def test_invalid_value_exits_1_without_output(self, override, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code = main(["run", "--preset", "constant", "--set", override, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_gridlock_exit_code(self, capsys):
         code = main([
