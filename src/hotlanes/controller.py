@@ -31,6 +31,9 @@ class ControllerState:
     toll_ceiling: float = 1000.0  # [$/length]
 
     def __post_init__(self) -> None:
+        values = (self.a, self.b, self.k1, self.k2, self.k3, self.k4, self.toll_ceiling)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("controller coefficients, gains and toll ceiling must be finite")
         if min(self.k1, self.k2, self.k3, self.k4) <= 0:
             raise ValueError("all controller gains must be positive")
         if self.toll_ceiling <= 0:

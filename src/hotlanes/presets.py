@@ -170,36 +170,39 @@ def _parse_demand(sec: configparser.SectionProxy) -> DemandProfile:
     raise ConfigError(f"unknown demand kind {kind!r}")
 
 
-def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
-    base_name = cp.get("scenario", "preset", fallback="constant")
-    config = preset(base_name)
-    updates: dict[str, object] = {}
-    if cp.has_section("fd"):
-        fd = _parse_fd(cp["fd"], config.fd_hot)
-        updates["fd_hot"] = fd
-        updates["fd_gp"] = fd
-    for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
-        if cp.has_section(group):
-            base = updates.get(attr, getattr(config, attr))
-            updates[attr] = _parse_fd(cp[group], base)
-    if cp.has_section("demand"):
-        updates["demand"] = _parse_demand(cp["demand"])
-    for (section, key), (attr, typ) in _SCALARS.items():
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
-            try:
-                updates[attr] = typ(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-    if cp.has_section("controller"):
-        ctrl_kwargs = {}
-        for key, attr in _CONTROLLER_KEYS.items():
-            if cp.has_option("controller", key):
-                ctrl_kwargs[attr] = cp.getfloat("controller", key)
-        if ctrl_kwargs:
-            base_ctrl = updates.get("controller", config.controller)
-            updates["controller"] = replace(base_ctrl, **ctrl_kwargs)
+def _convert(cp: configparser.ConfigParser, section: str, key: str, typ):
+    raw = cp.get(section, key)
     try:
+        return typ(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+
+
+def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
+    config = preset(cp.get("scenario", "preset", fallback="constant"))
+    updates: dict[str, object] = {}
+    # Every constructor rejects a bad value with ValueError; ConfigError is one.
+    try:
+        if cp.has_section("fd"):
+            fd = _parse_fd(cp["fd"], config.fd_hot)
+            updates["fd_hot"] = fd
+            updates["fd_gp"] = fd
+        for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
+            if cp.has_section(group):
+                base = updates.get(attr, getattr(config, attr))
+                updates[attr] = _parse_fd(cp[group], base)
+        if cp.has_section("demand"):
+            updates["demand"] = _parse_demand(cp["demand"])
+        for (section, key), (attr, typ) in _SCALARS.items():
+            if cp.has_option(section, key):
+                updates[attr] = _convert(cp, section, key, typ)
+        ctrl_kwargs = {
+            attr: _convert(cp, "controller", key, float)
+            for key, attr in _CONTROLLER_KEYS.items()
+            if cp.has_option("controller", key)
+        }
+        if ctrl_kwargs:
+            updates["controller"] = replace(config.controller, **ctrl_kwargs)
         return replace(config, **updates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -207,12 +210,7 @@ def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     """Load a scenario from an INI file; unknown keys are rejected."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    _reject_unknown(cp)
-    return _build_from_parser(cp)
+    return apply_overrides(path, None, [])
 
 
 def apply_overrides(config_or_none, preset_name: str | None, overrides: list[str]) -> ScenarioConfig:

@@ -12,8 +12,8 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from . import analysis
 from .bathtub import (
@@ -203,9 +203,8 @@ class ScenarioConfig:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationRecord:
-    """One emitted row of observables; field names match the CSV header."""
+class SimulationRecord(NamedTuple):
+    """One emitted row of observables; the field order is the CSV column order."""
 
     t: float
     delta1: float
@@ -237,9 +236,10 @@ class SimulationRecord:
     gp_clamped: int
 
 
-CSV_COLUMNS = tuple(SimulationRecord.__dataclass_fields__)
+CSV_COLUMNS = SimulationRecord._fields
 
 _FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
+_FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("phase2") + 1:]
 
 
 _A1_PREFIX = "demand assumption violated at peak"
@@ -470,39 +470,44 @@ def constant_equilibrium(config: ScenarioConfig) -> analysis.EquilibriumPredicti
     )
 
 
-_FLOAT_VALUES = attrgetter(*_FLOAT_COLUMNS)
-_OTHER_VALUES = attrgetter(*CSV_COLUMNS[len(_FLOAT_COLUMNS):])
-_fmt = "{:.9g}".format
+# What csv.writer writes for these rows: no phase label or flag needs quoting,
+# and '%.9g' % x == '{:.9g}'.format(x) for every float, inf and nan included.
+_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
+_ROW = ",".join("%.9g" if c in _FLOAT_COLUMNS else "%s" for c in CSV_COLUMNS) + "\r\n"
 
 
 def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
     """Write records as UTF-8 CSV with 9 significant digits per float."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(
-            [*map(_fmt, _FLOAT_VALUES(r)), *_OTHER_VALUES(r)] for r in records
-        )
+        fh.write(_HEADER)
+        fh.writelines(map(_ROW.__mod__, records))
 
 
 def read_csv(path: str) -> list[SimulationRecord]:
-    """Read back a record CSV produced by :func:`write_csv`."""
+    """Read back a record CSV produced by :func:`write_csv`.
+
+    Columns may come in any order; extra columns and blank lines are skipped.
+    A missing column, a ragged row or a bad cell raises :class:`ConfigError`.
+    """
     out: list[SimulationRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"record file lacks columns: {sorted(missing)}")
-        for row in reader:
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                if col in _FLOAT_COLUMNS:
-                    kwargs[col] = float(row[col])
-                elif col.endswith("_clamped"):
-                    kwargs[col] = int(row[col])
-                else:
-                    kwargs[col] = row[col]
-            out.append(SimulationRecord(**kwargs))
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}
+            missing = set(CSV_COLUMNS) - set(index)
+            if missing:
+                raise ConfigError(f"record file lacks columns: {sorted(missing)}")
+            floats = itemgetter(*(index[c] for c in _FLOAT_COLUMNS))
+            phases = itemgetter(index["phase1"], index["phase2"])
+            flags = itemgetter(*(index[c] for c in _FLAG_COLUMNS))
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ConfigError(f"{len(row)} cells under a {len(header)}-column header")
+                out.append(SimulationRecord._make(
+                    (*map(float, floats(row)), *phases(row), *map(int, flags(row)))))
+        except (ValueError, csv.Error) as exc:  # ConfigError included
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
     return out
 
 

@@ -78,3 +78,10 @@ class TestValidation:
     def test_ceiling_positive(self):
         with pytest.raises(ValueError):
             ControllerState(toll_ceiling=0.0)
+
+    @pytest.mark.parametrize("field", ["a", "b", "k1", "k2", "k3", "k4", "toll_ceiling"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # min() with a NaN first returns NaN, which a "<= 0" test lets through
+        with pytest.raises(ValueError, match="finite"):
+            ControllerState(**{field: value})

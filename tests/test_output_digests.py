@@ -1,11 +1,16 @@
 """Pinned CSV digests and saturation counts of short runs.
 
 The digests were taken from the step loop that rebuilt its state objects on
-every step; the scalar kernel must reproduce them byte for byte.  A change
-that alters the numerics on purpose must say so and pin new digests.
+every step; the scalar kernel must reproduce them byte for byte.  The two
+``every-step`` digests were taken from the ``csv.writer`` writer that the
+one-template writer replaced.  A change that alters the numerics or the
+bytes on purpose must say so and pin new digests.
 """
 
+import csv
 import hashlib
+import io
+import math
 import warnings
 from dataclasses import replace
 
@@ -13,7 +18,7 @@ import pytest
 
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.presets import preset
-from hotlanes.scenario import DemandProfile, run, write_csv
+from hotlanes.scenario import CSV_COLUMNS, DemandProfile, SimulationRecord, run, write_csv
 
 
 def case_config(case: str):
@@ -21,7 +26,9 @@ def case_config(case: str):
     name, _, variant = case.partition("/")
     cfg = replace(preset(name), horizon_h=0.25)
     stop = False
-    if variant == "decimation10":
+    if variant == "every-step":
+        cfg = replace(cfg, output_dt_s=cfg.dt_s)
+    elif variant == "decimation10":
         cfg = replace(cfg, control_decimation=10)
     elif variant == "hov":
         cfg = replace(cfg, mode="hov")
@@ -61,6 +68,14 @@ PINNED = {
     ),
     "triangular-gridlock": (
         "5b82d49b7c051e098f6580381edb65f2821d2323c90bcaa0e15bec3e0525e2db",
+        (0, 1, 0.0, 0.004459805088771418),
+    ),
+    "constant/every-step": (
+        "0fc68c92e600413965451bc88ea4c0b2c48d0ebabe535243a21e5a16e6a5b34d",
+        (0, 0, 0.0, 0.0),
+    ),
+    "triangular-gridlock/every-step": (
+        "919ef440a09bd89a662d79df4cad94ae74f408ed0aac05abaa120ddf66326fdf",
         (0, 1, 0.0, 0.004459805088771418),
     ),
     "constant/decimation10": (
@@ -131,3 +146,28 @@ def test_gridlock_abort_matches_pinned(case):
     message, want_stats = PINNED_GRIDLOCK[case]
     assert str(info.value) == message
     assert stats_tuple(stats) == want_stats
+
+
+def csv_writer_bytes(records) -> bytes:
+    """The records as ``csv.writer`` writes them, floats through ``'{:.9g}'.format``."""
+    n_float = CSV_COLUMNS.index("phase1")
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        writer.writerow([*map("{:.9g}".format, r[:n_float]), *r[n_float:]])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan, -0.0, 1e-300, 1e300, -1e300, 5e-324])
+def test_template_writer_matches_csv_writer(omega, tmp_path):
+    base = dict.fromkeys(CSV_COLUMNS, 0.0) | {
+        "phase1": "SUC", "phase2": "SOC", "toll_clamped": 1, "hot_clamped": 0, "gp_clamped": 1,
+    }
+    records = [
+        SimulationRecord(**base | {"omega": omega}),
+        SimulationRecord(**base | {"t": 1 / 3, "delta1": -2.5e-7, "u": 123456789.123, "omega": omega}),
+    ]
+    path = tmp_path / "run.csv"
+    write_csv(records, str(path))
+    assert path.read_bytes() == csv_writer_bytes(records)

@@ -17,6 +17,7 @@ from hotlanes.scenario import (
     LaneMetrics,
     Metrics,
     ScenarioConfig,
+    CSV_COLUMNS,
     SimulationRecord,
     compare_hov_hot,
     metrics,
@@ -362,13 +363,58 @@ class TestCsv:
         path = tmp_path / "h.csv"
         write_csv(quiet_run(cfg), str(path))
         header = path.read_text().splitlines()[0].split(",")
-        assert header == list(SimulationRecord.__dataclass_fields__)
+        assert header == list(SimulationRecord._fields)
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,delta1\n0,0\n")
         with pytest.raises(ConfigError):
             read_csv(str(path))
+
+    @staticmethod
+    def written_lines(tmp_path):
+        cfg = short(preset("constant"), horizon_h=0.005, dt_s=0.5)
+        path = tmp_path / "run.csv"
+        write_csv(quiet_run(cfg), str(path))
+        return path, path.read_text().splitlines()
+
+    def test_truncated_file_names_the_line(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        last = lines[-1]
+        path.write_text("\n".join(lines[:-1] + [last[: len(last) // 2]]) + "\n")
+        with pytest.raises(ConfigError, match=rf"line {len(lines)}: \d+ cells"):
+            read_csv(str(path))
+
+    def test_non_numeric_cell_names_the_line(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index("omega")] = "abc"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="line 3: .*'abc'"):
+            read_csv(str(path))
+
+    def test_reordered_and_extra_columns_round_trip(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        rows = [line.split(",") for line in lines]
+        order = list(reversed(range(len(CSV_COLUMNS))))
+        shuffled = [["note"] + [r[i] for i in order] for r in rows[:1]]
+        shuffled += [["x"] + [r[i] for i in order] for r in rows[1:]]
+        other = tmp_path / "shuffled.csv"
+        other.write_text("".join(",".join(r) + "\n" for r in shuffled))
+        assert read_csv(str(other)) == read_csv(str(path))
+
+    def test_trailing_blank_line_skipped(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        want = read_csv(str(path))
+        path.write_text("\n".join(lines) + "\n\n")
+        assert read_csv(str(path)) == want
+
+    def test_records_are_tuples_in_column_order(self, tmp_path):
+        path, _ = self.written_lines(tmp_path)
+        record = read_csv(str(path))[0]
+        assert record == tuple(getattr(record, c) for c in CSV_COLUMNS)
+        assert record._replace(u=1.5).u == 1.5
 
 
 class TestCli:
@@ -405,7 +451,12 @@ class TestCli:
         assert main(["run", "--set", "a.b=1", "--out", "x.csv"]) == 1
 
     @pytest.mark.parametrize(
-        "override", ["demand.sov_veh_h=nan", "geometry.hot_lanes=0.5", "simulation.dt_s=nan"]
+        "override",
+        [
+            "demand.sov_veh_h=nan", "geometry.hot_lanes=0.5", "simulation.dt_s=nan",
+            "controller.k1=-1", "controller.k1=abc", "controller.k1=nan",
+            "fd.free_flow_kmh=nan",
+        ],
     )
     def test_invalid_value_exits_1_without_output(self, override, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -413,6 +464,15 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    def test_estimate_of_truncated_records_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = ["--set", "simulation.horizon_h=0.005", "--set", "simulation.dt_s=0.5"]
+        assert main(["run", "--preset", "constant", *args, "--out", str(out)]) == 0
+        out.write_text(out.read_text()[:-40])
+        capsys.readouterr()
+        assert main(["estimate", "--records", str(out), "--model", "ue"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_gridlock_exit_code(self, capsys):
         code = main([
