@@ -21,20 +21,8 @@ from .analysis import (
     stability_check,
     triangular_growth,
 )
-from .bathtub import (
-    BathtubState,
-    CorridorState,
-    HotGridlockError,
-    Inflows,
-    SaturationStats,
-    density,
-    excess_density,
-    exit_rate,
-    residual_service_rate,
-    step,
-    travel_time_gap,
-)
-from .controller import ControllerState, toll, update
+from .bathtub import HotGridlockError, SaturationStats, travel_time_gap
+from .controller import ControllerState
 from .estimation import (
     EstimationError,
     Observation,
@@ -51,7 +39,6 @@ from .lane_choice import (
     VotDistribution,
     logit_inverse_toll,
     logit_share,
-    split_inflow,
     ue_inverse_toll,
     ue_share,
 )

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bathtub import BathtubState, density
 from .nfd import FdParams, critical_density, flow
 
 __all__ = [
@@ -326,24 +325,25 @@ def share_from_state(
 
 
 def choice_sensitivity(
-    state: BathtubState,
+    lam: float,
+    xi: float,
     fd: FdParams,
+    L1: float,
+    D: float,
     e1_tilde: float,
     e2_tilde: float,
     direction: str,
-    xi: float = 0.0,
     step: float = 1e-6,
     side: str = "central",
 ) -> float:
-    """Finite-difference derivative of the implied share in ``lam`` or ``xi``.
+    """Finite-difference derivative of :func:`share_from_state` in ``lam`` or ``xi``.
 
     ``side`` selects central, left or right differences; one-sided stencils
     matter at the critical density where the diagram has a kink.
     """
-    lam = density(state) - critical_density(fd)
 
     def p_of(lam_: float, xi_: float) -> float:
-        return share_from_state(lam_, xi_, fd, state.lane_length, state.mean_remaining_distance, e1_tilde, e2_tilde)
+        return share_from_state(lam_, xi_, fd, L1, D, e1_tilde, e2_tilde)
 
     if direction == "xi":
         var = xi

@@ -75,6 +75,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if not math.isfinite(args.at_time):
+        raise ConfigError(f"--at-time must be finite, got {args.at_time}")
     config = _resolve_config(args)
     rho_c = critical_density(config.fd_hot)
     cap = capacity(config.fd_hot)
@@ -116,6 +118,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be at least 1, got {args.bins}")
+    if not (math.isfinite(args.alpha_star) and args.alpha_star > 0):
+        raise ConfigError(f"--alpha-star must be positive and finite, got {args.alpha_star}")
     records = read_csv(args.records)
     observations = records_to_observations(records)
     if args.model == "ue":

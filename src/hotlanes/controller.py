@@ -7,10 +7,10 @@ lanes run over-critical) and residual service rate (price down when unused
 service remains).  The reference is (0, 0).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
-__all__ = ["ControllerState", "posted_toll", "toll", "integrate", "update"]
+__all__ = ["ControllerState", "posted_toll", "integrate"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,21 +49,11 @@ def posted_toll(a: float, b: float, omega: float, ceiling: float) -> float:
     return max(0.0, a * omega + b)
 
 
-def toll(ctrl: ControllerState, omega: float) -> float:
-    """Posted distance-based toll, clamped to be non-negative."""
-    return posted_toll(ctrl.a, ctrl.b, omega, ctrl.toll_ceiling)
-
-
 def integrate(
     a: float, b: float, lam: float, xi: float, dt: float,
     k1: float, k2: float, k3: float, k4: float,
 ) -> tuple[float, float]:
-    """One explicit-Euler step of the coefficient ODEs; returns the new (a, b)."""
-    return a + dt * (k1 * lam - k2 * xi), b + dt * (k3 * lam - k4 * xi)
-
-
-def update(ctrl: ControllerState, lam: float, xi: float, dt: float) -> ControllerState:
-    """Integrate the coefficient ODEs one step; the coefficients are unclamped.
+    """One explicit-Euler step of the coefficient ODEs; returns the new (a, b), unclamped.
 
     Both coefficients integrate the same ``lam`` and ``xi``.  An unclamped
     plant step moves the HOT-lane trips ``delta1`` by exactly ``-dt * xi``,
@@ -71,7 +61,4 @@ def update(ctrl: ControllerState, lam: float, xi: float, dt: float) -> Controlle
     up to rounding.  This holds while the controller ticks every step
     (``decimation = 1``) and ``delta1`` is not clamped.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    a, b = integrate(ctrl.a, ctrl.b, lam, xi, dt, ctrl.k1, ctrl.k2, ctrl.k3, ctrl.k4)
-    return replace(ctrl, a=a, b=b)
+    return a + dt * (k1 * lam - k2 * xi), b + dt * (k3 * lam - k4 * xi)

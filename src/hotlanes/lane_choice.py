@@ -20,7 +20,6 @@ __all__ = [
     "ue_inverse_toll",
     "logit_share",
     "logit_inverse_toll",
-    "split_inflow",
     "UeChoice",
     "LogitChoice",
 ]
@@ -173,16 +172,6 @@ def logit_inverse_toll(p: float, omega: float, params: LogitParams) -> float:
     if omega < 0:
         raise ValueError("travel time gap cannot be negative")
     return omega * params.pi_star + math.log(1.0 / p - 1.0) / params.alpha_star
-
-
-def split_inflow(e2_tilde: float, p: float) -> tuple[float, float]:
-    """Split the SOV rate into (paying rate, GP rate)."""
-    if e2_tilde < 0:
-        raise ValueError("SOV rate cannot be negative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("share must be in [0, 1]")
-    e21 = p * e2_tilde
-    return e21, e2_tilde - e21
 
 
 class UeChoice:

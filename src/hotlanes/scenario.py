@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import analysis
 from .bathtub import (
-    BathtubState,
     HotGridlockError,
     SaturationStats,
     completion_rate,
@@ -167,9 +166,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown VOT family {self.vot_family!r}")
         numbers = (self.dt_s, self.horizon_h, self.output_dt_s, self.corridor_length,
                    self.hot_lanes, self.gp_lanes, self.mean_trip_distance,
-                   self.initial_hot_trips, self.initial_gp_trips)
+                   self.initial_hot_trips, self.initial_gp_trips, self.vot_mean,
+                   self.vot_low, self.vot_high, self.logit_vot, self.logit_scale)
         if not all(math.isfinite(x) for x in numbers):
-            raise ConfigError("times, geometry and initial trip counts must be finite")
+            raise ConfigError(
+                "times, geometry, initial trip counts and choice parameters must be finite")
         if self.dt_s <= 0 or self.horizon_h <= 0:
             raise ConfigError("dt and horizon must be positive")
         if self.output_dt_s < self.dt_s:
@@ -277,12 +278,11 @@ def run(
     dt_ctrl = dt * decim
     fd_hot, fd_gp = config.fd_hot, config.fd_gp
     D = config.mean_trip_distance
-    hot = BathtubState(config.initial_hot_trips, config.hot_lanes, config.corridor_length, D)
-    gp = BathtubState(config.initial_gp_trips, config.gp_lanes, config.corridor_length, D)
-    L1, L2 = hot.lane_length, gp.lane_length
-    cap1, cap2 = jam_trip_cap(hot, fd_hot), jam_trip_cap(gp, fd_gp)
-    d1_init = d1 = hot.delta
-    d2_init = d2 = gp.delta
+    L1 = config.hot_lanes * config.corridor_length
+    L2 = config.gp_lanes * config.corridor_length
+    cap1, cap2 = jam_trip_cap(fd_hot, L1), jam_trip_cap(fd_gp, L2)
+    d1_init = d1 = config.initial_hot_trips
+    d2_init = d2 = config.initial_gp_trips
     rho_c_hot = critical_density(fd_hot)
     gp_jam_level = fd_gp.rho_j * L2 * (1.0 - 1e-12) if stop_at_gp_jam else math.inf
     G1 = G2 = 0.0

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from hotlanes.analysis import (
+    choice_sensitivity,
     equilibrium_share,
     linearized_matrix,
     max_outflow_cases,
@@ -21,12 +22,7 @@ from hotlanes.analysis import (
     toll_decomposition,
     triangular_growth,
 )
-from hotlanes.bathtub import (
-    BathtubState,
-    CorridorState,
-    Inflows,
-    step,
-)
+from hotlanes.bathtub import completion_rate, euler_update, jam_trip_cap
 from hotlanes.controller import ControllerState
 from hotlanes.estimation import (
     EstimationError,
@@ -42,7 +38,7 @@ from hotlanes.lane_choice import (
     ue_inverse_toll,
     ue_share,
 )
-from hotlanes.nfd import capacity, critical_density
+from hotlanes.nfd import capacity, critical_density, speed
 from hotlanes.presets import preset
 from hotlanes.scenario import (
     compare_hov_hot,
@@ -263,18 +259,18 @@ def test_criterion_5_triangular_gridlock(criterion):
     p0 = equilibrium_share(1.0, RHO_C, 100.0, 5.0, 200.0, 860.0)
     e2 = 860.0 * (1.0 - p0)
     fd = base.fd_gp
-    state = CorridorState(
-        hot=BathtubState(0.0, 1.0, 1.0, 5.0), gp=BathtubState(42.0, 1.0, 1.0, 5.0)
-    )
-    inflows = Inflows(e1_tilde=0.0, e2_tilde=e2, e21_tilde=0.0)
+    L2, D = 1.0, 5.0  # one GP lane on a 1 km corridor
+    cap = jam_trip_cap(fd, L2)
+    delta2 = 42.0
     dt = 0.01 / 3600.0
     worst = 0.0
     k = 0
-    while state.gp.delta < 135.0:
+    while delta2 < 135.0:
         k += 1
-        state = step(state, fd, fd, inflows, dt)
+        outflow = completion_rate(delta2, speed(fd, delta2 / L2), D)
+        delta2 = euler_update(delta2, e2, outflow, cap, dt)[0]
         expected = triangular_growth(42.0, p0, 860.0, 20.0, 5.0, 140.0, 1.0, k * dt)
-        worst = max(worst, abs(state.gp.delta - expected) / expected)
+        worst = max(worst, abs(delta2 - expected) / expected)
     track_ok = worst < 5e-3
     ok = all_jam and track_ok
     criterion(5, "triangular diagram gridlocks under any gains; SOC growth matches closed form",
@@ -337,16 +333,16 @@ def test_criterion_7_choice_model_properties(criterion, fd_floor):
                 )
     rt_ok = round_trip_err <= 1e-10
 
-    from hotlanes.analysis import choice_sensitivity
-
-    def hot(rho1):
-        return BathtubState(rho1, 1.0, 1.0, 5.0)
+    def sensitivity(rho1, direction):
+        # one HOT lane on a 1 km corridor, D = 5 km, at xi = 0
+        lam = rho1 - critical_density(fd_floor)
+        return choice_sensitivity(lam, 0.0, fd_floor, 1.0, 5.0, 200.0, 860.0, direction)
 
     sens_ok = (
-        choice_sensitivity(hot(12.0), fd_floor, 200.0, 860.0, "lam") > 0.0
-        and choice_sensitivity(hot(35.0), fd_floor, 200.0, 860.0, "lam") < 0.0
-        and abs(choice_sensitivity(hot(60.0), fd_floor, 200.0, 860.0, "lam")) <= 1e-9
-        and choice_sensitivity(hot(30.0), fd_floor, 200.0, 860.0, "xi") < 0.0
+        sensitivity(12.0, "lam") > 0.0
+        and sensitivity(35.0, "lam") < 0.0
+        and abs(sensitivity(60.0, "lam")) <= 1e-9
+        and sensitivity(30.0, "xi") < 0.0
     )
     ok = sign_ok and rt_ok and sens_ok
     criterion(7, "behavioral signs, inverse round-trips and phase sensitivities", ok,

@@ -18,8 +18,8 @@ from hotlanes.analysis import (
     stability_check,
     triangular_growth,
 )
-from hotlanes.bathtub import BathtubState
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, LogitParams, UeChoice
+from hotlanes.nfd import critical_density
 
 RHO_C = 70.0 / 3.0
 
@@ -186,8 +186,10 @@ class TestMaxOutflow:
         assert not max_outflow_cases(10.0, fd_triangular, 10.0, 1.0, 5.0).a1_applicable
 
 
-def hot_state(rho1: float) -> BathtubState:
-    return BathtubState(delta=rho1, num_lanes=1.0, corridor_length=1.0, mean_remaining_distance=5.0)
+def sensitivity(rho1, fd, direction, **kwargs):
+    """choice_sensitivity at xi = 0 for a one-lane, 1 km HOT group at density rho1, D = 5 km."""
+    lam = rho1 - critical_density(fd)
+    return choice_sensitivity(lam, 0.0, fd, 1.0, 5.0, 200.0, 860.0, direction, **kwargs)
 
 
 class TestChoiceSensitivity:
@@ -197,26 +199,26 @@ class TestChoiceSensitivity:
 
     def test_decreasing_in_residual_service(self, fd_floor):
         for rho1 in (10.0, 30.0, 60.0):
-            d = choice_sensitivity(hot_state(rho1), fd_floor, 200.0, 860.0, "xi")
+            d = sensitivity(rho1, fd_floor, "xi")
             assert d < 0.0
             assert d == pytest.approx(-1.0 / 860.0, rel=1e-6)
 
     def test_increasing_in_density_when_under_critical(self, fd_floor):
-        d = choice_sensitivity(hot_state(12.0), fd_floor, 200.0, 860.0, "lam")
+        d = sensitivity(12.0, fd_floor, "lam")
         assert d > 0.0
 
     def test_decreasing_on_congested_branch(self, fd_floor):
-        d = choice_sensitivity(hot_state(35.0), fd_floor, 200.0, 860.0, "lam")
+        d = sensitivity(35.0, fd_floor, "lam")
         assert d < 0.0
 
     def test_flat_on_flow_floor(self, fd_floor):
         # floor engages at rho = rho_j - c/w = 46.67
-        d = choice_sensitivity(hot_state(60.0), fd_floor, 200.0, 860.0, "lam")
+        d = sensitivity(60.0, fd_floor, "lam")
         assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_one_sided_derivatives_bracket_zero_at_critical(self, fd_floor):
-        left = choice_sensitivity(hot_state(RHO_C), fd_floor, 200.0, 860.0, "lam", side="left")
-        right = choice_sensitivity(hot_state(RHO_C), fd_floor, 200.0, 860.0, "lam", side="right")
+        left = sensitivity(RHO_C, fd_floor, "lam", side="left")
+        right = sensitivity(RHO_C, fd_floor, "lam", side="right")
         assert left > 0.0 > right
 
 

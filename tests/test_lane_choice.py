@@ -1,10 +1,13 @@
 """Paying-share models and their inverse toll forms."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hotlanes.controller import ControllerState
 from hotlanes.lane_choice import (
     ExponentialVot,
     LogitChoice,
@@ -13,10 +16,11 @@ from hotlanes.lane_choice import (
     UniformVot,
     logit_inverse_toll,
     logit_share,
-    split_inflow,
     ue_inverse_toll,
     ue_share,
 )
+from hotlanes.presets import preset
+from hotlanes.scenario import DemandProfile, run
 
 EXP50 = ExponentialVot(mean=50.0)
 LOGIT = LogitParams(pi_star=50.0, alpha_star=1.0)
@@ -91,19 +95,43 @@ class TestLogitInverseToll:
         assert logit_inverse_toll(free + 0.05, 0.01, LOGIT) < 0.0
 
 
+def split_rows(sov, mode="hot", choice_model="ue", b0=0.0):
+    """Two one-step records of the empty ``constant`` corridor under SOV demand ``sov``.
+
+    The corridor is empty at t = 0, so the gap is 0 and the posted toll is ``b0``.
+    """
+    config = replace(
+        preset("constant"), demand=DemandProfile(sov_rate=sov), mode=mode,
+        choice_model=choice_model, controller=ControllerState(b=b0),
+        dt_s=1.0, output_dt_s=1.0, horizon_h=2.0 / 3600.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # SOV demand alone need not overload the corridor
+        return run(config)
+
+
+def logit_toll_for(p):
+    """Toll that the constant preset's logit model (scale 1) answers with share p at zero gap."""
+    return math.log(1.0 / p - 1.0)
+
+
 class TestSplitInflow:
     def test_extremes(self):
-        assert split_inflow(500.0, 0.0) == (0.0, 500.0)
-        assert split_inflow(500.0, 1.0) == (500.0, 0.0)
+        nobody = split_rows(500.0, mode="hov")[0]  # no paying option: p = 0
+        assert (nobody.e21_tilde, nobody.e2_tilde - nobody.e21_tilde) == (0.0, 500.0)
+        everyone = split_rows(500.0)[0]  # zero toll at zero gap: p = 1 - F(0) = 1
+        assert (everyone.e21_tilde, everyone.e2_tilde - everyone.e21_tilde) == (500.0, 0.0)
 
     def test_study_split(self):
-        e21, e2 = split_inflow(8600.0, 0.3101)
-        assert e21 == pytest.approx(2666.9, rel=1e-4)
-        assert e2 == pytest.approx(5933.1, rel=1e-4)
+        row = split_rows(8600.0, choice_model="logit", b0=logit_toll_for(0.3101))[0]
+        assert row.e21_tilde == pytest.approx(2666.9, rel=1e-4)
+        assert row.e2_tilde - row.e21_tilde == pytest.approx(5933.1, rel=1e-4)
 
     def test_conserves_rate(self):
-        e21, e2 = split_inflow(777.0, 0.41)
-        assert e21 + e2 == pytest.approx(777.0)
+        # paying and non-paying SOVs together enter the corridor at the SOV rate
+        first, second = split_rows(777.0, choice_model="logit", b0=logit_toll_for(0.41))
+        entered = (second.E1 - first.E1) + (second.E2 - first.E2)
+        assert entered / second.t == pytest.approx(777.0)
 
 
 shares = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)

@@ -1,0 +1,89 @@
+"""Invariants of ``run`` over random short configurations, checked on the real loop."""
+
+import math
+import warnings
+from dataclasses import replace
+
+from hypothesis import event, given, settings, strategies as st
+
+from hotlanes.bathtub import HotGridlockError
+from hotlanes.controller import ControllerState
+from hotlanes.nfd import FdParams, capacity
+from hotlanes.presets import preset
+from hotlanes.scenario import CSV_COLUMNS, ConfigError, DemandProfile, run
+
+FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
+BASE_FD = FdParams(u_f=100.0, w=20.0, rho_j=140.0)
+
+rates = st.one_of(st.just(0.0), st.floats(1.0, 10_000.0))
+trips = st.one_of(st.just(0.0), st.floats(1.0, 800.0))
+gains = st.floats(0.1, 50.0)
+floors = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def short_configs(draw):
+    """Field overrides of the ``constant`` preset for a run of at most 0.05 h."""
+    dt_s = draw(st.sampled_from((0.1, 0.5, 1.0, 5.0)))
+    return {
+        "dt_s": dt_s,
+        "output_dt_s": dt_s,
+        "horizon_h": draw(st.floats(1e-4, 0.05)),
+        "demand": DemandProfile(hov_rate=draw(rates), sov_rate=draw(rates)),
+        "controller": ControllerState(**{k: draw(gains) for k in ("k1", "k2", "k3", "k4")}),
+        "hot_lanes": draw(st.integers(0, 6)),
+        "gp_lanes": draw(st.integers(0, 6)),
+        "initial_hot_trips": draw(trips),
+        "initial_gp_trips": draw(trips),
+        "choice_model": draw(st.sampled_from(("ue", "logit"))),
+        "vot_family": draw(st.sampled_from(("exponential", "uniform"))),
+        "mode": draw(st.sampled_from(("hot", "hov"))),
+        "fd_hot": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
+        "fd_gp": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
+    }
+
+
+def close(got, want, *running):
+    """``got == want`` to 1e-9 relative.
+
+    Increments are differences of running counts, which carry rounding of
+    about one ulp of their size; 1e-12 of the largest count bounds that.
+    """
+    return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12 * max(map(abs, running)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(short_configs())
+def test_run_outcome_and_invariants(overrides):
+    try:
+        config = replace(preset("constant"), **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random demand need not overload the corridor
+            records = run(config)
+    except (ConfigError, HotGridlockError) as exc:
+        event(type(exc).__name__)
+        return
+    event("records")
+    assert isinstance(records, list) and records
+
+    for r in records:
+        for name in FLOAT_COLUMNS:
+            value = getattr(r, name)
+            assert math.isfinite(value) or (name == "omega" and value == math.inf), (name, r)
+        assert 0.0 <= r.p <= 1.0
+        assert r.u >= 0.0
+
+    # Mass balance across each Euler step; the clamp flags are sticky, so an
+    # unflagged later row means neither bathtub was clamped in between.
+    dt = config.dt_s / 3600.0
+    d1_init, d2_init = config.initial_hot_trips, config.initial_gp_trips
+    for r, nxt in zip(records, records[1:]):
+        if nxt.hot_clamped or nxt.gp_clamped:
+            event("plant clamped")
+            break
+        assert close(nxt.E1 - r.E1, dt * (r.e1_tilde + r.e21_tilde),
+                     r.E1, nxt.E1, r.G1, nxt.G1, r.delta1, nxt.delta1, d1_init)
+        assert close(nxt.E2 - r.E2, dt * (r.e2_tilde - r.e21_tilde),
+                     r.E2, nxt.E2, r.G2, nxt.G2, r.delta2, nxt.delta2, d2_init)
+        assert close(nxt.G1 - r.G1, dt * r.g1, r.G1, nxt.G1)
+        assert close(nxt.G2 - r.G2, dt * r.g2, r.G2, nxt.G2)

@@ -120,6 +120,8 @@ class TestConfig:
             {"corridor_length": math.inf}, {"mean_trip_distance": math.nan},
             {"initial_hot_trips": math.nan}, {"initial_gp_trips": math.inf},
             {"hot_lanes": 0.5}, {"gp_lanes": math.nan},
+            {"vot_mean": math.nan}, {"vot_low": math.nan}, {"vot_high": math.inf},
+            {"logit_vot": math.inf}, {"logit_scale": math.nan}, {"control_decimation": 0},
         ):
             with pytest.raises(ConfigError):
                 replace(cfg, **bad)
@@ -455,7 +457,8 @@ class TestCli:
         [
             "demand.sov_veh_h=nan", "geometry.hot_lanes=0.5", "simulation.dt_s=nan",
             "controller.k1=-1", "controller.k1=abc", "controller.k1=nan",
-            "fd.free_flow_kmh=nan",
+            "fd.free_flow_kmh=nan", "choice.expected_vot=nan", "choice.vot_low=nan",
+            "choice.vot_high=inf", "choice.logit_vot=inf", "choice.logit_scale=nan",
         ],
     )
     def test_invalid_value_exits_1_without_output(self, override, tmp_path, capsys):
@@ -464,6 +467,35 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "ue", "--bins", "0"],
+            ["--model", "logit", "--alpha-star", "0"],
+            ["--model", "logit", "--alpha-star", "nan"],
+        ],
+        ids=["bins-0", "alpha-star-0", "alpha-star-nan"],
+    )
+    def test_invalid_estimate_argument_exits_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = ["--set", "simulation.horizon_h=0.02", "--set", "simulation.dt_s=0.5",
+                "--set", "simulation.initial_gp_trips=60"]
+        assert main(["run", "--preset", "constant-logit", *args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--records", str(out), *argv]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--at-time", "nan"], ["--set", "choice.expected_vot=nan"]],
+        ids=["at-time-nan", "expected-vot-nan"],
+    )
+    def test_invalid_analyze_input_exits_1(self, argv, capsys):
+        assert main(["analyze", "--preset", "constant", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "nan" not in captured.out
 
     def test_estimate_of_truncated_records_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
