@@ -30,18 +30,7 @@ from .estimation import (
     estimate_logit_vot,
     pool_cdf_points,
 )
-from .lane_choice import (
-    ExponentialVot,
-    LogitChoice,
-    LogitParams,
-    UeChoice,
-    UniformVot,
-    VotDistribution,
-    logit_inverse_toll,
-    logit_share,
-    ue_inverse_toll,
-    ue_share,
-)
+from .lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
 from .nfd import (
     FdParams,
     Phase,

@@ -77,6 +77,8 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     if not math.isfinite(args.at_time):
         raise ConfigError(f"--at-time must be finite, got {args.at_time}")
+    if not (math.isfinite(args.phase_offset) and args.phase_offset > 0):
+        raise ConfigError(f"--phase-offset must be positive and finite, got {args.phase_offset}")
     config = _resolve_config(args)
     rho_c = critical_density(config.fd_hot)
     cap = capacity(config.fd_hot)
@@ -100,16 +102,22 @@ def _cmd_analyze(args) -> int:
         )
     else:
         print("no flow floor: gp lanes gridlock in finite time under constant overload")
-    choice = config.build_choice()
     L1 = config.hot_lanes * config.corridor_length
     omega = pred.omega0 * args.at_time + pred.omega1 if pred.regime == "linear" else args.at_time
+    if not omega > 0.0:
+        raise ConfigError(f"--at-time {args.at_time:g} gives gap {omega:g}; need a positive gap")
     hov, sov = config.demand.hov_rate, config.demand.sov_rate
     for label, lam in (("under-critical", -args.phase_offset), ("over-critical", args.phase_offset)):
-        h, j = analysis.gap_sensitivities(
-            choice, config.fd_hot, L1, config.mean_trip_distance, hov, sov,
-            lam=lam, xi=0.0, omega=omega,
-        )
-        sysm = analysis.linearized_matrix(h, j, config.controller.k1, config.controller.k2, L1)
+        try:
+            h, j = analysis.gap_sensitivities(
+                config.choice, config.fd_hot, L1, config.mean_trip_distance, hov, sov,
+                lam=lam, xi=0.0, omega=omega,
+            )
+            sysm = analysis.linearized_matrix(h, j, config.controller.k1, config.controller.k2, L1)
+        except ValueError as exc:
+            raise ConfigError(
+                f"--phase-offset {args.phase_offset:g} gives no valid {label} state: {exc}"
+            ) from None
         res = analysis.stability_check(sysm)
         eig = ", ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in res.eigenvalues)
         verdict = "stable" if res.stable else "unstable"
@@ -123,7 +131,10 @@ def _cmd_estimate(args) -> int:
     if not (math.isfinite(args.alpha_star) and args.alpha_star > 0):
         raise ConfigError(f"--alpha-star must be positive and finite, got {args.alpha_star}")
     records = read_csv(args.records)
-    observations = records_to_observations(records)
+    try:
+        observations = records_to_observations(records)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.records}, {exc}") from None
     if args.model == "ue":
         points = []
         for obs in observations:

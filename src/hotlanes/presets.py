@@ -16,6 +16,7 @@ import configparser
 from dataclasses import replace
 
 from .controller import ControllerState
+from .lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
 from .nfd import FdParams, capacity
 from .scenario import ConfigError, DemandProfile, ScenarioConfig
 
@@ -35,8 +36,7 @@ def constant_demand() -> ScenarioConfig:
         demand=DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0),
         corridor_length=1.0,
         mean_trip_distance=5.0,
-        choice_model="ue",
-        vot_mean=50.0,
+        choice=UeChoice(ExponentialVot(mean=50.0)),
         controller=ControllerState(k1=8.0, k2=5.0, k3=8.0, k4=6.0),
         dt_s=0.1,
         horizon_h=5.0,
@@ -45,7 +45,7 @@ def constant_demand() -> ScenarioConfig:
 
 def constant_demand_logit() -> ScenarioConfig:
     """Constant demand with the fixed-VOT logit choice model."""
-    return replace(constant_demand(), choice_model="logit", logit_vot=50.0, logit_scale=1.0)
+    return replace(constant_demand(), choice=LogitChoice(pi_star=50.0, alpha_star=1.0))
 
 
 def trapezoid_peak() -> ScenarioConfig:
@@ -101,13 +101,6 @@ _SCALARS = {
     ("geometry", "hot_lanes"): ("hot_lanes", float),
     ("geometry", "gp_lanes"): ("gp_lanes", float),
     ("geometry", "mean_trip_km"): ("mean_trip_distance", float),
-    ("choice", "model"): ("choice_model", str),
-    ("choice", "vot_family"): ("vot_family", str),
-    ("choice", "expected_vot"): ("vot_mean", float),
-    ("choice", "vot_low"): ("vot_low", float),
-    ("choice", "vot_high"): ("vot_high", float),
-    ("choice", "logit_vot"): ("logit_vot", float),
-    ("choice", "logit_scale"): ("logit_scale", float),
     ("simulation", "dt_s"): ("dt_s", float),
     ("simulation", "horizon_h"): ("horizon_h", float),
     ("simulation", "output_dt_s"): ("output_dt_s", float),
@@ -139,35 +132,70 @@ def _parse_fd(sec: configparser.SectionProxy, base: FdParams) -> FdParams:
     return replace(fd, c=c)
 
 
-def _parse_demand(sec: configparser.SectionProxy) -> DemandProfile:
-    kind = sec.get("kind", "constant")
-    if kind == "constant":
-        return DemandProfile(
-            kind="constant",
-            hov_rate=sec.getfloat("hov_veh_h", 0.0),
-            sov_rate=sec.getfloat("sov_veh_h", 0.0),
-        )
-    if kind == "trapezoid":
-        return DemandProfile(
-            kind="trapezoid",
-            hov_rate=sec.getfloat("hov_peak_veh_h", 0.0),
-            sov_rate=sec.getfloat("sov_peak_veh_h", 0.0),
-            t0=sec.getfloat("ramp_up_start_h", 0.0),
-            t1=sec.getfloat("ramp_up_end_h"),
-            t2=sec.getfloat("ramp_down_start_h"),
-            t3=sec.getfloat("ramp_down_end_h"),
-        )
-    if kind == "piecewise":
-        def floats(key: str) -> tuple[float, ...]:
-            return tuple(float(x) for x in sec.get(key, "").split(","))
+# Per demand kind and per choice class: INI key -> field it sets.
+_DEMAND_FIELDS = {
+    "constant": {"hov_veh_h": "hov_rate", "sov_veh_h": "sov_rate"},
+    "trapezoid": {"hov_peak_veh_h": "hov_rate", "sov_peak_veh_h": "sov_rate",
+                  "ramp_up_start_h": "t0", "ramp_up_end_h": "t1",
+                  "ramp_down_start_h": "t2", "ramp_down_end_h": "t3"},
+    "piecewise": {"breakpoints_h": "breakpoints", "hov_rates_veh_h": "hov_rates",
+                  "sov_rates_veh_h": "sov_rates"},
+}
 
-        return DemandProfile(
-            kind="piecewise",
-            breakpoints=floats("breakpoints_h"),
-            hov_rates=floats("hov_rates_veh_h"),
-            sov_rates=floats("sov_rates_veh_h"),
-        )
-    raise ConfigError(f"unknown demand kind {kind!r}")
+_CHOICE_FIELDS = {
+    LogitChoice: {"logit_vot": "pi_star", "logit_scale": "alpha_star"},
+    ExponentialVot: {"expected_vot": "mean"},
+    UniformVot: {"vot_low": "low", "vot_high": "high"},
+}
+
+_VOT_FAMILIES = {"exponential": ExponentialVot, "uniform": UniformVot}
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split(","))
+
+
+def _updates(cp: configparser.ConfigParser, section: str, fields: dict[str, str], what: str,
+             extra: tuple[str, ...], typ=float) -> dict[str, object]:
+    """{field: value} of the section's keys; a key outside ``fields`` and ``extra`` is an error."""
+    foreign = sorted(set(cp[section]) - set(fields) - set(extra))
+    if foreign:
+        raise ConfigError(f"[{section}] {', '.join(foreign)} does not apply to {what}")
+    return {attr: _convert(cp, section, key, typ)
+            for key, attr in fields.items() if cp.has_option(section, key)}
+
+
+def _parse_demand(cp: configparser.ConfigParser, base: DemandProfile) -> DemandProfile:
+    """The preset's profile with ``kind`` and that kind's ``[demand]`` keys applied."""
+    kind = cp.get("demand", "kind", fallback=base.kind)
+    if kind not in _DEMAND_FIELDS:
+        raise ConfigError(f"unknown demand kind {kind!r}")
+    typ = _float_list if kind == "piecewise" else float
+    return replace(base, kind=kind, **_updates(
+        cp, "demand", _DEMAND_FIELDS[kind], f"demand kind {kind!r}", ("kind",), typ))
+
+
+def _parse_choice(cp: configparser.ConfigParser, base):
+    """The preset's choice model with the ``[choice]`` keys of the resulting model applied.
+
+    A switch of model or VOT family starts from the new class's defaults.
+    """
+    model = cp.get("choice", "model", fallback="logit" if isinstance(base, LogitChoice) else "ue")
+    current = base.dist if isinstance(base, UeChoice) else base
+    if model == "logit":
+        cls, what, extra = LogitChoice, "the logit model", ("model",)
+    elif model == "ue":
+        family = cp.get("choice", "vot_family",
+                        fallback="uniform" if isinstance(current, UniformVot) else "exponential")
+        if family not in _VOT_FAMILIES:
+            raise ConfigError(f"unknown VOT family {family!r}")
+        cls, what = _VOT_FAMILIES[family], f"UE choice, {family} VOT"
+        extra = ("model", "vot_family")
+    else:
+        raise ConfigError(f"unknown choice model {model!r}")
+    start = current if isinstance(current, cls) else cls()
+    chosen = replace(start, **_updates(cp, "choice", _CHOICE_FIELDS[cls], what, extra))
+    return chosen if model == "logit" else UeChoice(chosen)
 
 
 def _convert(cp: configparser.ConfigParser, section: str, key: str, typ):
@@ -192,7 +220,9 @@ def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
                 base = updates.get(attr, getattr(config, attr))
                 updates[attr] = _parse_fd(cp[group], base)
         if cp.has_section("demand"):
-            updates["demand"] = _parse_demand(cp["demand"])
+            updates["demand"] = _parse_demand(cp, config.demand)
+        if cp.has_section("choice"):
+            updates["choice"] = _parse_choice(cp, config.choice)
         for (section, key), (attr, typ) in _SCALARS.items():
             if cp.has_option(section, key):
                 updates[attr] = _convert(cp, section, key, typ)
@@ -244,13 +274,9 @@ _KNOWN_KEYS = {
     "fd": set(_FD_KEYS),
     "fd.hot": set(_FD_KEYS),
     "fd.gp": set(_FD_KEYS),
-    "demand": {
-        "kind", "hov_veh_h", "sov_veh_h", "hov_peak_veh_h", "sov_peak_veh_h",
-        "ramp_up_start_h", "ramp_up_end_h", "ramp_down_start_h", "ramp_down_end_h",
-        "breakpoints_h", "hov_rates_veh_h", "sov_rates_veh_h",
-    },
+    "demand": {"kind"}.union(*_DEMAND_FIELDS.values()),
     "geometry": {k for (s, k) in _SCALARS if s == "geometry"},
-    "choice": {k for (s, k) in _SCALARS if s == "choice"},
+    "choice": {"model", "vot_family"}.union(*_CHOICE_FIELDS.values()),
     "simulation": {k for (s, k) in _SCALARS if s == "simulation"},
     "controller": set(_CONTROLLER_KEYS) | {"decimation"},
 }

@@ -25,7 +25,7 @@ from .bathtub import (
     travel_time_gap,
 )
 from .controller import ControllerState, integrate, posted_toll
-from .lane_choice import ExponentialVot, LogitChoice, LogitParams, UeChoice, UniformVot
+from .lane_choice import LogitChoice, UeChoice
 from .nfd import FdParams, classify_phase, critical_density, speed
 
 __all__ = [
@@ -141,13 +141,7 @@ class ScenarioConfig:
     hot_lanes: float = 1.0
     gp_lanes: float = 1.0
     mean_trip_distance: float = 5.0
-    choice_model: str = "ue"  # "ue" | "logit"
-    vot_family: str = "exponential"  # "exponential" | "uniform"
-    vot_mean: float = 50.0
-    vot_low: float = 0.0
-    vot_high: float = 100.0
-    logit_vot: float = 50.0
-    logit_scale: float = 1.0
+    choice: UeChoice | LogitChoice = UeChoice()  # the paying-share model
     controller: ControllerState = ControllerState()
     control_decimation: int = 1
     dt_s: float = 0.1
@@ -160,17 +154,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("hot", "hov"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.choice_model not in ("ue", "logit"):
-            raise ConfigError(f"unknown choice model {self.choice_model!r}")
-        if self.vot_family not in ("exponential", "uniform"):
-            raise ConfigError(f"unknown VOT family {self.vot_family!r}")
         numbers = (self.dt_s, self.horizon_h, self.output_dt_s, self.corridor_length,
                    self.hot_lanes, self.gp_lanes, self.mean_trip_distance,
-                   self.initial_hot_trips, self.initial_gp_trips, self.vot_mean,
-                   self.vot_low, self.vot_high, self.logit_vot, self.logit_scale)
+                   self.initial_hot_trips, self.initial_gp_trips)
         if not all(math.isfinite(x) for x in numbers):
-            raise ConfigError(
-                "times, geometry, initial trip counts and choice parameters must be finite")
+            raise ConfigError("times, geometry and initial trip counts must be finite")
         if self.dt_s <= 0 or self.horizon_h <= 0:
             raise ConfigError("dt and horizon must be positive")
         if self.output_dt_s < self.dt_s:
@@ -183,13 +171,6 @@ class ScenarioConfig:
             raise ConfigError("each lane group needs at least one lane")
         if self.initial_hot_trips < 0 or self.initial_gp_trips < 0:
             raise ConfigError("initial trip counts cannot be negative")
-
-    def build_choice(self):
-        if self.choice_model == "logit":
-            return LogitChoice(LogitParams(pi_star=self.logit_vot, alpha_star=self.logit_scale))
-        if self.vot_family == "uniform":
-            return UeChoice(UniformVot(self.vot_low, self.vot_high))
-        return UeChoice(ExponentialVot(self.vot_mean))
 
     def a1_warnings(self) -> list[str]:
         hov_peak, sov_peak = self.demand.peak_rates()
@@ -269,7 +250,7 @@ def run(
     dt = config.dt_s / 3600.0
     n_steps = max(1, round(config.horizon_h * 3600.0 / config.dt_s))
     record_every = max(1, round(config.output_dt_s / config.dt_s))
-    share = config.build_choice().share
+    share = config.choice.share
     hov_mode = config.mode == "hov"
     ctrl = config.controller
     a, b = ctrl.a, ctrl.b
@@ -512,10 +493,18 @@ def read_csv(path: str) -> list[SimulationRecord]:
 
 
 def records_to_observations(records: Sequence[SimulationRecord]):
-    """Estimation observations from record rows (import-cycle-free helper)."""
+    """Estimation observations from record rows (import-cycle-free helper).
+
+    A row that is no valid observation raises :class:`ConfigError` naming
+    the row (1 for the first record) and its time.
+    """
     from .estimation import Observation
 
-    return [
-        Observation(time=r.t, u=r.u, omega=r.omega, e2_tilde=r.e2_tilde, e21_tilde=r.e21_tilde)
-        for r in records
-    ]
+    out = []
+    for row, r in enumerate(records, 1):
+        try:
+            out.append(Observation(
+                time=r.t, u=r.u, omega=r.omega, e2_tilde=r.e2_tilde, e21_tilde=r.e21_tilde))
+        except ValueError as exc:
+            raise ConfigError(f"row {row} (t={r.t:.9g}): {exc}") from None
+    return out

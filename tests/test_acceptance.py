@@ -30,14 +30,7 @@ from hotlanes.estimation import (
     estimate_logit_vot,
     pool_cdf_points,
 )
-from hotlanes.lane_choice import (
-    ExponentialVot,
-    LogitParams,
-    logit_inverse_toll,
-    logit_share,
-    ue_inverse_toll,
-    ue_share,
-)
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice
 from hotlanes.nfd import capacity, critical_density, speed
 from hotlanes.presets import preset
 from hotlanes.scenario import (
@@ -49,8 +42,8 @@ from hotlanes.scenario import (
 )
 
 RHO_C = 70.0 / 3.0
-EXP50 = ExponentialVot(50.0)
-LOGIT50 = LogitParams(pi_star=50.0, alpha_star=1.0)
+UE50 = UeChoice(ExponentialVot(50.0))
+LOGIT50 = LogitChoice(pi_star=50.0, alpha_star=1.0)
 
 # Criterion 2 follows the constant preset on to this horizon.  The leading-order
 # closed form lam0 first falls below 0.05 veh/km at about 32 h; 48 h is 1.5 times
@@ -133,7 +126,7 @@ def slow_mode_closed_form(cfg, records, p0, invariant):
     """
     c = cfg.controller
     L1 = cfg.hot_lanes * cfg.corridor_length
-    A, B = toll_decomposition(cfg.build_choice(), p0)
+    A, B = toll_decomposition(cfg.choice, p0)
     r = c.k3 / c.k1
     beta = ((c.k1 * c.k4 - c.k2 * c.k3) * critical_density(cfg.fd_hot) * L1 - invariant) / c.k1
     ts = [rec.t for rec in records]
@@ -316,20 +309,19 @@ def test_criterion_7_choice_model_properties(criterion, fd_floor):
     sign_ok = True
     for u in us:
         for om in omegas:
-            for share in (lambda a, b: ue_share(a, b, EXP50),
-                          lambda a, b: logit_share(a, b, LOGIT50)):
+            for share in (UE50.share, LOGIT50.share):
                 sign_ok &= share(u + h, om) - share(u - h, om) < 0.0
                 sign_ok &= share(u, om + h) - share(u, om - h) > 0.0
 
     round_trip_err = 0.0
     for p in [0.02 + 0.46 * i / 19.0 for i in range(20)]:
         for om in omegas:
-            u_ue = ue_inverse_toll(p, om, EXP50)
-            round_trip_err = max(round_trip_err, abs(ue_share(u_ue, om, EXP50) - p) / p)
-            u_lg = logit_inverse_toll(p, om, LOGIT50)
+            u_ue = UE50.inverse_toll(p, om)
+            round_trip_err = max(round_trip_err, abs(UE50.share(u_ue, om) - p) / p)
+            u_lg = LOGIT50.inverse_toll(p, om)
             if u_lg >= 0.0:
                 round_trip_err = max(
-                    round_trip_err, abs(logit_share(u_lg, om, LOGIT50) - p) / p
+                    round_trip_err, abs(LOGIT50.share(u_lg, om) - p) / p
                 )
     rt_ok = round_trip_err <= 1e-10
 

@@ -18,7 +18,7 @@ from hotlanes.analysis import (
     stability_check,
     triangular_growth,
 )
-from hotlanes.lane_choice import ExponentialVot, LogitChoice, LogitParams, UeChoice
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice
 from hotlanes.nfd import critical_density
 
 RHO_C = 70.0 / 3.0
@@ -225,7 +225,7 @@ class TestChoiceSensitivity:
 class TestGapSensitivities:
     def test_h_positive_for_both_models(self, fd_floor):
         ue = UeChoice(ExponentialVot(50.0))
-        logit = LogitChoice(LogitParams(50.0, 1.0))
+        logit = LogitChoice(50.0, 1.0)
         for choice in (ue, logit):
             h, _ = gap_sensitivities(choice, fd_floor, 1.0, 5.0, 200.0, 860.0,
                                      lam=-1.0, xi=0.0, omega=0.1)
@@ -241,7 +241,7 @@ class TestGapSensitivities:
 
     def test_logit_gap_term_is_flat(self, fd_floor):
         # the gap-proportional part of the logit toll is the fixed VOT
-        logit = LogitChoice(LogitParams(50.0, 1.0))
+        logit = LogitChoice(50.0, 1.0)
         from hotlanes.analysis import toll_decomposition
 
         p = share_from_state(-1.0, 0.0, fd_floor, 1.0, 5.0, 200.0, 860.0)

@@ -12,13 +12,14 @@ from hotlanes.bathtub import (
     jam_trip_cap,
     travel_time_gap,
 )
+from hotlanes.lane_choice import UeChoice
 from hotlanes.scenario import ConfigError, DemandProfile, ScenarioConfig, run
 
 RHO_C = 70.0 / 3.0
 
 
 def plant_run(fd, d1=0.0, d2=0.0, e1=0.0, e2=0.0, dt_s=3.6, steps=1, stats=None,
-              stop_at_gp_jam=False, mode="hov"):
+              stop_at_gp_jam=False, mode="hov", choice=UeChoice()):
     """One record per step of a 10 km corridor, one lane per group, D = 5 km.
 
     HOV mode holds the paying share at 0, so the HOT inflow is ``e1`` and the
@@ -28,7 +29,7 @@ def plant_run(fd, d1=0.0, d2=0.0, e1=0.0, e2=0.0, dt_s=3.6, steps=1, stats=None,
         fd_hot=fd, fd_gp=fd, demand=DemandProfile(hov_rate=e1, sov_rate=e2),
         corridor_length=10.0, mean_trip_distance=5.0, mode=mode,
         dt_s=dt_s, output_dt_s=dt_s, horizon_h=steps * dt_s / 3600.0,
-        initial_hot_trips=d1, initial_gp_trips=d2,
+        initial_hot_trips=d1, initial_gp_trips=d2, choice=choice,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # these plants need not overload the corridor
@@ -169,11 +170,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             plant_run(fd_triangular, d1=-1.0)
 
-    def test_paying_rate_capped_by_sov_rate(self, fd_triangular, monkeypatch):
+    def test_paying_rate_capped_by_sov_rate(self, fd_triangular):
         class Overpaying:
             def share(self, u, omega):
                 return 1.5  # 150 paying of 100 SOV veh/h
 
-        monkeypatch.setattr(ScenarioConfig, "build_choice", lambda self: Overpaying())
         with pytest.raises(ValueError, match="paying share"):
-            plant_run(fd_triangular, e2=100.0, mode="hot")
+            plant_run(fd_triangular, e2=100.0, mode="hot", choice=Overpaying())

@@ -8,101 +8,92 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hotlanes.controller import ControllerState
-from hotlanes.lane_choice import (
-    ExponentialVot,
-    LogitChoice,
-    LogitParams,
-    UeChoice,
-    UniformVot,
-    logit_inverse_toll,
-    logit_share,
-    ue_inverse_toll,
-    ue_share,
-)
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
 from hotlanes.presets import preset
 from hotlanes.scenario import DemandProfile, run
 
 EXP50 = ExponentialVot(mean=50.0)
-LOGIT = LogitParams(pi_star=50.0, alpha_star=1.0)
+UE = UeChoice(EXP50)
+LOGIT = LogitChoice(pi_star=50.0, alpha_star=1.0)
 
 
 class TestUeShare:
     def test_threshold_at_mean_vot(self):
-        assert ue_share(0.5, 0.01, EXP50) == pytest.approx(math.exp(-1.0))
-        assert ue_share(0.5, 0.01, EXP50) == pytest.approx(0.36788, rel=1e-4)
+        assert UE.share(0.5, 0.01) == pytest.approx(math.exp(-1.0))
+        assert UE.share(0.5, 0.01) == pytest.approx(0.36788, rel=1e-4)
 
     def test_free_toll_everyone_pays(self):
-        assert ue_share(0.0, 0.02, EXP50) == 1.0
+        assert UE.share(0.0, 0.02) == 1.0
 
     def test_unbounded_gap_everyone_pays(self):
-        assert ue_share(3.0, math.inf, EXP50) == 1.0
+        assert UE.share(3.0, math.inf) == 1.0
 
     def test_zero_gap(self):
-        assert ue_share(0.1, 0.0, EXP50) == 0.0
-        assert ue_share(0.0, 0.0, EXP50) == 1.0  # 1 - F(0)
+        assert UE.share(0.1, 0.0) == 0.0
+        assert UE.share(0.0, 0.0) == 1.0  # 1 - F(0)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            ue_share(-0.1, 0.01, EXP50)
+            UE.share(-0.1, 0.01)
         with pytest.raises(ValueError):
-            ue_share(0.1, -0.01, EXP50)
+            UE.share(0.1, -0.01)
 
 
 class TestUeInverseToll:
     def test_full_share_is_free(self):
-        assert ue_inverse_toll(1.0, 0.02, EXP50) == 0.0
+        assert UE.inverse_toll(1.0, 0.02) == 0.0
 
     def test_mean_vot_point(self):
-        assert ue_inverse_toll(math.exp(-1.0), 0.01, EXP50) == pytest.approx(0.5)
+        assert UE.inverse_toll(math.exp(-1.0), 0.01) == pytest.approx(0.5)
 
     def test_linear_in_gap(self):
-        u1 = ue_inverse_toll(0.4, 0.01, EXP50)
-        u2 = ue_inverse_toll(0.4, 0.03, EXP50)
+        u1 = UE.inverse_toll(0.4, 0.01)
+        u2 = UE.inverse_toll(0.4, 0.03)
         assert u2 == pytest.approx(3.0 * u1)
 
     def test_zero_share_unbounded(self):
         with pytest.raises(ValueError):
-            ue_inverse_toll(0.0, 0.01, EXP50)
+            UE.inverse_toll(0.0, 0.01)
 
 
 class TestLogitShare:
     def test_half_at_indifference(self):
-        assert logit_share(0.5, 0.01, LOGIT) == 0.5
+        assert LOGIT.share(0.5, 0.01) == 0.5
 
     def test_unbounded_gap(self):
-        assert logit_share(2.0, math.inf, LOGIT) == 1.0
+        assert LOGIT.share(2.0, math.inf) == 1.0
 
     def test_direct_value(self):
-        assert logit_share(1.0, 0.01, LOGIT) == pytest.approx(1.0 / (1.0 + math.exp(0.5)))
-        assert logit_share(1.0, 0.01, LOGIT) == pytest.approx(0.37754, rel=1e-4)
+        assert LOGIT.share(1.0, 0.01) == pytest.approx(1.0 / (1.0 + math.exp(0.5)))
+        assert LOGIT.share(1.0, 0.01) == pytest.approx(0.37754, rel=1e-4)
 
 
 class TestLogitInverseToll:
     def test_half_share(self):
-        assert logit_inverse_toll(0.5, 0.01, LOGIT) == pytest.approx(0.5)
+        assert LOGIT.inverse_toll(0.5, 0.01) == pytest.approx(0.5)
 
     def test_inverse_of_direct_example(self):
         p = 1.0 / (1.0 + math.exp(0.5))
-        assert logit_inverse_toll(p, 0.01, LOGIT) == pytest.approx(1.0, rel=1e-12)
+        assert LOGIT.inverse_toll(p, 0.01) == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_shares_rejected(self):
         for p in (0.0, 1.0):
             with pytest.raises(ValueError):
-                logit_inverse_toll(p, 0.01, LOGIT)
+                LOGIT.inverse_toll(p, 0.01)
 
     def test_share_above_free_share_needs_negative_toll(self):
-        free = logit_share(0.0, 0.01, LOGIT)
-        assert logit_inverse_toll(free + 0.05, 0.01, LOGIT) < 0.0
+        free = LOGIT.share(0.0, 0.01)
+        assert LOGIT.inverse_toll(free + 0.05, 0.01) < 0.0
 
 
-def split_rows(sov, mode="hot", choice_model="ue", b0=0.0):
+def split_rows(sov, mode="hot", choice=UE, b0=0.0):
     """Two one-step records of the empty ``constant`` corridor under SOV demand ``sov``.
 
     The corridor is empty at t = 0, so the gap is 0 and the posted toll is ``b0``.
     """
     config = replace(
         preset("constant"), demand=DemandProfile(sov_rate=sov), mode=mode,
-        choice_model=choice_model, controller=ControllerState(b=b0),
+        choice=choice, controller=ControllerState(b=b0),
         dt_s=1.0, output_dt_s=1.0, horizon_h=2.0 / 3600.0,
     )
     with warnings.catch_warnings():
@@ -123,13 +114,13 @@ class TestSplitInflow:
         assert (everyone.e21_tilde, everyone.e2_tilde - everyone.e21_tilde) == (500.0, 0.0)
 
     def test_study_split(self):
-        row = split_rows(8600.0, choice_model="logit", b0=logit_toll_for(0.3101))[0]
+        row = split_rows(8600.0, choice=LOGIT, b0=logit_toll_for(0.3101))[0]
         assert row.e21_tilde == pytest.approx(2666.9, rel=1e-4)
         assert row.e2_tilde - row.e21_tilde == pytest.approx(5933.1, rel=1e-4)
 
     def test_conserves_rate(self):
         # paying and non-paying SOVs together enter the corridor at the SOV rate
-        first, second = split_rows(777.0, choice_model="logit", b0=logit_toll_for(0.41))
+        first, second = split_rows(777.0, choice=LOGIT, b0=logit_toll_for(0.41))
         entered = (second.E1 - first.E1) + (second.E2 - first.E2)
         assert entered / second.t == pytest.approx(777.0)
 
@@ -141,41 +132,41 @@ gaps = st.floats(min_value=1e-3, max_value=0.5)
 class TestRoundTrips:
     @given(p=shares, omega=gaps)
     def test_ue_round_trip(self, p, omega):
-        u = ue_inverse_toll(p, omega, EXP50)
-        assert ue_share(u, omega, EXP50) == pytest.approx(p, rel=1e-10)
+        u = UE.inverse_toll(p, omega)
+        assert UE.share(u, omega) == pytest.approx(p, rel=1e-10)
 
     @given(p=st.floats(min_value=1e-6, max_value=0.5), omega=gaps)
     def test_logit_round_trip(self, p, omega):
-        u = logit_inverse_toll(p, omega, LOGIT)
+        u = LOGIT.inverse_toll(p, omega)
         if u < 0:
             return  # outside the non-negative toll domain
-        assert logit_share(u, omega, LOGIT) == pytest.approx(p, rel=1e-10)
+        assert LOGIT.share(u, omega) == pytest.approx(p, rel=1e-10)
 
     @given(p=shares, omega=gaps)
     def test_uniform_vot_round_trip(self, p, omega):
-        dist = UniformVot(0.0, 80.0)
-        u = ue_inverse_toll(p, omega, dist)
-        assert ue_share(u, omega, dist) == pytest.approx(p, rel=1e-9)
+        choice = UeChoice(UniformVot(0.0, 80.0))
+        u = choice.inverse_toll(p, omega)
+        assert choice.share(u, omega) == pytest.approx(p, rel=1e-9)
 
 
 class TestBehavioralPrinciples:
     @given(u=st.floats(min_value=0.05, max_value=3.0), omega=gaps)
     def test_ue_decreasing_in_toll(self, u, omega):
         h = 1e-6
-        assert ue_share(u + h, omega, EXP50) < ue_share(u - h, omega, EXP50)
+        assert UE.share(u + h, omega) < UE.share(u - h, omega)
 
     @given(u=st.floats(min_value=0.05, max_value=3.0), omega=gaps)
     def test_ue_increasing_in_gap(self, u, omega):
         h = 1e-7
-        assert ue_share(u, omega + h, EXP50) > ue_share(u, omega - h, EXP50)
+        assert UE.share(u, omega + h) > UE.share(u, omega - h)
 
     @given(u=st.floats(min_value=0.0, max_value=3.0),
            omega=st.floats(min_value=1e-3, max_value=0.06))
     def test_logit_monotonicity(self, u, omega):
         # keep the logistic away from float saturation at either tail
         h = 1e-6
-        assert logit_share(u + h, omega, LOGIT) < logit_share(u, omega, LOGIT)
-        assert logit_share(u, omega + h, LOGIT) > logit_share(u, omega, LOGIT)
+        assert LOGIT.share(u + h, omega) < LOGIT.share(u, omega)
+        assert LOGIT.share(u, omega + h) > LOGIT.share(u, omega)
 
     @given(
         pi_lo=st.floats(min_value=0.1, max_value=200.0),
@@ -191,23 +182,11 @@ class TestBehavioralPrinciples:
             assert hi >= threshold
 
 
-class TestChoiceWrappers:
-    def test_ue_wrapper_matches_functions(self):
-        choice = UeChoice(EXP50)
-        assert choice.share(0.5, 0.01) == ue_share(0.5, 0.01, EXP50)
-        assert choice.inverse_toll(0.4, 0.01) == ue_inverse_toll(0.4, 0.01, EXP50)
-
-    def test_logit_wrapper_matches_functions(self):
-        choice = LogitChoice(LOGIT)
-        assert choice.share(0.5, 0.01) == logit_share(0.5, 0.01, LOGIT)
-        assert choice.inverse_toll(0.4, 0.01) == logit_inverse_toll(0.4, 0.01, LOGIT)
-
-
 class TestDistributions:
     def test_exponential_cdf_tail_consistency(self):
         for p in (0.9, 0.5, 0.1):
             z = EXP50.tail_value(p)
-            assert 1.0 - EXP50.cdf(z) == pytest.approx(p, rel=1e-12)
+            assert EXP50.tail(z) == pytest.approx(p, rel=1e-12)
 
     def test_uniform_validation(self):
         with pytest.raises(ValueError):
@@ -215,8 +194,11 @@ class TestDistributions:
         with pytest.raises(ValueError):
             UniformVot(-5.0, 10.0)
 
-    def test_exponential_density_integrates_cdf(self):
-        # crude Riemann check that pdf is consistent with cdf
-        xs = [i * 0.05 for i in range(4000)]
-        acc = sum(EXP50.pdf(x) * 0.05 for x in xs)
-        assert acc == pytest.approx(EXP50.cdf(200.0), abs=1e-3)
+    def test_non_finite_parameters_rejected(self):
+        for build in (
+            lambda: ExponentialVot(math.nan), lambda: UniformVot(math.nan, 100.0),
+            lambda: UniformVot(0.0, math.inf), lambda: LogitChoice(pi_star=math.inf),
+            lambda: LogitChoice(alpha_star=math.nan),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                build()

@@ -8,6 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from hotlanes.bathtub import HotGridlockError
 from hotlanes.controller import ControllerState
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity
 from hotlanes.presets import preset
 from hotlanes.scenario import CSV_COLUMNS, ConfigError, DemandProfile, run
@@ -19,6 +20,13 @@ rates = st.one_of(st.just(0.0), st.floats(1.0, 10_000.0))
 trips = st.one_of(st.just(0.0), st.floats(1.0, 800.0))
 gains = st.floats(0.1, 50.0)
 floors = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+def choice_of(model, family):
+    """The choice model with its default parameters; the family applies under UE only."""
+    if model == "logit":
+        return LogitChoice()
+    return UeChoice(ExponentialVot() if family == "exponential" else UniformVot())
 
 
 @st.composite
@@ -35,8 +43,8 @@ def short_configs(draw):
         "gp_lanes": draw(st.integers(0, 6)),
         "initial_hot_trips": draw(trips),
         "initial_gp_trips": draw(trips),
-        "choice_model": draw(st.sampled_from(("ue", "logit"))),
-        "vot_family": draw(st.sampled_from(("exponential", "uniform"))),
+        "choice": choice_of(draw(st.sampled_from(("ue", "logit"))),
+                            draw(st.sampled_from(("exponential", "uniform")))),
         "mode": draw(st.sampled_from(("hot", "hov"))),
         "fd_hot": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
         "fd_gp": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),

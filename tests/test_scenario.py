@@ -9,6 +9,7 @@ import pytest
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.cli import main
 from hotlanes.controller import ControllerState
+from hotlanes.lane_choice import LogitChoice, UeChoice, UniformVot
 from hotlanes.nfd import FdParams
 from hotlanes.presets import apply_overrides, load_config, preset
 from hotlanes.scenario import (
@@ -112,16 +113,13 @@ class TestConfig:
             replace(cfg, dt_s=0.0)
         with pytest.raises(ConfigError):
             replace(cfg, output_dt_s=0.01)  # finer than dt
-        with pytest.raises(ConfigError):
-            replace(cfg, choice_model="probit")
         # the step loop builds no state objects, so the config is the only check
         for bad in (
             {"dt_s": math.nan}, {"horizon_h": math.inf}, {"output_dt_s": math.nan},
             {"corridor_length": math.inf}, {"mean_trip_distance": math.nan},
             {"initial_hot_trips": math.nan}, {"initial_gp_trips": math.inf},
             {"hot_lanes": 0.5}, {"gp_lanes": math.nan},
-            {"vot_mean": math.nan}, {"vot_low": math.nan}, {"vot_high": math.inf},
-            {"logit_vot": math.inf}, {"logit_scale": math.nan}, {"control_decimation": 0},
+            {"control_decimation": 0},
         ):
             with pytest.raises(ConfigError):
                 replace(cfg, **bad)
@@ -155,7 +153,25 @@ class TestConfig:
     def test_overrides(self):
         cfg = apply_overrides(None, "constant", ["simulation.horizon_h=1.5", "choice.model=logit"])
         assert cfg.horizon_h == 1.5
-        assert cfg.choice_model == "logit"
+        assert cfg.choice == LogitChoice()
+
+    def test_choice_override_keeps_the_preset_model(self):
+        cfg = apply_overrides(None, "constant-logit", ["choice.logit_vot=40"])
+        assert cfg.choice == LogitChoice(pi_star=40.0, alpha_star=1.0)
+        cfg = apply_overrides(None, "constant", ["choice.vot_family=uniform", "choice.vot_high=80"])
+        assert cfg.choice == UeChoice(UniformVot(0.0, 80.0))
+
+    def test_partial_demand_keeps_the_other_rate(self):
+        cfg = apply_overrides(None, "constant", ["demand.sov_veh_h=900"])
+        assert cfg.demand == replace(preset("constant").demand, sov_rate=900.0)
+
+    def test_partial_demand_keeps_the_trapezoid(self):
+        cfg = apply_overrides(None, "trapezoid", ["demand.sov_peak_veh_h=650"])
+        assert cfg.demand == replace(preset("trapezoid").demand, sov_rate=650.0)
+
+    def test_demand_key_of_another_kind_rejected(self):
+        with pytest.raises(ConfigError, match="does not apply to demand kind 'trapezoid'"):
+            apply_overrides(None, "trapezoid", ["demand.sov_veh_h=900"])
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
@@ -488,8 +504,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--at-time", "nan"], ["--set", "choice.expected_vot=nan"]],
-        ids=["at-time-nan", "expected-vot-nan"],
+        [["--at-time", "nan"], ["--set", "choice.expected_vot=nan"], ["--at-time", "-1"]],
+        ids=["at-time-nan", "expected-vot-nan", "at-time-negative-gap"],
     )
     def test_invalid_analyze_input_exits_1(self, argv, capsys):
         assert main(["analyze", "--preset", "constant", *argv]) == 1
@@ -505,6 +521,58 @@ class TestCli:
         capsys.readouterr()
         assert main(["estimate", "--records", str(out), "--model", "ue"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "preset_name, overrides",
+        [
+            ("constant", ["choice.model=probit"]),
+            ("constant", ["choice.vot_family=gamma"]),
+            ("constant", ["choice.expected_vot=-1"]),
+            ("constant-logit", ["choice.logit_scale=-1"]),
+            ("constant", ["choice.vot_family=uniform", "choice.vot_low=90", "choice.vot_high=10"]),
+            ("constant", ["choice.logit_vot=40"]),
+            ("constant-logit", ["choice.expected_vot=40"]),
+            ("trapezoid", ["demand.sov_veh_h=900"]),
+        ],
+        ids=["unknown-model", "unknown-family", "negative-mean", "negative-scale",
+             "uniform-low-above-high", "logit-key-under-ue", "ue-key-under-logit",
+             "constant-key-on-trapezoid"],
+    )
+    def test_choice_or_demand_key_outside_the_model_exits_1(
+            self, preset_name, overrides, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        argv = ["run", "--preset", preset_name, "--set", "simulation.horizon_h=0.01"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset_name, offset",
+        [("constant", x) for x in ("nan", "20", "23.4", "1e9", "-1", "0")]
+        + [("constant-logit", "20")],
+    )
+    def test_invalid_phase_offset_exits_1(self, preset_name, offset, capsys):
+        assert main(["analyze", "--preset", preset_name, "--phase-offset", offset]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --phase-offset")
+
+    def test_estimate_of_out_of_range_record_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = ["--set", "simulation.horizon_h=0.01", "--out", str(out)]
+        assert main(["run", "--preset", "constant", *args]) == 0
+        lines = out.read_text().split("\n")
+        cells = lines[3].split(",")  # the third record
+        e2 = float(cells[CSV_COLUMNS.index("e2_tilde")])
+        cells[CSV_COLUMNS.index("e21_tilde")] = repr(2.0 * e2)
+        lines[3] = ",".join(cells)
+        out.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert main(["estimate", "--records", str(out), "--model", "ue"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out}, row 3 ")
+        assert "paying-SOV rate" in err
 
     def test_gridlock_exit_code(self, capsys):
         code = main([
