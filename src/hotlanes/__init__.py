@@ -51,6 +51,7 @@ from .scenario import (
     SimulationRecord,
     compare_hov_hot,
     constant_equilibrium,
+    iter_run,
     metrics,
     read_csv,
     run,

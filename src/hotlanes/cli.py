@@ -17,11 +17,11 @@ from .scenario import (
     ConfigError,
     compare_hov_hot,
     constant_equilibrium,
+    csv_rows,
+    iter_run,
     metrics,
     read_csv,
     records_to_observations,
-    run,
-    write_csv,
 )
 
 EXIT_OK = 0
@@ -56,10 +56,8 @@ def _resolve_config(args):
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
     stats = SaturationStats()
-    records = run(config, stats=stats)
-    write_csv(records, args.out)
-    m = metrics(records, config.mean_trip_distance)
-    print(f"wrote {len(records)} records to {args.out}")
+    m = metrics(csv_rows(iter_run(config, stats), args.out), config.mean_trip_distance)
+    print(f"wrote {m.records} records to {args.out}")
     print(
         f"served: managed {m.hot.served:.1f} veh, gp {m.gp.served:.1f} veh; "
         f"delay: managed {m.hot.total_delay:.2f} veh h, gp {m.gp.total_delay:.2f} veh h"
@@ -126,10 +124,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.bins < 1:
-        raise ConfigError(f"--bins must be at least 1, got {args.bins}")
-    if not (math.isfinite(args.alpha_star) and args.alpha_star > 0):
-        raise ConfigError(f"--alpha-star must be positive and finite, got {args.alpha_star}")
+    try:
+        bins, alpha_star = int(args.bins), float(args.alpha_star)
+    except ValueError as exc:
+        raise ConfigError(f"--bins {args.bins!r}, --alpha-star {args.alpha_star!r}: {exc}") from None
+    if bins < 1:
+        raise ConfigError(f"--bins must be at least 1, got {bins}")
+    if not (math.isfinite(alpha_star) and alpha_star > 0):
+        raise ConfigError(f"--alpha-star must be positive and finite, got {alpha_star}")
     records = read_csv(args.records)
     try:
         observations = records_to_observations(records)
@@ -145,7 +147,7 @@ def _cmd_estimate(args) -> int:
         if not points:
             print("no estimable observations (need positive gap and SOV demand)")
             return EXIT_ESTIMATION
-        pooled = estimation.pool_cdf_points(points, num_bins=args.bins)
+        pooled = estimation.pool_cdf_points(points, num_bins=bins)
         print("vot_dollars_per_h,cdf_estimate,count")
         for x, f_hat, count in pooled:
             print(f"{x:.9g},{f_hat:.9g},{count}")
@@ -153,7 +155,7 @@ def _cmd_estimate(args) -> int:
     votes = []
     for obs in observations:
         try:
-            votes.append(estimation.estimate_logit_vot(obs, alpha_star=args.alpha_star))
+            votes.append(estimation.estimate_logit_vot(obs, alpha_star=alpha_star))
         except estimation.EstimationError:
             continue
     if not votes:
@@ -213,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="recover VOT information from a record CSV")
     p_est.add_argument("--records", required=True, help="CSV produced by the run command")
     p_est.add_argument("--model", choices=("ue", "logit"), required=True)
-    p_est.add_argument("--alpha-star", type=float, default=1.0, help="logit scale parameter")
-    p_est.add_argument("--bins", type=int, default=40, help="abscissa bins for CDF pooling")
+    # Parsed by _cmd_estimate, so a bad value is a config error (exit 1), not a usage error.
+    p_est.add_argument("--alpha-star", default="1.0", help="logit scale parameter")
+    p_est.add_argument("--bins", default="40", help="abscissa bins for CDF pooling")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_cmp = sub.add_parser("compare", help="run HOV and HOT modes and compare metrics")

@@ -93,7 +93,8 @@ def preset(name: str) -> ScenarioConfig:
         ) from None
 
 
-_FD_KEYS = ("free_flow_kmh", "wave_kmh", "jam_veh_km", "flow_floor_fraction", "flow_floor_veh_h")
+_FD_FIELDS = {"free_flow_kmh": "u_f", "wave_kmh": "w", "jam_veh_km": "rho_j"}
+_FD_KEYS = (*_FD_FIELDS, "flow_floor_fraction", "flow_floor_veh_h")
 
 _SCALARS = {
     # (section, key) -> (config attr, type)
@@ -116,20 +117,13 @@ _CONTROLLER_KEYS = {
 }
 
 
-def _parse_fd(sec: configparser.SectionProxy, base: FdParams) -> FdParams:
-    fd = FdParams(
-        u_f=sec.getfloat("free_flow_kmh", base.u_f),
-        w=sec.getfloat("wave_kmh", base.w),
-        rho_j=sec.getfloat("jam_veh_km", base.rho_j),
-        c=0.0,
-    )
-    if "flow_floor_veh_h" in sec:
-        c = sec.getfloat("flow_floor_veh_h")
-    elif "flow_floor_fraction" in sec:
-        c = sec.getfloat("flow_floor_fraction") * capacity(fd)
-    else:
-        c = base.c
-    return replace(fd, c=c)
+def _parse_fd(cp: configparser.ConfigParser, section: str, base: FdParams) -> FdParams:
+    fd = replace(base, c=0.0, **_updates(cp, section, _FD_FIELDS, "a diagram", _FD_KEYS))
+    if cp.has_option(section, "flow_floor_veh_h"):
+        return replace(fd, c=_convert(cp, section, "flow_floor_veh_h", float))
+    if cp.has_option(section, "flow_floor_fraction"):
+        return replace(fd, c=_convert(cp, section, "flow_floor_fraction", float) * capacity(fd))
+    return replace(fd, c=base.c)
 
 
 # Per demand kind and per choice class: INI key -> field it sets.
@@ -212,13 +206,10 @@ def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
     # Every constructor rejects a bad value with ValueError; ConfigError is one.
     try:
         if cp.has_section("fd"):
-            fd = _parse_fd(cp["fd"], config.fd_hot)
-            updates["fd_hot"] = fd
-            updates["fd_gp"] = fd
+            updates["fd_hot"] = updates["fd_gp"] = _parse_fd(cp, "fd", config.fd_hot)
         for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
             if cp.has_section(group):
-                base = updates.get(attr, getattr(config, attr))
-                updates[attr] = _parse_fd(cp[group], base)
+                updates[attr] = _parse_fd(cp, group, updates.get(attr, getattr(config, attr)))
         if cp.has_section("demand"):
             updates["demand"] = _parse_demand(cp, config.demand)
         if cp.has_section("choice"):

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from . import analysis
 from .bathtub import (
@@ -36,9 +36,11 @@ __all__ = [
     "Metrics",
     "ComparisonResult",
     "ConfigError",
+    "iter_run",
     "run",
     "metrics",
     "compare_hov_hot",
+    "csv_rows",
     "write_csv",
     "read_csv",
     "records_to_observations",
@@ -134,6 +136,8 @@ class ScenarioConfig:
     any consistent length unit works as long as it is used throughout.
     """
 
+    MAX_STEPS = 10**8  # not a field: Euler steps one run may take, about 10 min at 6 us each
+
     fd_hot: FdParams
     fd_gp: FdParams
     demand: DemandProfile
@@ -161,6 +165,8 @@ class ScenarioConfig:
             raise ConfigError("times, geometry and initial trip counts must be finite")
         if self.dt_s <= 0 or self.horizon_h <= 0:
             raise ConfigError("dt and horizon must be positive")
+        if self.horizon_h * 3600.0 / self.dt_s > self.MAX_STEPS:
+            raise ConfigError(f"horizon_h * 3600 / dt_s exceeds {self.MAX_STEPS:.0e} steps")
         if self.output_dt_s < self.dt_s:
             raise ConfigError("output cadence cannot be finer than dt")
         if self.control_decimation < 1:
@@ -224,29 +230,31 @@ _FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 _FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("phase2") + 1:]
 
 
-_A1_PREFIX = "demand assumption violated at peak"
-
-
 def _warn_a1(config: ScenarioConfig) -> None:
     """Warn, at the caller of the public function calling this, per violated A1 condition."""
     for msg in config.a1_warnings():
-        warnings.warn(f"{_A1_PREFIX}: {msg}", stacklevel=3)
+        warnings.warn(f"demand assumption violated at peak: {msg}", stacklevel=3)
 
 
-def run(
-    config: ScenarioConfig,
-    stats: SaturationStats | None = None,
-    stop_at_gp_jam: bool = False,
-) -> list[SimulationRecord]:
-    """Run the closed loop and return the emitted record rows.
+def iter_run(config: ScenarioConfig, stats: SaturationStats | None = None) -> Iterator[SimulationRecord]:
+    """Run the closed loop as a stream of records; warn at the call per violated A1 condition.
 
-    Raises :class:`HotGridlockError` if the managed lanes reach zero speed.
-    ``stop_at_gp_jam`` ends the run once the GP lanes hit jam density
-    (useful for gridlock studies under the plain triangular diagram).
+    The loop steps only as records are taken, so a consumer that stops, stops
+    the run.  Raises :class:`HotGridlockError` if the managed lanes gridlock.
     """
     _warn_a1(config)
-    if stats is None:
-        stats = SaturationStats()
+    return _stream(config, stats)
+
+
+def run(config: ScenarioConfig, stats: SaturationStats | None = None) -> list[SimulationRecord]:
+    """The whole :func:`iter_run` stream as a list."""
+    _warn_a1(config)
+    return list(_stream(config, stats))
+
+
+def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[SimulationRecord]:
+    """The step loop: one Euler step per ``dt_s``, a record every ``output_dt_s`` and at the last."""
+    stats = SaturationStats() if stats is None else stats
     dt = config.dt_s / 3600.0
     n_steps = max(1, round(config.horizon_h * 3600.0 / config.dt_s))
     record_every = max(1, round(config.output_dt_s / config.dt_s))
@@ -265,10 +273,8 @@ def run(
     d1_init = d1 = config.initial_hot_trips
     d2_init = d2 = config.initial_gp_trips
     rho_c_hot = critical_density(fd_hot)
-    gp_jam_level = fd_gp.rho_j * L2 * (1.0 - 1e-12) if stop_at_gp_jam else math.inf
     G1 = G2 = 0.0
     u = p = 0.0
-    records: list[SimulationRecord] = []
     demand_rates = config.demand.rates
 
     for i in range(n_steps):
@@ -296,17 +302,14 @@ def run(
         lam = rho1 - rho_c_hot
         xi = g1 - in1
 
-        gp_jammed = d2 >= gp_jam_level
-        if i % record_every == 0 or i == n_steps - 1 or gp_jammed:
-            records.append(SimulationRecord(  # fields in CSV column order
+        if i % record_every == 0 or i == n_steps - 1:
+            yield SimulationRecord(  # fields in CSV column order
                 t, d1, d2, rho1, rho2, v1, v2, omega, lam, xi, a, b, u, p,
                 e1t, e2t, e21, g1, g2, d1 - d1_init + G1, d2 - d2_init + G2, G1, G2,
                 classify_phase(fd_hot, rho1).value, classify_phase(fd_gp, rho2).value,
                 int(not hov_mode and math.isfinite(gap) and a * gap + b < 0.0),
                 int(stats.hot_clamp_steps > 0), int(stats.gp_clamp_steps > 0),
-            ))
-            if gp_jammed:
-                break
+            )
         d1, dropped, clamped = euler_update(d1, in1, g1, cap1, dt)
         if clamped:
             stats.hot_clamp_steps += 1
@@ -319,7 +322,6 @@ def run(
         G2 += dt * g2
         if not hov_mode and i % decim == 0:
             a, b = integrate(a, b, lam, xi, dt_ctrl, k1, k2, k3, k4)
-    return records
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,43 +340,42 @@ class Metrics:
     gp: LaneMetrics
     max_omega: float  # [h/length]
     revenue: float  # [$]
+    records: int  # records aggregated
 
     @property
     def total_delay(self) -> float:
         return self.hot.total_delay + self.gp.total_delay
 
 
-def _trapz(ts: Sequence[float], ys: Sequence[float]) -> float:
-    acc = 0.0
-    for i in range(1, len(ts)):
-        acc += 0.5 * (ys[i] + ys[i - 1]) * (ts[i] - ts[i - 1])
-    return acc
-
-
-def metrics(records: Sequence[SimulationRecord], mean_trip_distance: float) -> Metrics:
-    """Aggregate a record stream into per-lane-group and corridor metrics.
+def metrics(records: Iterable[SimulationRecord], mean_trip_distance: float) -> Metrics:
+    """Aggregate a record stream, in one pass, into per-lane-group and corridor metrics.
 
     Delay is the area between the cumulative entry and exit curves; revenue
     weights the toll by the paying flux and the mean trip distance.
     """
-    if not records:
+    rows = iter(records)
+    first = last = next(rows, None)
+    if first is None:
         raise ValueError("need at least one record")
-    ts = [r.t for r in records]
-
-    def lane(e_attr: str, g_attr: str) -> LaneMetrics:
-        gap = [getattr(r, e_attr) - getattr(r, g_attr) for r in records]
-        delay = _trapz(ts, gap)
-        served = getattr(records[-1], g_attr) - getattr(records[0], g_attr)
-        initiated = getattr(records[-1], e_attr) - getattr(records[0], e_attr)
-        mean_tt = delay / served if served > 0 else 0.0
-        return LaneMetrics(delay, served, initiated, mean_tt)
-
-    revenue = _trapz(ts, [r.u * r.e21_tilde * mean_trip_distance for r in records])
+    D = mean_trip_distance
+    # the previous row's time and integrands: each lane's trips in system E - G, and revenue rate
+    pt, p1, p2, pr = first.t, first.E1 - first.G1, first.E2 - first.G2, first.u * first.e21_tilde * D
+    delay1 = delay2 = revenue = 0.0
+    max_omega, n = first.omega, 1
+    for n, last in enumerate(rows, 2):
+        t, y1, y2, yr = last.t, last.E1 - last.G1, last.E2 - last.G2, last.u * last.e21_tilde * D
+        delay1 += 0.5 * (y1 + p1) * (t - pt)
+        delay2 += 0.5 * (y2 + p2) * (t - pt)
+        revenue += 0.5 * (yr + pr) * (t - pt)
+        max_omega = max(max_omega, last.omega)
+        pt, p1, p2, pr = t, y1, y2, yr
+    served1, served2 = last.G1 - first.G1, last.G2 - first.G2
     return Metrics(
-        hot=lane("E1", "G1"),
-        gp=lane("E2", "G2"),
-        max_omega=max(r.omega for r in records),
+        hot=LaneMetrics(delay1, served1, last.E1 - first.E1, delay1 / served1 if served1 > 0 else 0.0),
+        gp=LaneMetrics(delay2, served2, last.E2 - first.E2, delay2 / served2 if served2 > 0 else 0.0),
+        max_omega=max_omega,
         revenue=revenue,
+        records=n,
     )
 
 
@@ -407,14 +408,9 @@ def compare_hov_hot(config: ScenarioConfig) -> ComparisonResult:
     overload assumption is warned once, at the caller.
     """
     _warn_a1(config)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=_A1_PREFIX)
-        rec_hot = run(replace(config, mode="hot"))
-        rec_hov = run(replace(config, mode="hov"))
-    return ComparisonResult(
-        hov=metrics(rec_hov, config.mean_trip_distance),
-        hot=metrics(rec_hot, config.mean_trip_distance),
-    )
+    hot, hov = (metrics(_stream(replace(config, mode=mode), None), config.mean_trip_distance)
+                for mode in ("hot", "hov"))
+    return ComparisonResult(hov=hov, hot=hot)
 
 
 def constant_equilibrium(config: ScenarioConfig) -> analysis.EquilibriumPrediction:
@@ -457,11 +453,19 @@ _HEADER = ",".join(CSV_COLUMNS) + "\r\n"
 _ROW = ",".join("%.9g" if c in _FLOAT_COLUMNS else "%s" for c in CSV_COLUMNS) + "\r\n"
 
 
-def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
-    """Write records as UTF-8 CSV with 9 significant digits per float."""
+def csv_rows(records: Iterable[SimulationRecord], path: str) -> Iterator[SimulationRecord]:
+    """Pass the records through, writing each first to the CSV at ``path`` (opened at the first)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_HEADER)
-        fh.writelines(map(_ROW.__mod__, records))
+        for r in records:
+            fh.write(_ROW % r)
+            yield r
+
+
+def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
+    """Write records as UTF-8 CSV with 9 significant digits per float."""
+    for _ in csv_rows(records, path):
+        pass
 
 
 def read_csv(path: str) -> list[SimulationRecord]:
@@ -492,7 +496,7 @@ def read_csv(path: str) -> list[SimulationRecord]:
     return out
 
 
-def records_to_observations(records: Sequence[SimulationRecord]):
+def records_to_observations(records: Iterable[SimulationRecord]):
     """Estimation observations from record rows (import-cycle-free helper).
 
     A row that is no valid observation raises :class:`ConfigError` naming

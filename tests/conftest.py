@@ -5,9 +5,12 @@ dedicated section of the terminal summary so a full run shows every
 criterion's verdict even under output capture.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from hotlanes.nfd import FdParams, capacity
+from hotlanes.scenario import iter_run
 
 _CRITERION_LINES: list[tuple[int, str, bool, str]] = []
 
@@ -46,3 +49,18 @@ def fd_floor(fd_triangular) -> FdParams:
     return FdParams(
         u_f=100.0, w=20.0, rho_j=140.0, c=0.8 * capacity(fd_triangular)
     )
+
+
+def until_gp_jam(config, stats=None):
+    """The run's records at every step, through the first one at GP jam density.
+
+    The stream is left there, so ``stats`` counts the steps before that record.
+    """
+    config = replace(config, output_dt_s=config.dt_s)
+    jam = config.fd_gp.rho_j * (config.gp_lanes * config.corridor_length) * (1.0 - 1e-12)
+    records = []
+    for record in iter_run(config, stats):
+        records.append(record)
+        if record.delta2 >= jam:
+            break
+    return records

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from conftest import until_gp_jam
 
 from hotlanes.analysis import (
     choice_sensitivity,
@@ -243,8 +244,9 @@ def test_criterion_5_triangular_gridlock(criterion):
     for _ in range(10):
         gains = {k: rng.uniform(1.0, 20.0) for k in ("k1", "k2", "k3", "k4")}
         cfg = replace(base, controller=ControllerState(**gains), horizon_h=3.0)
-        records = quiet_run(cfg, stop_at_gp_jam=True)
-        last = records[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            last = until_gp_jam(cfg)[-1]
         jam_times.append(last.t if last.rho2 >= 140.0 * (1.0 - 1e-9) else math.inf)
     all_jam = all(math.isfinite(t) for t in jam_times)
 

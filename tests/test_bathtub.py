@@ -4,6 +4,7 @@ import math
 import warnings
 
 import pytest
+from conftest import until_gp_jam
 
 from hotlanes.analysis import equilibrium_share, triangular_growth
 from hotlanes.bathtub import (
@@ -19,11 +20,12 @@ RHO_C = 70.0 / 3.0
 
 
 def plant_run(fd, d1=0.0, d2=0.0, e1=0.0, e2=0.0, dt_s=3.6, steps=1, stats=None,
-              stop_at_gp_jam=False, mode="hov", choice=UeChoice()):
+              to_gp_jam=False, mode="hov", choice=UeChoice()):
     """One record per step of a 10 km corridor, one lane per group, D = 5 km.
 
     HOV mode holds the paying share at 0, so the HOT inflow is ``e1`` and the
     GP inflow ``e2``.  Record ``k`` holds the state after ``k`` Euler steps.
+    ``to_gp_jam`` ends the records at the first one at GP jam density.
     """
     config = ScenarioConfig(
         fd_hot=fd, fd_gp=fd, demand=DemandProfile(hov_rate=e1, sov_rate=e2),
@@ -33,7 +35,7 @@ def plant_run(fd, d1=0.0, d2=0.0, e1=0.0, e2=0.0, dt_s=3.6, steps=1, stats=None,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # these plants need not overload the corridor
-        return run(config, stats=stats, stop_at_gp_jam=stop_at_gp_jam)
+        return until_gp_jam(config, stats) if to_gp_jam else run(config, stats=stats)
 
 
 class TestDensity:
@@ -130,7 +132,7 @@ class TestStep:
     def test_jam_cap_and_saturation_counter(self, fd_triangular):
         stats = SaturationStats()
         rows = plant_run(fd_triangular, d2=1399.9, e2=50_000.0, dt_s=360.0, steps=2,
-                         stats=stats, stop_at_gp_jam=True)
+                         stats=stats, to_gp_jam=True)
         assert rows[1].delta2 == 1400.0
         assert stats.gp_clamp_steps == 1
         assert stats.gp_dropped > 0

@@ -3,8 +3,10 @@
 The digests were taken from the step loop that rebuilt its state objects on
 every step; the scalar kernel must reproduce them byte for byte.  The two
 ``every-step`` digests were taken from the ``csv.writer`` writer that the
-one-template writer replaced.  A change that alters the numerics or the
-bytes on purpose must say so and pin new digests.
+one-template writer replaced.  The ``until-gp-jam`` digest and stats are
+those the step loop's former built-in stop at GP jam density wrote for the
+same config at every-step cadence.  A change that alters the numerics or
+the bytes on purpose must say so and pin new digests.
 """
 
 import csv
@@ -15,6 +17,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from conftest import until_gp_jam
 
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.lane_choice import UeChoice, UniformVot
@@ -23,10 +26,9 @@ from hotlanes.scenario import CSV_COLUMNS, DemandProfile, SimulationRecord, run,
 
 
 def case_config(case: str):
-    """(config, stop_at_gp_jam) of a pinned case; every horizon is 0.25 h."""
+    """The config of a pinned case; every horizon is 0.25 h."""
     name, _, variant = case.partition("/")
     cfg = replace(preset(name), horizon_h=0.25)
-    stop = False
     if variant == "every-step":
         cfg = replace(cfg, output_dt_s=cfg.dt_s)
     elif variant == "decimation10":
@@ -41,15 +43,14 @@ def case_config(case: str):
         # the whole pulse and its tail fit in the horizon: the toll clamps at 0
         cfg = replace(cfg, demand=DemandProfile(
             kind="trapezoid", hov_rate=200.0, sov_rate=700.0, t0=0.0, t1=0.05, t2=0.15, t3=0.2))
-    elif variant == "stop-at-gp-jam":
+    elif variant == "until-gp-jam":  # consumed by until_gp_jam
         cfg = replace(cfg, initial_gp_trips=130.0)
-        stop = True
     elif variant == "hot-gridlock":
         cfg = replace(cfg, initial_gp_trips=130.0,
                       demand=DemandProfile(kind="constant", hov_rate=2000.0, sov_rate=3000.0))
     elif variant:
         raise KeyError(case)
-    return cfg, stop
+    return cfg
 
 
 # case -> (sha256 of the CSV, final SaturationStats as
@@ -103,8 +104,8 @@ PINNED = {
         "5f28a17e9e856573d06839b995c82758a042d7daa42fb90f0f951f7c75fd18e4",
         (0, 0, 0.0, 0.0),
     ),
-    "triangular-gridlock/stop-at-gp-jam": (
-        "a0bd80e2fd936436850ee30da435f914951017c5af31b8eff0bd68e583b8aecb",
+    "triangular-gridlock/until-gp-jam": (
+        "5ca950a82fb4d3fc23bcc197f45b1d15ae324751c30999471de24cad5311eedf",
         (0, 1, 0.0, 0.008957186338818701),
     ),
 }
@@ -119,10 +120,12 @@ PINNED_GRIDLOCK = {
 
 
 def run_case(case: str, stats: SaturationStats):
-    cfg, stop = case_config(case)
+    cfg = case_config(case)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run(cfg, stats=stats, stop_at_gp_jam=stop)
+        if case.endswith("/until-gp-jam"):
+            return until_gp_jam(cfg, stats)
+        return run(cfg, stats=stats)
 
 
 def stats_tuple(stats: SaturationStats):

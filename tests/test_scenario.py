@@ -1,10 +1,12 @@
 """Scenario configuration, the closed-loop runner, metrics and the CLI."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import pytest
+from conftest import until_gp_jam
 
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.cli import main
@@ -21,6 +23,7 @@ from hotlanes.scenario import (
     CSV_COLUMNS,
     SimulationRecord,
     compare_hov_hot,
+    iter_run,
     metrics,
     read_csv,
     run,
@@ -122,6 +125,15 @@ class TestConfig:
             {"control_decimation": 0},
         ):
             with pytest.raises(ConfigError):
+                replace(cfg, **bad)
+
+    def test_step_ceiling(self):
+        cfg = replace(preset("constant"), dt_s=1.0, output_dt_s=1.0)
+        ceiling = ScenarioConfig.MAX_STEPS
+        replace(cfg, horizon_h=0.5 * ceiling / 3600.0)
+        for bad in ({"horizon_h": 2.0 * ceiling / 3600.0}, {"horizon_h": 1e9},
+                    {"horizon_h": 1e300, "dt_s": 1e-10, "output_dt_s": 1e-10}):
+            with pytest.raises(ConfigError, match="steps"):
                 replace(cfg, **bad)
 
     def test_load_ini(self, tmp_path):
@@ -253,11 +265,14 @@ class TestRunner:
         with pytest.raises(HotGridlockError):
             quiet_run(cfg)
 
-    def test_stop_at_gp_jam(self):
+    def test_stream_ends_where_the_consumer_stops(self):
         cfg = replace(preset("triangular-gridlock"), horizon_h=2.0, dt_s=0.5, output_dt_s=5.0)
-        records = quiet_run(cfg, stop_at_gp_jam=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = until_gp_jam(cfg)
         assert records[-1].rho2 == pytest.approx(140.0, rel=1e-9)
         assert records[-1].t < 2.0
+        assert all(r.rho2 < 140.0 * (1.0 - 1e-12) for r in records[:-1])
 
     def test_negative_gap_means_nobody_pays(self):
         # HOT preloaded over-critical, GP free: paying would slow you down
@@ -270,7 +285,9 @@ class TestRunner:
     def test_saturation_stats_filled(self):
         cfg = replace(preset("triangular-gridlock"), horizon_h=1.5, dt_s=0.5, output_dt_s=5.0)
         stats = SaturationStats()
-        quiet_run(cfg, stats=stats, stop_at_gp_jam=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            until_gp_jam(cfg, stats)
         assert stats.gp_clamp_steps > 0
         assert stats.gp_dropped > 0.0
 
@@ -351,9 +368,54 @@ class TestMetrics:
         ]
         assert all(w.filename == __file__ for w in caught)
 
+    def test_run_warns_a1_at_the_caller(self):
+        cfg = short(preset("trapezoid"), horizon_h=0.01, dt_s=1.0)
+        with pytest.warns(UserWarning, match="demand assumption violated") as caught:
+            run(cfg)
+        assert len(caught) == len(cfg.a1_warnings())
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_iter_run_warns_a1_at_the_call_before_the_first_record(self):
+        cfg = short(preset("trapezoid"), horizon_h=0.01, dt_s=1.0)
+        with pytest.warns(UserWarning, match="demand assumption violated") as caught:
+            records = iter_run(cfg)
+        assert len(caught) == len(cfg.a1_warnings())
+        assert all(w.filename == __file__ for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert next(records).t == 0.0
+
     def test_needs_records(self):
         with pytest.raises(ValueError):
             metrics([], 5.0)
+        with pytest.raises(ValueError):
+            metrics(iter([]), 5.0)
+
+    def test_fold_of_the_stream_equals_fold_of_the_list(self):
+        cfg = short(preset("constant"), horizon_h=0.05, dt_s=0.5, initial_gp_trips=60.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = run(cfg)
+            streamed = metrics(iter_run(cfg), cfg.mean_trip_distance)
+        assert streamed == metrics(records, cfg.mean_trip_distance)
+        assert streamed.records == len(records)
+        assert streamed.revenue > 0.0 and streamed.total_delay > 0.0
+
+    def test_streamed_metrics_hold_no_record_list(self):
+        cfg = replace(preset("constant"), horizon_h=0.1, output_dt_s=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                records = run(cfg)
+                _, list_peak = tracemalloc.get_traced_memory()
+                del records
+                tracemalloc.reset_peak()
+                metrics(iter_run(cfg), cfg.mean_trip_distance)
+                _, stream_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert stream_peak < list_peak / 10
 
 
 class TestCsv:
@@ -473,7 +535,8 @@ class TestCli:
         [
             "demand.sov_veh_h=nan", "geometry.hot_lanes=0.5", "simulation.dt_s=nan",
             "controller.k1=-1", "controller.k1=abc", "controller.k1=nan",
-            "fd.free_flow_kmh=nan", "choice.expected_vot=nan", "choice.vot_low=nan",
+            "fd.free_flow_kmh=nan", "fd.free_flow_kmh=abc", "fd.gp.flow_floor_fraction=abc",
+            "choice.expected_vot=nan", "choice.vot_low=nan",
             "choice.vot_high=inf", "choice.logit_vot=inf", "choice.logit_scale=nan",
         ],
     )
@@ -481,8 +544,13 @@ class TestCli:
         out = tmp_path / "run.csv"
         code = main(["run", "--preset", "constant", "--set", override, "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
         assert not out.exists()
+        dotted, value = override.split("=")
+        section, key = dotted.rsplit(".", 1)
+        if value == "abc":  # a value that does not parse is named with its section and key
+            assert f"[{section}] {key} = 'abc'" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -574,16 +642,23 @@ class TestCli:
         assert err.startswith(f"config error: {out}, row 3 ")
         assert "paying-SOV rate" in err
 
-    def test_gridlock_exit_code(self, capsys):
+    def test_gridlock_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
         code = main([
             "run", "--preset", "triangular-gridlock",
             "--set", "demand.hov_veh_h=2000",
             "--set", "demand.sov_veh_h=0",
             "--set", "simulation.dt_s=1.0",
             "--set", "simulation.horizon_h=2.0",
-            "--out", "/tmp/unused_gridlock.csv",
+            "--out", str(out),
         ])
         assert code == 2
+        assert capsys.readouterr().err.startswith("runtime abort: managed lanes gridlocked")
+        # the CSV holds every record streamed before the abort, one per second
+        records = read_csv(str(out))
+        assert [round(r.t * 3600.0) for r in records] == list(range(len(records)))
+        assert len(records) > 1
+        assert records[-1].rho1 < 140.0
 
     def test_analyze_reports_equilibrium(self, capsys):
         assert main(["analyze", "--preset", "constant"]) == 0
