@@ -4,7 +4,12 @@ Each lane group (HOT and GP) is an aggregate queue of active trips.  Trips
 enter at an exogenous initiation rate and complete at a rate set by the mean
 remaining trip distance and the current speed from the fundamental diagram.
 The remaining-distance distribution is negative exponential, so the ready-to-
-exit share of active trips is ``delta / D`` at all times.
+exit share of active trips is ``delta / D`` at all times, and a group
+completes trips at ``delta / D * v``.  This differs from the internal flow
+rho * V(rho): completions scale with the count of trips about to finish, not
+with vehicles passing a point.  The Euler step itself is in the scenario
+step loop; this module keeps its clamp counters, the gridlock error, the
+travel-time gap and the jam cap.
 """
 
 import math
@@ -15,8 +20,6 @@ from .nfd import FdParams
 __all__ = [
     "SaturationStats",
     "HotGridlockError",
-    "completion_rate",
-    "euler_update",
     "travel_time_gap",
     "jam_trip_cap",
 ]
@@ -38,17 +41,6 @@ class SaturationStats:
     @property
     def any_clamped(self) -> bool:
         return self.hot_clamp_steps > 0 or self.gp_clamp_steps > 0
-
-
-def completion_rate(delta: float, v: float, mean_remaining_distance: float) -> float:
-    """Trip completion rate (delta / D) * v [veh/h] of ``delta`` trips at speed ``v``.
-
-    This differs from the internal flow rho * V(rho): completions scale with
-    the count of trips about to finish, not with vehicles passing a point.
-    """
-    if delta == 0.0:
-        return 0.0
-    return delta / mean_remaining_distance * v
 
 
 def travel_time_gap(v1: float, v2: float) -> float:
@@ -75,18 +67,3 @@ def jam_trip_cap(fd: FdParams, lane_length: float) -> float:
     if fd.c > 0.0:
         return math.inf
     return fd.rho_j * lane_length
-
-
-def euler_update(
-    delta: float, inflow: float, outflow: float, cap: float, dt: float
-) -> tuple[float, float, bool]:
-    """One explicit-Euler update of an active-trip count, kept in [0, cap].
-
-    Returns (new count, vehicles dropped at the cap, clamped?).
-    """
-    raw = delta + dt * (inflow - outflow)
-    if raw < 0.0:
-        return 0.0, 0.0, True
-    if raw > cap:
-        return cap, raw - cap, True
-    return raw, 0.0, False

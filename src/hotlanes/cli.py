@@ -73,10 +73,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not math.isfinite(args.at_time):
-        raise ConfigError(f"--at-time must be finite, got {args.at_time}")
-    if not (math.isfinite(args.phase_offset) and args.phase_offset > 0):
-        raise ConfigError(f"--phase-offset must be positive and finite, got {args.phase_offset}")
+    try:
+        at_time, phase_offset = float(args.at_time), float(args.phase_offset)
+    except ValueError as exc:
+        raise ConfigError(
+            f"--at-time {args.at_time!r}, --phase-offset {args.phase_offset!r}: {exc}") from None
+    if not math.isfinite(at_time):
+        raise ConfigError(f"--at-time must be finite, got {at_time}")
+    if not (math.isfinite(phase_offset) and phase_offset > 0):
+        raise ConfigError(f"--phase-offset must be positive and finite, got {phase_offset}")
     config = _resolve_config(args)
     rho_c = critical_density(config.fd_hot)
     cap = capacity(config.fd_hot)
@@ -101,11 +106,11 @@ def _cmd_analyze(args) -> int:
     else:
         print("no flow floor: gp lanes gridlock in finite time under constant overload")
     L1 = config.hot_lanes * config.corridor_length
-    omega = pred.omega0 * args.at_time + pred.omega1 if pred.regime == "linear" else args.at_time
+    omega = pred.omega0 * at_time + pred.omega1 if pred.regime == "linear" else at_time
     if not omega > 0.0:
-        raise ConfigError(f"--at-time {args.at_time:g} gives gap {omega:g}; need a positive gap")
+        raise ConfigError(f"--at-time {at_time:g} gives gap {omega:g}; need a positive gap")
     hov, sov = config.demand.hov_rate, config.demand.sov_rate
-    for label, lam in (("under-critical", -args.phase_offset), ("over-critical", args.phase_offset)):
+    for label, lam in (("under-critical", -phase_offset), ("over-critical", phase_offset)):
         try:
             h, j = analysis.gap_sensitivities(
                 config.choice, config.fd_hot, L1, config.mean_trip_distance, hov, sov,
@@ -114,7 +119,7 @@ def _cmd_analyze(args) -> int:
             sysm = analysis.linearized_matrix(h, j, config.controller.k1, config.controller.k2, L1)
         except ValueError as exc:
             raise ConfigError(
-                f"--phase-offset {args.phase_offset:g} gives no valid {label} state: {exc}"
+                f"--phase-offset {phase_offset:g} gives no valid {label} state: {exc}"
             ) from None
         res = analysis.stability_check(sysm)
         eig = ", ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in res.eigenvalues)
@@ -202,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="equilibrium and stability predictions")
     _add_config_args(p_an)
+    # Parsed by _cmd_analyze, so a bad value is a config error (exit 1), not a usage error.
     p_an.add_argument(
-        "--at-time", type=float, default=2.0,
+        "--at-time", default="2.0",
         help="evaluation time [h] for the gap-dependent sensitivities",
     )
     p_an.add_argument(
-        "--phase-offset", type=float, default=1.0,
+        "--phase-offset", default="1.0",
         help="excess density magnitude used for the per-phase sensitivities",
     )
     p_an.set_defaults(func=_cmd_analyze)

@@ -84,16 +84,13 @@ def pool_cdf_points(
         mean = sum(f for _, f in points) / len(points)
         return [(lo, mean, len(points))]
     width = (hi - lo) / num_bins
-    x_sums = [0.0] * num_bins
-    f_sums = [0.0] * num_bins
-    counts = [0] * num_bins
+    last = num_bins - 1
+    # only the occupied bins are held, so memory follows the points, not num_bins
+    bins: dict[int, list] = {}
     for x, f in points:
-        idx = min(int((x - lo) / width), num_bins - 1)
-        x_sums[idx] += x
-        f_sums[idx] += f
-        counts[idx] += 1
-    out = []
-    for i in range(num_bins):
-        if counts[i]:
-            out.append((x_sums[i] / counts[i], f_sums[i] / counts[i], counts[i]))
-    return out
+        i = int((x - lo) / width)
+        acc = bins.setdefault(i if i < last else last, [0.0, 0.0, 0])
+        acc[0] += x
+        acc[1] += f
+        acc[2] += 1
+    return [(xs / n, fs / n, n) for _, (xs, fs, n) in sorted(bins.items())]

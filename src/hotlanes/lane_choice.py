@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 __all__ = ["ExponentialVot", "UniformVot", "UeChoice", "LogitChoice"]
 
+_INF = float("inf")
+
 
 def _check_finite(*values: float) -> None:
     if not all(math.isfinite(x) for x in values):
@@ -21,10 +23,15 @@ def _check_finite(*values: float) -> None:
 
 
 def _check_toll_gap(u: float, omega: float) -> None:
-    if u < 0:
-        raise ValueError("toll cannot be negative")
-    if omega < 0:
-        raise ValueError("travel time gap cannot be negative")
+    """Raise unless the toll and the gap are non-negative numbers (the gap may be inf).
+
+    ``share`` calls this only when the check is about to fail, so the step
+    loop's valid inputs pay for two comparisons and no call.
+    """
+    if not u >= 0:
+        raise ValueError(f"toll must be non-negative, got {u}")
+    if not omega >= 0:
+        raise ValueError(f"travel time gap must be non-negative, got {omega}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,8 +94,9 @@ class UeChoice:
         At zero gap a positive toll deters everyone; a zero toll leaves the
         share at 1 - F(0) by continuity.
         """
-        _check_toll_gap(u, omega if math.isfinite(omega) else 0.0)
-        if math.isinf(omega):
+        if not (u >= 0.0 and omega >= 0.0):
+            _check_toll_gap(u, omega)
+        if omega == _INF:
             return 1.0
         if omega == 0.0:
             return 0.0 if u > 0.0 else self.dist.tail(0.0)
@@ -119,8 +127,9 @@ class LogitChoice:
 
     def share(self, u: float, omega: float) -> float:
         """Paying share 1 / (1 + exp(alpha * (u - pi * omega)))."""
-        _check_toll_gap(u, omega if math.isfinite(omega) else 0.0)
-        if math.isinf(omega):
+        if not (u >= 0.0 and omega >= 0.0):
+            _check_toll_gap(u, omega)
+        if omega == _INF:
             return 1.0
         x = self.alpha_star * (u - self.pi_star * omega)
         # guard exp overflow for extreme tolls

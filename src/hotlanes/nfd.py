@@ -23,6 +23,8 @@ __all__ = [
 # Absolute density tolerance used to detect the critical phase.
 PHASE_TOLERANCE = 1e-9
 
+_INF = float("inf")
+
 
 class Phase(Enum):
     """Traffic phase relative to the critical density."""
@@ -71,16 +73,19 @@ def speed(params: FdParams, rho: float) -> float:
 
     Returns ``u_f`` at zero density (right-limit convention).  With a flow
     floor the speed stays positive at any density; without one it reaches
-    zero at the jam density.
+    zero at the jam density.  The step loop calls this twice per step, so the
+    clamps are comparisons, not ``min``/``max`` calls.
     """
-    if rho < 0:
-        raise ValueError(f"density must be non-negative, got {rho}")
+    if not 0.0 <= rho < _INF:
+        raise ValueError(f"density must be non-negative and finite, got {rho}")
     if rho == 0.0:
         return params.u_f
-    congested = params.w * (params.rho_j - rho) / rho
-    if params.c > 0.0:
-        congested = max(congested, params.c / rho)
-    return min(params.u_f, max(congested, 0.0))
+    v = params.w * (params.rho_j - rho) / rho
+    if params.c > 0.0 and params.c / rho > v:
+        v = params.c / rho
+    if 0.0 > v:
+        v = 0.0
+    return v if v < params.u_f else params.u_f
 
 
 def flow(params: FdParams, rho: float) -> float:
@@ -94,8 +99,8 @@ def classify_phase(params: FdParams, rho: float, tol: float = PHASE_TOLERANCE) -
     The critical phase is detected within an absolute density tolerance;
     exact float equality would be meaningless.
     """
-    if rho < 0:
-        raise ValueError(f"density must be non-negative, got {rho}")
+    if not 0.0 <= rho < _INF:
+        raise ValueError(f"density must be non-negative and finite, got {rho}")
     rho_c = critical_density(params)
     if abs(rho - rho_c) <= tol:
         return Phase.C

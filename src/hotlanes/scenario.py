@@ -2,7 +2,7 @@
 
 A scenario wires the pieces together: per-step it reads the demand profile,
 computes lane speeds and the travel-time gap, posts a toll, applies the lane
-choice split, advances both bathtubs, then integrates the controller.  Rows
+choice split, advances both bathtubs, then updates the toll coefficients.  Rows
 of observables are emitted at a configurable cadence and can be written to
 CSV for external tooling.
 """
@@ -16,15 +16,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import analysis
-from .bathtub import (
-    HotGridlockError,
-    SaturationStats,
-    completion_rate,
-    euler_update,
-    jam_trip_cap,
-    travel_time_gap,
-)
-from .controller import ControllerState, integrate, posted_toll
+from .bathtub import HotGridlockError, SaturationStats, jam_trip_cap, travel_time_gap
+from .controller import ControllerState
 from .lane_choice import LogitChoice, UeChoice
 from .nfd import FdParams, classify_phase, critical_density, speed
 
@@ -253,10 +246,27 @@ def run(config: ScenarioConfig, stats: SaturationStats | None = None) -> list[Si
 
 
 def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[SimulationRecord]:
-    """The step loop: one Euler step per ``dt_s``, a record every ``output_dt_s`` and at the last."""
+    """The step loop: one Euler step per ``dt_s``, a record every ``output_dt_s`` and at the last.
+
+    This is the one place that does the per-step arithmetic; it calls out
+    only for the speeds, the gap, the demand and the share.  The plant
+    completes ``delta / D * v`` trips per hour (0 from an empty group) and
+    keeps each trip count in [0, cap]; a count over its jam cap drops the
+    excess, counted in ``stats``.  The toll ``a * omega + b`` is clamped at 0,
+    posts the ceiling at an unbounded gap, and is held between controller
+    ticks (every ``control_decimation`` steps).
+
+    Both coefficients accumulate the same ``lam`` and ``xi``.  An unclamped
+    plant step moves the HOT-lane trips ``delta1`` by exactly ``-dt * xi``,
+    so ``k3*a - k1*b + (k1*k4 - k2*k3)*delta1`` is conserved for any gains,
+    up to rounding.  This holds while the controller ticks every step
+    (``decimation = 1``) and ``delta1`` is not clamped.
+    """
     stats = SaturationStats() if stats is None else stats
+    inf = math.inf
     dt = config.dt_s / 3600.0
     n_steps = max(1, round(config.horizon_h * 3600.0 / config.dt_s))
+    last = n_steps - 1
     record_every = max(1, round(config.output_dt_s / config.dt_s))
     share = config.choice.share
     hov_mode = config.mode == "hov"
@@ -276,6 +286,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     G1 = G2 = 0.0
     u = p = 0.0
     demand_rates = config.demand.rates
+    next_tick = next_record = 0  # the step indices of the next controller tick and record
 
     for i in range(n_steps):
         t = i * dt
@@ -289,39 +300,52 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         omega = travel_time_gap(v1, v2)
         # The choice models are defined for a non-negative gap; if the HOT
         # lanes are transiently slower than the GP lanes nobody pays.
-        gap = max(omega, 0.0)
+        gap = 0.0 if 0.0 > omega else omega
         if not hov_mode:
-            if i % decim == 0:
-                u = posted_toll(a, b, gap, ceiling)
+            if i == next_tick:
+                u = ceiling if gap == inf else a * gap + b
+                if not u > 0.0:
+                    u = 0.0
             p = 0.0 if omega < 0.0 else share(u, gap)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"paying share {p} outside [0, 1]")
         e21 = p * e2t
         in1, in2 = e1t + e21, e2t - e21
-        g1, g2 = completion_rate(d1, v1, D), completion_rate(d2, v2, D)
+        g1 = 0.0 if d1 == 0.0 else d1 / D * v1
+        g2 = 0.0 if d2 == 0.0 else d2 / D * v2
         lam = rho1 - rho_c_hot
         xi = g1 - in1
 
-        if i % record_every == 0 or i == n_steps - 1:
+        if i == next_record or i == last:
+            next_record += record_every
             yield SimulationRecord(  # fields in CSV column order
                 t, d1, d2, rho1, rho2, v1, v2, omega, lam, xi, a, b, u, p,
                 e1t, e2t, e21, g1, g2, d1 - d1_init + G1, d2 - d2_init + G2, G1, G2,
                 classify_phase(fd_hot, rho1).value, classify_phase(fd_gp, rho2).value,
-                int(not hov_mode and math.isfinite(gap) and a * gap + b < 0.0),
+                int(not hov_mode and gap < inf and a * gap + b < 0.0),
                 int(stats.hot_clamp_steps > 0), int(stats.gp_clamp_steps > 0),
             )
-        d1, dropped, clamped = euler_update(d1, in1, g1, cap1, dt)
-        if clamped:
+        d1 += dt * (in1 - g1)
+        if d1 < 0.0:
+            d1 = 0.0
             stats.hot_clamp_steps += 1
-            stats.hot_dropped += dropped
-        d2, dropped, clamped = euler_update(d2, in2, g2, cap2, dt)
-        if clamped:
+        elif d1 > cap1:
+            stats.hot_clamp_steps += 1
+            stats.hot_dropped += d1 - cap1
+            d1 = cap1
+        d2 += dt * (in2 - g2)
+        if d2 < 0.0:
+            d2 = 0.0
             stats.gp_clamp_steps += 1
-            stats.gp_dropped += dropped
+        elif d2 > cap2:
+            stats.gp_clamp_steps += 1
+            stats.gp_dropped += d2 - cap2
+            d2 = cap2
         G1 += dt * g1
         G2 += dt * g2
-        if not hov_mode and i % decim == 0:
-            a, b = integrate(a, b, lam, xi, dt_ctrl, k1, k2, k3, k4)
+        if not hov_mode and i == next_tick:
+            next_tick += decim
+            a, b = a + dt_ctrl * (k1 * lam - k2 * xi), b + dt_ctrl * (k3 * lam - k4 * xi)
 
 
 @dataclass(frozen=True, slots=True)

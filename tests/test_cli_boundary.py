@@ -64,3 +64,14 @@ def test_estimate_options_at_every_edge_value_exit_cleanly(model, tmp_path, caps
             if failure:
                 failures.append(f"{option}={value!r}: {failure}")
     assert not failures, "\n".join(failures)
+
+
+def test_analyze_options_at_every_edge_value_exit_cleanly(capsys):
+    failures = []
+    for option in ("--at-time", "--phase-offset"):
+        for value in EDGE_VALUES:
+            argv = ["analyze", "--preset", "constant", f"{option}={value}"]
+            _, failure = call(argv, capsys)
+            if failure:
+                failures.append(f"{option}={value!r}: {failure}")
+    assert not failures, "\n".join(failures)

@@ -1,6 +1,9 @@
 """VOT estimators and observation pooling."""
 
+import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -89,6 +92,35 @@ class TestPooling:
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             pool_cdf_points([(1.0, 0.5)], num_bins=0)
+
+    def test_memory_follows_points_not_bins(self):
+        # 200 points on 100 distinct abscissas, so bins are shared, pooled into 10^6 bins
+        rng = random.Random(8)
+        points = [(rng.randrange(100) * 0.37, rng.random()) for _ in range(200)]
+        bins = 10**6
+        lo, hi = min(x for x, _ in points), max(x for x, _ in points)
+        width = (hi - lo) / bins
+
+        def index(point):
+            return min(int((point[0] - lo) / width), bins - 1)
+
+        want = []  # a stable sort keeps each bin's points, and so its sums, in input order
+        for _, group in itertools.groupby(sorted(points, key=index), key=index):
+            group = list(group)
+            x_sum = f_sum = 0.0
+            for x, f in group:
+                x_sum += x
+                f_sum += f
+            want.append((x_sum / len(group), f_sum / len(group), len(group)))
+
+        tracemalloc.start()
+        try:
+            got = pool_cdf_points(points, num_bins=bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1_000_000
 
 
 class TestObservationValidation:

@@ -38,6 +38,13 @@ class TestUeShare:
         with pytest.raises(ValueError):
             UE.share(0.1, -0.01)
 
+    @pytest.mark.parametrize("u, omega", [(0.1, -math.inf), (0.1, math.nan), (math.nan, 0.01),
+                                          (-math.inf, 0.01)])
+    def test_nan_and_negative_infinite_inputs_rejected(self, u, omega):
+        for model in (UE, UeChoice(UniformVot(10.0, 90.0))):
+            with pytest.raises(ValueError, match="non-negative"):
+                model.share(u, omega)
+
 
 class TestUeInverseToll:
     def test_full_share_is_free(self):
@@ -62,6 +69,12 @@ class TestLogitShare:
 
     def test_unbounded_gap(self):
         assert LOGIT.share(2.0, math.inf) == 1.0
+
+    @pytest.mark.parametrize("u, omega", [(0.1, -math.inf), (0.1, math.nan), (math.nan, 0.01),
+                                          (-0.1, 0.01), (0.1, -0.01)])
+    def test_nan_negative_and_negative_infinite_inputs_rejected(self, u, omega):
+        with pytest.raises(ValueError, match="non-negative"):
+            LOGIT.share(u, omega)
 
     def test_direct_value(self):
         assert LOGIT.share(1.0, 0.01) == pytest.approx(1.0 / (1.0 + math.exp(0.5)))

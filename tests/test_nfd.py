@@ -1,5 +1,7 @@
 """Speed, flow and phase behavior of the fundamental diagram."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +56,12 @@ class TestSpeed:
         with pytest.raises(ValueError):
             speed(fd_triangular, -1.0)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected(self, fd_triangular, fd_floor, rho):
+        for fd in (fd_triangular, fd_floor):
+            with pytest.raises(ValueError, match="finite"):
+                speed(fd, rho)
+
 
 class TestFlow:
     def test_empty_road(self, fd_triangular):
@@ -89,6 +97,11 @@ class TestPhase:
     def test_negative_density_rejected(self, fd_triangular):
         with pytest.raises(ValueError):
             classify_phase(fd_triangular, -0.1)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_density_rejected(self, fd_triangular, rho):
+        with pytest.raises(ValueError, match="finite"):
+            classify_phase(fd_triangular, rho)
 
 
 class TestParameterValidation:

@@ -1,12 +1,15 @@
 """Pinned CSV digests and saturation counts of short runs.
 
 The digests were taken from the step loop that rebuilt its state objects on
-every step; the scalar kernel must reproduce them byte for byte.  The two
-``every-step`` digests were taken from the ``csv.writer`` writer that the
-one-template writer replaced.  The ``until-gp-jam`` digest and stats are
-those the step loop's former built-in stop at GP jam density wrote for the
-same config at every-step cadence.  A change that alters the numerics or
-the bytes on purpose must say so and pin new digests.
+every step; the scalar kernel must reproduce them byte for byte.  The
+``constant`` and ``triangular-gridlock`` ``every-step`` digests were taken
+from the ``csv.writer`` writer that the one-template writer replaced.  The
+``until-gp-jam`` digest and stats are those the step loop's former built-in
+stop at GP jam density wrote for the same config at every-step cadence.  The
+``coarse-step``, ``decimation7`` and ``constant-logit/every-step`` pins were
+taken from the loop that called one helper function per formula, before that
+arithmetic moved inline.  A change that alters the numerics or the bytes on
+purpose must say so and pin new digests.
 """
 
 import csv
@@ -31,8 +34,15 @@ def case_config(case: str):
     cfg = replace(preset(name), horizon_h=0.25)
     if variant == "every-step":
         cfg = replace(cfg, output_dt_s=cfg.dt_s)
+    elif variant == "coarse-step":
+        # a 300 s step drains a lane group past zero: the lower clamp engages
+        cfg = replace(cfg, dt_s=300.0, output_dt_s=300.0,
+                      initial_hot_trips=10.0, initial_gp_trips=10.0)
     elif variant == "decimation10":
         cfg = replace(cfg, control_decimation=10)
+    elif variant == "decimation7":
+        # the controller ticks out of step with the 10-step record cadence
+        cfg = replace(cfg, control_decimation=7)
     elif variant == "hov":
         cfg = replace(cfg, mode="hov")
     elif variant == "uniform-vot":
@@ -80,6 +90,14 @@ PINNED = {
         "919ef440a09bd89a662d79df4cad94ae74f408ed0aac05abaa120ddf66326fdf",
         (0, 1, 0.0, 0.004459805088771418),
     ),
+    "constant/coarse-step": (
+        "d00c8c02c23b8d3e54adf924317978a6fb9c7a69db69ab8c5c87ab3713004711",
+        (0, 1, 0.0, 0.0),
+    ),
+    "constant-logit/every-step": (
+        "4091a6dee6104a3024a187ea1bfdaaa55284d58a379d5354eba5b31169b293b8",
+        (0, 0, 0.0, 0.0),
+    ),
     "constant/decimation10": (
         "9558367c67ab4e6c54aa803bff4ceb288594bf66ca6a78b776ec630fc2188f20",
         (0, 0, 0.0, 0.0),
@@ -98,6 +116,10 @@ PINNED = {
     ),
     "trapezoid/hov": (
         "abfdb7913eebeca75bc3b0c3c9cb52e86b9e5f62516219c7abd067f45f469414",
+        (0, 0, 0.0, 0.0),
+    ),
+    "trapezoid/decimation7": (
+        "9819aedc230cb563d91afbc4833dd53657072bc754573562e55e94fcf7fef601",
         (0, 0, 0.0, 0.0),
     ),
     "trapezoid/short-pulse": (
