@@ -25,7 +25,6 @@ from .bathtub import HotGridlockError, SaturationStats, travel_time_gap
 from .controller import ControllerState
 from .estimation import (
     EstimationError,
-    Observation,
     estimate_cdf_point,
     estimate_logit_vot,
     pool_cdf_points,

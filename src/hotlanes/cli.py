@@ -1,7 +1,7 @@
 """Command line interface: run scenarios, analyze equilibria, estimate VOT.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime abort (managed-lane
-gridlock), 3 estimation infeasible.
+gridlock, or a state that overflows the floats), 3 estimation infeasible.
 """
 
 import argparse
@@ -21,7 +21,6 @@ from .scenario import (
     iter_run,
     metrics,
     read_csv,
-    records_to_observations,
 )
 
 EXIT_OK = 0
@@ -137,38 +136,28 @@ def _cmd_estimate(args) -> int:
         raise ConfigError(f"--bins must be at least 1, got {bins}")
     if not (math.isfinite(alpha_star) and alpha_star > 0):
         raise ConfigError(f"--alpha-star must be positive and finite, got {alpha_star}")
-    records = read_csv(args.records)
-    try:
-        observations = records_to_observations(records)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.records}, {exc}") from None
-    if args.model == "ue":
-        points = []
-        for obs in observations:
-            try:
-                points.append(estimation.estimate_cdf_point(obs))
-            except estimation.EstimationError:
-                continue
-        if not points:
-            print("no estimable observations (need positive gap and SOV demand)")
-            return EXIT_ESTIMATION
-        pooled = estimation.pool_cdf_points(points, num_bins=bins)
-        print("vot_dollars_per_h,cdf_estimate,count")
-        for x, f_hat, count in pooled:
-            print(f"{x:.9g},{f_hat:.9g},{count}")
-        return EXIT_OK
-    votes = []
-    for obs in observations:
+    ue = args.model == "ue"
+    found = []
+    for row, r in enumerate(read_csv(args.records), 1):
         try:
-            votes.append(estimation.estimate_logit_vot(obs, alpha_star=alpha_star))
+            found.append(estimation.estimate_cdf_point(r) if ue
+                         else estimation.estimate_logit_vot(r, alpha_star))
         except estimation.EstimationError:
             continue
-    if not votes:
-        print("no estimable observations (need an interior paying share)")
+        except ValueError as exc:
+            raise ConfigError(f"{args.records}, row {row} (t={r.t:.9g}): {exc}") from None
+    if not found:
+        need = "positive gap and SOV demand" if ue else "an interior paying share"
+        print(f"no estimable observations (need {need})")
         return EXIT_ESTIMATION
-    mean = statistics.fmean(votes)
-    spread = statistics.pstdev(votes) if len(votes) > 1 else 0.0
-    print(f"common VOT estimate: {mean:.6g} $/h over {len(votes)} observations (sd {spread:.3g})")
+    if ue:
+        print("vot_dollars_per_h,cdf_estimate,count")
+        for x, f_hat, count in estimation.pool_cdf_points(found, num_bins=bins):
+            print(f"{x:.9g},{f_hat:.9g},{count}")
+        return EXIT_OK
+    mean = statistics.fmean(found)
+    spread = statistics.pstdev(found) if len(found) > 1 else 0.0
+    print(f"common VOT estimate: {mean:.6g} $/h over {len(found)} observations (sd {spread:.3g})")
     return EXIT_OK
 
 
@@ -240,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, analysis.A1ViolationError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except HotGridlockError as exc:
+    except (HotGridlockError, OverflowError) as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

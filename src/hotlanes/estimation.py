@@ -3,14 +3,15 @@
 The operator observes tolls, lane speeds and the split of entering SOVs.
 Under the user-equilibrium model each observation pins one point of the VOT
 distribution function; under the logit model each interior observation gives
-a point estimate of the common VOT.
+a point estimate of the common VOT.  Each estimator reads ``u``, ``omega``,
+``e2_tilde`` and ``e21_tilde`` from one record, such as a
+:class:`~hotlanes.scenario.SimulationRecord`, and raises a plain
+``ValueError`` for a paying-SOV rate outside [0, SOV rate].
 """
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Observation",
     "EstimationError",
     "estimate_cdf_point",
     "estimate_logit_vot",
@@ -19,38 +20,29 @@ __all__ = [
 
 
 class EstimationError(ValueError):
-    """The observation does not identify the requested quantity."""
+    """The record does not identify the requested quantity."""
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
-    """One time-stamped operating record used for estimation."""
-
-    time: float
-    u: float  # toll [$/length]
-    omega: float  # travel time gap [h/length]
-    e2_tilde: float  # SOV initiation rate [veh/h]
-    e21_tilde: float  # paying-SOV rate [veh/h]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.e21_tilde <= self.e2_tilde * (1 + 1e-12):
-            raise ValueError("paying-SOV rate must lie in [0, SOV rate]")
+def _check_paying_rate(r) -> None:
+    if not 0.0 <= r.e21_tilde <= r.e2_tilde * (1 + 1e-12):
+        raise ValueError("paying-SOV rate must lie in [0, SOV rate]")
 
 
-def estimate_cdf_point(obs: Observation) -> tuple[float, float]:
-    """CDF point (x, F(x)) implied by one observation under user equilibrium.
+def estimate_cdf_point(r) -> tuple[float, float]:
+    """CDF point (x, F(x)) implied by one record under user equilibrium.
 
     The abscissa is the toll-to-gap ratio; the ordinate the non-paying share.
     """
-    if not (math.isfinite(obs.omega) and obs.omega > 0.0):
+    _check_paying_rate(r)
+    if not (math.isfinite(r.omega) and r.omega > 0.0):
         raise EstimationError("needs a positive, finite travel time gap")
-    if obs.e2_tilde <= 0.0:
+    if r.e2_tilde <= 0.0:
         raise EstimationError("needs a positive SOV rate")
-    return obs.u / obs.omega, 1.0 - obs.e21_tilde / obs.e2_tilde
+    return r.u / r.omega, 1.0 - r.e21_tilde / r.e2_tilde
 
 
-def estimate_logit_vot(obs: Observation, alpha_star: float = 1.0) -> float:
-    """Common-VOT point estimate implied by one observation under logit choice.
+def estimate_logit_vot(r, alpha_star: float = 1.0) -> float:
+    """Common-VOT point estimate implied by one record under logit choice.
 
     Measurement noise in the gap enters through a 1/omega factor, so
     estimates from near-equal lane speeds are the least reliable; no
@@ -58,11 +50,15 @@ def estimate_logit_vot(obs: Observation, alpha_star: float = 1.0) -> float:
     """
     if alpha_star <= 0:
         raise ValueError("scale parameter must be positive")
-    if not (math.isfinite(obs.omega) and obs.omega > 0.0):
+    _check_paying_rate(r)
+    if not (math.isfinite(r.omega) and r.omega > 0.0):
         raise EstimationError("needs a positive, finite travel time gap")
-    if not 0.0 < obs.e21_tilde < obs.e2_tilde:
+    if not 0.0 < r.e21_tilde < r.e2_tilde:
         raise EstimationError("share at 0 or 1 does not identify the VOT")
-    return (obs.u - math.log(obs.e2_tilde / obs.e21_tilde - 1.0) / alpha_star) / obs.omega
+    vot = (r.u - math.log(r.e2_tilde / r.e21_tilde - 1.0) / alpha_star) / r.omega
+    if not math.isfinite(vot):
+        raise EstimationError("share too close to 0 or 1 to identify the VOT")
+    return vot
 
 
 def pool_cdf_points(

@@ -54,6 +54,8 @@ class FdParams:
         if self.u_f <= 0 or self.w <= 0 or self.rho_j <= 0:
             raise ValueError("u_f, w and rho_j must all be positive")
         cap = critical_density(self) * self.u_f
+        if not cap < _INF:
+            raise ValueError(f"critical density and capacity must be finite, got capacity {cap}")
         if not 0.0 <= self.c <= cap + 1e-9 * cap:
             raise ValueError(f"flow floor c={self.c} outside [0, {cap}]")
 

@@ -36,7 +36,6 @@ __all__ = [
     "csv_rows",
     "write_csv",
     "read_csv",
-    "records_to_observations",
     "constant_equilibrium",
     "CSV_COLUMNS",
 ]
@@ -221,6 +220,8 @@ CSV_COLUMNS = SimulationRecord._fields
 
 _FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 _FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("phase2") + 1:]
+# the record fields that must stay finite: every float but the gap, which is inf at a GP jam
+_CHECKED_FLOATS = itemgetter(*(i for i, c in enumerate(_FLOAT_COLUMNS) if c != "omega"))
 
 
 def _warn_a1(config: ScenarioConfig) -> None:
@@ -233,7 +234,9 @@ def iter_run(config: ScenarioConfig, stats: SaturationStats | None = None) -> It
     """Run the closed loop as a stream of records; warn at the call per violated A1 condition.
 
     The loop steps only as records are taken, so a consumer that stops, stops
-    the run.  Raises :class:`HotGridlockError` if the managed lanes gridlock.
+    the run.  Raises :class:`HotGridlockError` if the managed lanes gridlock,
+    and ``OverflowError``, naming the time, when a density or a record field
+    other than the gap is no longer finite; the records before it stand.
     """
     _warn_a1(config)
     return _stream(config, stats)
@@ -265,9 +268,11 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     stats = SaturationStats() if stats is None else stats
     inf = math.inf
     dt = config.dt_s / 3600.0
-    n_steps = max(1, round(config.horizon_h * 3600.0 / config.dt_s))
+    horizon_s = config.horizon_h * 3600.0
+    n_steps = max(1, round(horizon_s / config.dt_s))
     last = n_steps - 1
-    record_every = max(1, round(config.output_dt_s / config.dt_s))
+    # an interval past the horizon records the first and the last step; capped, it cannot overflow
+    record_every = max(1, round(min(config.output_dt_s, horizon_s) / config.dt_s))
     share = config.choice.share
     hov_mode = config.mode == "hov"
     ctrl = config.controller
@@ -292,7 +297,11 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         t = i * dt
         e1t, e2t = demand_rates(t)
         rho1, rho2 = d1 / L1, d2 / L2
-        v1, v2 = speed(fd_hot, rho1), speed(fd_gp, rho2)
+        try:
+            v1, v2 = speed(fd_hot, rho1), speed(fd_gp, rho2)
+        except ValueError:  # speed rejects a NaN or inf density, the only bad one here
+            raise OverflowError(
+                f"trip counts overflowed at t={t:.4f} h (rho1={rho1}, rho2={rho2})") from None
         if v1 <= 0.0:
             raise HotGridlockError(
                 f"managed lanes gridlocked at t={t:.4f} h (rho1={rho1:.3f})"
@@ -318,13 +327,21 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
 
         if i == next_record or i == last:
             next_record += record_every
-            yield SimulationRecord(  # fields in CSV column order
+            E1, E2 = d1 - d1_init + G1, d2 - d2_init + G2
+            record = SimulationRecord(  # fields in CSV column order
                 t, d1, d2, rho1, rho2, v1, v2, omega, lam, xi, a, b, u, p,
-                e1t, e2t, e21, g1, g2, d1 - d1_init + G1, d2 - d2_init + G2, G1, G2,
+                e1t, e2t, e21, g1, g2, E1, E2, G1, G2,
                 classify_phase(fd_hot, rho1).value, classify_phase(fd_gp, rho2).value,
                 int(not hov_mode and gap < inf and a * gap + b < 0.0),
                 int(stats.hot_clamp_steps > 0), int(stats.gp_clamp_steps > 0),
             )
+            # With finite densities every float but the gap is finite if these seven are: E
+            # covers delta and G, and xi covers g1 and the HOT inflow.  Their sum is not finite
+            # if one of them is not; only then are the fields checked one by one.
+            if (not -inf < xi + a + b + u + g2 + E1 + E2 < inf
+                    and not all(map(math.isfinite, _CHECKED_FLOATS(record)))):
+                raise OverflowError(f"state overflowed at t={t:.4f} h: a record field is not finite")
+            yield record
         d1 += dt * (in1 - g1)
         if d1 < 0.0:
             d1 = 0.0
@@ -519,20 +536,3 @@ def read_csv(path: str) -> list[SimulationRecord]:
             raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
     return out
 
-
-def records_to_observations(records: Iterable[SimulationRecord]):
-    """Estimation observations from record rows (import-cycle-free helper).
-
-    A row that is no valid observation raises :class:`ConfigError` naming
-    the row (1 for the first record) and its time.
-    """
-    from .estimation import Observation
-
-    out = []
-    for row, r in enumerate(records, 1):
-        try:
-            out.append(Observation(
-                time=r.t, u=r.u, omega=r.omega, e2_tilde=r.e2_tilde, e21_tilde=r.e21_tilde))
-        except ValueError as exc:
-            raise ConfigError(f"row {row} (t={r.t:.9g}): {exc}") from None
-    return out

@@ -38,7 +38,6 @@ from hotlanes.scenario import (
     compare_hov_hot,
     constant_equilibrium,
     iter_run,
-    records_to_observations,
     run,
     write_csv,
 )
@@ -371,9 +370,9 @@ def test_criterion_8_residual_identity_scales_with_dt(criterion):
 
 def test_criterion_9_estimation_round_trips(criterion, constant_run, logit_run):
     points = []
-    for obs in records_to_observations(constant_run):
+    for r in constant_run:
         try:
-            x, f_hat = estimate_cdf_point(obs)
+            x, f_hat = estimate_cdf_point(r)
         except EstimationError:
             continue
         if x <= 300.0:
@@ -383,9 +382,9 @@ def test_criterion_9_estimation_round_trips(criterion, constant_run, logit_run):
     ue_ok = cdf_err <= 0.02 and len(pooled) >= 10
 
     votes = []
-    for obs in records_to_observations(logit_run):
+    for r in logit_run:
         try:
-            votes.append(estimate_logit_vot(obs, alpha_star=1.0))
+            votes.append(estimate_logit_vot(r, alpha_star=1.0))
         except EstimationError:
             continue
     vot_err = max(abs(v - 50.0) / 50.0 for v in votes)

@@ -1,14 +1,24 @@
 """The CLI at the config boundary: every key at every edge value exits cleanly."""
 
+import math
 import warnings
 
 import pytest
 
 from hotlanes.cli import main
 from hotlanes.presets import _KNOWN_KEYS
+from hotlanes.scenario import CSV_COLUMNS, read_csv
 
-EDGE_VALUES = ("nan", "inf", "-1", "0", "1e300", "", "abc")
+EDGE_VALUES = ("nan", "inf", "-1", "0", "1e300", "1e308", "", "abc")
 KEYS = sorted(f"{section}.{key}" for section, keys in _KNOWN_KEYS.items() for key in keys)
+# every float column but the gap, which is inf while the GP lanes are jammed
+FINITE_COLUMNS = [c for c in CSV_COLUMNS[: CSV_COLUMNS.index("phase1")] if c != "omega"]
+
+
+def non_finite_cells(path):
+    """The float columns, gap excepted, that hold a NaN or inf in the record CSV at ``path``."""
+    return sorted({c for r in read_csv(str(path)) for c in FINITE_COLUMNS
+                   if not math.isfinite(getattr(r, c))})
 
 
 def call(argv, capsys):
@@ -46,23 +56,30 @@ def test_every_key_at_every_edge_value_exits_cleanly(command, tmp_path, capsys):
                 failures.append(f"{key}={value!r}: {failure}")
             if code == 1 and out.exists():
                 failures.append(f"{key}={value!r}: exit 1 left a CSV")
+            if command == "run" and code == 0 and non_finite_cells(out):
+                failures.append(f"{key}={value!r}: exit 0 wrote non-finite {non_finite_cells(out)}")
             out.unlink(missing_ok=True)
     assert not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize("model", ["ue", "logit"])
 def test_estimate_options_at_every_edge_value_exit_cleanly(model, tmp_path, capsys):
-    records = tmp_path / "run.csv"
-    base = "constant-logit" if model == "logit" else "constant"
-    assert main(["run", "--preset", base, "--set", "simulation.horizon_h=0.01",
-                 "--set", "simulation.initial_gp_trips=60", "--out", str(records)]) == 0
     failures = []
-    for option in ("--bins", "--alpha-star"):
-        for value in EDGE_VALUES:
-            argv = ["estimate", "--records", str(records), "--model", model, f"{option}={value}"]
-            _, failure = call(argv, capsys)
-            if failure:
-                failures.append(f"{option}={value!r}: {failure}")
+    # each model reads records of both presets; a UE run's paying rates reach
+    # subnormal values near 0.043 h, where a logit vote overflows
+    for base in ("constant", "constant-logit"):
+        records = tmp_path / f"{base}.csv"
+        assert main(["run", "--preset", base, "--set", "simulation.horizon_h=0.05",
+                     "--set", "simulation.output_dt_s=0.1", "--out", str(records)]) == 0
+        for option in ("--bins", "--alpha-star"):
+            for value in EDGE_VALUES:
+                argv = ["estimate", "--records", str(records), "--model", model, f"{option}={value}"]
+                _, failure = call(argv, capsys)
+                if failure:
+                    failures.append(f"{base} {option}={value!r}: {failure}")
+        _, failure = call(["estimate", "--records", str(records), "--model", model], capsys)
+        if failure:
+            failures.append(f"{base} defaults: {failure}")
     assert not failures, "\n".join(failures)
 
 
@@ -75,3 +92,25 @@ def test_analyze_options_at_every_edge_value_exit_cleanly(capsys):
             if failure:
                 failures.append(f"{option}={value!r}: {failure}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("run", []), ("compare", []), ("run", ["simulation.mode=hov"]),
+], ids=["run", "compare", "run-hov-mode"])
+def test_state_overflow_at_full_horizon_is_a_runtime_abort(command, overrides, tmp_path, capsys):
+    # In HOV mode the toll coefficients stay put and only the HOT-lane trips
+    # grow, by dt * 1e308 a step, until they overflow near 1.8 h.
+    out = tmp_path / "run.csv"
+    argv = [command, "--preset", "constant", "--set", "demand.hov_veh_h=1e308"]
+    for item in overrides:
+        argv += ["--set", item]
+    if command == "run":
+        argv += ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # A1 warnings are expected here
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime abort:") and " at t=" in err
+    if command == "run":  # the rows before the abort stay, and they are finite
+        assert read_csv(str(out))
+        assert not non_finite_cells(out)

@@ -4,20 +4,21 @@ import itertools
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from hotlanes.estimation import (
     EstimationError,
-    Observation,
     estimate_cdf_point,
     estimate_logit_vot,
     pool_cdf_points,
 )
 
 
-def obs(u=1.0, omega=0.02, e2=800.0, e21=400.0, t=0.0):
-    return Observation(time=t, u=u, omega=omega, e2_tilde=e2, e21_tilde=e21)
+def obs(u=1.0, omega=0.02, e2=800.0, e21=400.0):
+    """A stand-in for a record: the estimators read only these four fields."""
+    return SimpleNamespace(u=u, omega=omega, e2_tilde=e2, e21_tilde=e21)
 
 
 class TestCdfPoint:
@@ -44,7 +45,7 @@ class TestCdfPoint:
 
     def test_zero_demand_not_estimable(self):
         with pytest.raises(EstimationError):
-            estimate_cdf_point(Observation(0.0, 1.0, 0.02, 0.0, 0.0))
+            estimate_cdf_point(obs(u=1.0, omega=0.02, e2=0.0, e21=0.0))
 
 
 class TestLogitVot:
@@ -63,6 +64,11 @@ class TestLogitVot:
             estimate_logit_vot(obs(e21=0.0))
         with pytest.raises(EstimationError):
             estimate_logit_vot(obs(e21=800.0))
+
+    def test_subnormal_paying_rate_not_estimable(self):
+        # e2 / e21 overflows to inf, so the estimate would be -inf
+        with pytest.raises(EstimationError):
+            estimate_logit_vot(obs(e21=5e-324))
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -123,7 +129,10 @@ class TestPooling:
         assert peak < 1_000_000
 
 
-class TestObservationValidation:
+class TestPayingRateValidation:
     def test_paying_rate_bounded(self):
-        with pytest.raises(ValueError):
-            Observation(0.0, 1.0, 0.02, 100.0, 150.0)
+        # a plain ValueError, not an EstimationError: the row is bad, not merely uninformative
+        for estimate in (estimate_cdf_point, estimate_logit_vot):
+            with pytest.raises(ValueError, match=r"paying-SOV rate must lie in \[0, SOV rate\]") as info:
+                estimate(obs(u=1.0, omega=0.02, e2=100.0, e21=150.0))
+            assert not isinstance(info.value, EstimationError)

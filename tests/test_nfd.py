@@ -37,6 +37,12 @@ class TestCriticalDensity:
         rho_c = critical_density(fd_triangular)
         assert 0.0 < rho_c < fd_triangular.rho_j
 
+    @pytest.mark.parametrize("w, rho_j", [(1e308, 140.0), (20.0, 1e308)], ids=["wave", "jam"])
+    def test_overflowing_critical_density_rejected(self, w, rho_j):
+        # w * rho_j overflows, so the critical density and the capacity would be inf
+        with pytest.raises(ValueError, match="finite"):
+            FdParams(u_f=100.0, w=w, rho_j=rho_j)
+
 
 class TestSpeed:
     def test_free_flow_region(self, fd_triangular):

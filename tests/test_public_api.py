@@ -1,7 +1,9 @@
 """Every exported name resolves, so a deleted function cannot linger in an export list."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,14 @@ def test_package_star_import():
     namespace = {}
     exec("from hotlanes import *", namespace)
     assert {"run", "preset", "ScenarioConfig", "HotGridlockError"} <= set(namespace)
+
+
+def test_no_module_imports_inside_a_function():
+    """Imports sit at module level, so an import cycle cannot hide in a function body."""
+    found = []
+    for path in sorted(Path(hotlanes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside a function at {found}"

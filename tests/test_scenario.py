@@ -234,6 +234,13 @@ class TestRunner:
         assert all(g == 2.0 for g in gaps[:-1])
         assert 0.0 < gaps[-1] <= 2.0  # final step is always emitted
 
+    @pytest.mark.parametrize("output_dt_s", [36.5, 1e308])
+    def test_interval_past_horizon_records_first_and_last(self, output_dt_s):
+        cfg = replace(preset("constant"), horizon_h=0.01, dt_s=0.5, output_dt_s=output_dt_s)
+        records = quiet_run(cfg)
+        assert [round(r.t * 3600.0, 6) for r in records] == [0.0, 35.5]
+        assert records == quiet_run(replace(cfg, output_dt_s=36.0))
+
     def test_control_decimation_holds_toll(self):
         cfg = short(preset("constant"), horizon_h=0.01, dt_s=0.1,
                     initial_gp_trips=46.67, control_decimation=10)
