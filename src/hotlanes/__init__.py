@@ -21,7 +21,7 @@ from .analysis import (
     stability_check,
     triangular_growth,
 )
-from .bathtub import HotGridlockError, SaturationStats, travel_time_gap
+from .bathtub import HotGridlockError, SaturationStats
 from .controller import ControllerState
 from .estimation import (
     EstimationError,

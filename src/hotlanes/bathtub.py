@@ -7,9 +7,9 @@ The remaining-distance distribution is negative exponential, so the ready-to-
 exit share of active trips is ``delta / D`` at all times, and a group
 completes trips at ``delta / D * v``.  This differs from the internal flow
 rho * V(rho): completions scale with the count of trips about to finish, not
-with vehicles passing a point.  The Euler step itself is in the scenario
-step loop; this module keeps its clamp counters, the gridlock error, the
-travel-time gap and the jam cap.
+with vehicles passing a point.  The Euler step, with the speeds and the
+travel-time gap it needs, is in the scenario step loop; this module keeps
+its clamp counters, the gridlock error and the jam cap.
 """
 
 import math
@@ -20,7 +20,6 @@ from .nfd import FdParams
 __all__ = [
     "SaturationStats",
     "HotGridlockError",
-    "travel_time_gap",
     "jam_trip_cap",
 ]
 
@@ -41,21 +40,6 @@ class SaturationStats:
     @property
     def any_clamped(self) -> bool:
         return self.hot_clamp_steps > 0 or self.gp_clamp_steps > 0
-
-
-def travel_time_gap(v1: float, v2: float) -> float:
-    """Per-unit-distance travel time difference 1/v2 - 1/v1 [h/length].
-
-    Returns ``math.inf`` when the GP lanes are at zero speed.  Zero speed in
-    the HOT lanes is an operational failure and raises.
-    """
-    if v1 <= 0.0:
-        raise HotGridlockError("managed lanes at zero speed")
-    if v2 < 0.0:
-        raise ValueError("speed cannot be negative")
-    if v2 == 0.0:
-        return math.inf
-    return 1.0 / v2 - 1.0 / v1
 
 
 def jam_trip_cap(fd: FdParams, lane_length: float) -> float:

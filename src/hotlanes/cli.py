@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, analysis.A1ViolationError, FileNotFoundError) as exc:
+    except (ConfigError, analysis.A1ViolationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HotGridlockError, OverflowError) as exc:

@@ -16,10 +16,10 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import analysis
-from .bathtub import HotGridlockError, SaturationStats, jam_trip_cap, travel_time_gap
+from .bathtub import HotGridlockError, SaturationStats, jam_trip_cap
 from .controller import ControllerState
 from .lane_choice import LogitChoice, UeChoice
-from .nfd import FdParams, classify_phase, critical_density, speed
+from .nfd import PHASE_TOLERANCE, FdParams, Phase, critical_density
 
 __all__ = [
     "DemandProfile",
@@ -128,7 +128,7 @@ class ScenarioConfig:
     any consistent length unit works as long as it is used throughout.
     """
 
-    MAX_STEPS = 10**8  # not a field: Euler steps one run may take, about 10 min at 6 us each
+    MAX_STEPS = 10**8  # not a field: Euler steps one run may take, about 200 s at 2 us each
 
     fd_hot: FdParams
     fd_gp: FdParams
@@ -222,6 +222,9 @@ _FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 _FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("phase2") + 1:]
 # the record fields that must stay finite: every float but the gap, which is inf at a GP jam
 _CHECKED_FLOATS = itemgetter(*(i for i, c in enumerate(_FLOAT_COLUMNS) if c != "omega"))
+# Builds a record from a tuple of every field in order, without the Python-level
+# __new__ (a call frame) or _make's length check (the callers pass a fixed count).
+_new_tuple = tuple.__new__
 
 
 def _warn_a1(config: ScenarioConfig) -> None:
@@ -252,12 +255,14 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     """The step loop: one Euler step per ``dt_s``, a record every ``output_dt_s`` and at the last.
 
     This is the one place that does the per-step arithmetic; it calls out
-    only for the speeds, the gap, the demand and the share.  The plant
-    completes ``delta / D * v`` trips per hour (0 from an empty group) and
-    keeps each trip count in [0, cap]; a count over its jam cap drops the
-    excess, counted in ``stats``.  The toll ``a * omega + b`` is clamped at 0,
-    posts the ceiling at an unbounded gap, and is held between controller
-    ticks (every ``control_decimation`` steps).
+    only for the demand and the share.  The speeds are ``nfd.speed``'s and
+    the phase labels ``nfd.classify_phase``'s, computed inline; the gap
+    ``1/v2 - 1/v1`` is inf at a GP jam.  The plant completes ``delta / D * v``
+    trips per hour (0 from an empty group) and keeps each trip count in
+    [0, cap]; a count over its jam cap drops the excess, counted in
+    ``stats``.  The toll ``a * omega + b`` is clamped at 0, posts the ceiling
+    at an unbounded gap, and is held between controller ticks (every
+    ``control_decimation`` steps).
 
     Both coefficients accumulate the same ``lam`` and ``xi``.  An unclamped
     plant step moves the HOT-lane trips ``delta1`` by exactly ``-dt * xi``,
@@ -281,13 +286,16 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     decim = config.control_decimation
     dt_ctrl = dt * decim
     fd_hot, fd_gp = config.fd_hot, config.fd_gp
+    uf1, w1, rj1, c1 = fd_hot.u_f, fd_hot.w, fd_hot.rho_j, fd_hot.c
+    uf2, w2, rj2, c2 = fd_gp.u_f, fd_gp.w, fd_gp.rho_j, fd_gp.c
+    rho_c1, rho_c2 = critical_density(fd_hot), critical_density(fd_gp)
+    SUC, C, SOC, tol = Phase.SUC.value, Phase.C.value, Phase.SOC.value, PHASE_TOLERANCE
     D = config.mean_trip_distance
     L1 = config.hot_lanes * config.corridor_length
     L2 = config.gp_lanes * config.corridor_length
     cap1, cap2 = jam_trip_cap(fd_hot, L1), jam_trip_cap(fd_gp, L2)
     d1_init = d1 = config.initial_hot_trips
     d2_init = d2 = config.initial_gp_trips
-    rho_c_hot = critical_density(fd_hot)
     G1 = G2 = 0.0
     u = p = 0.0
     demand_rates = config.demand.rates
@@ -297,16 +305,35 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         t = i * dt
         e1t, e2t = demand_rates(t)
         rho1, rho2 = d1 / L1, d2 / L2
-        try:
-            v1, v2 = speed(fd_hot, rho1), speed(fd_gp, rho2)
-        except ValueError:  # speed rejects a NaN or inf density, the only bad one here
+        if not (0.0 <= rho1 < inf and 0.0 <= rho2 < inf):
             raise OverflowError(
-                f"trip counts overflowed at t={t:.4f} h (rho1={rho1}, rho2={rho2})") from None
+                f"trip counts overflowed at t={t:.4f} h (rho1={rho1}, rho2={rho2})")
+        # nfd.speed of each group: u_f when empty, else the wave branch raised to the floor c/rho
+        if rho1 == 0.0:
+            v1 = uf1
+        else:
+            v1 = w1 * (rj1 - rho1) / rho1
+            if c1 > 0.0 and c1 / rho1 > v1:
+                v1 = c1 / rho1
+            if 0.0 > v1:
+                v1 = 0.0
+            elif v1 > uf1:
+                v1 = uf1
+        if rho2 == 0.0:
+            v2 = uf2
+        else:
+            v2 = w2 * (rj2 - rho2) / rho2
+            if c2 > 0.0 and c2 / rho2 > v2:
+                v2 = c2 / rho2
+            if 0.0 > v2:
+                v2 = 0.0
+            elif v2 > uf2:
+                v2 = uf2
         if v1 <= 0.0:
             raise HotGridlockError(
                 f"managed lanes gridlocked at t={t:.4f} h (rho1={rho1:.3f})"
             )
-        omega = travel_time_gap(v1, v2)
+        omega = inf if v2 == 0.0 else 1.0 / v2 - 1.0 / v1
         # The choice models are defined for a non-negative gap; if the HOT
         # lanes are transiently slower than the GP lanes nobody pays.
         gap = 0.0 if 0.0 > omega else omega
@@ -322,19 +349,21 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         in1, in2 = e1t + e21, e2t - e21
         g1 = 0.0 if d1 == 0.0 else d1 / D * v1
         g2 = 0.0 if d2 == 0.0 else d2 / D * v2
-        lam = rho1 - rho_c_hot
+        lam = rho1 - rho_c1
         xi = g1 - in1
 
         if i == next_record or i == last:
             next_record += record_every
             E1, E2 = d1 - d1_init + G1, d2 - d2_init + G2
-            record = SimulationRecord(  # fields in CSV column order
+            record = _new_tuple(SimulationRecord, (  # fields in CSV column order
                 t, d1, d2, rho1, rho2, v1, v2, omega, lam, xi, a, b, u, p,
                 e1t, e2t, e21, g1, g2, E1, E2, G1, G2,
-                classify_phase(fd_hot, rho1).value, classify_phase(fd_gp, rho2).value,
+                # nfd.classify_phase of each group
+                C if abs(rho1 - rho_c1) <= tol else SUC if rho1 < rho_c1 else SOC,
+                C if abs(rho2 - rho_c2) <= tol else SUC if rho2 < rho_c2 else SOC,
                 int(not hov_mode and gap < inf and a * gap + b < 0.0),
                 int(stats.hot_clamp_steps > 0), int(stats.gp_clamp_steps > 0),
-            )
+            ))
             # With finite densities every float but the gap is finite if these seven are: E
             # covers delta and G, and xi covers g1 and the HOT inflow.  Their sum is not finite
             # if one of them is not; only then are the fields checked one by one.
@@ -530,8 +559,8 @@ def read_csv(path: str) -> list[SimulationRecord]:
             for row in filter(None, reader):
                 if len(row) != len(header):
                     raise ConfigError(f"{len(row)} cells under a {len(header)}-column header")
-                out.append(SimulationRecord._make(
-                    (*map(float, floats(row)), *phases(row), *map(int, flags(row)))))
+                out.append(_new_tuple(SimulationRecord, (
+                    *map(float, floats(row)), *phases(row), *map(int, flags(row)))))
         except (ValueError, csv.Error) as exc:  # ConfigError included
             raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
     return out

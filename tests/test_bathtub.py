@@ -11,7 +11,6 @@ from hotlanes.bathtub import (
     HotGridlockError,
     SaturationStats,
     jam_trip_cap,
-    travel_time_gap,
 )
 from hotlanes.lane_choice import UeChoice
 from hotlanes.scenario import ConfigError, DemandProfile, ScenarioConfig, run
@@ -89,18 +88,21 @@ class TestStateVariables:
 
 
 class TestTravelTimeGap:
-    def test_equal_speeds(self):
-        assert travel_time_gap(80.0, 80.0) == 0.0
+    def test_equal_speeds(self, fd_triangular):
+        assert plant_run(fd_triangular, d1=300.0, d2=300.0)[0].omega == 0.0
 
-    def test_direct_value(self):
-        assert travel_time_gap(100.0, 50.0) == pytest.approx(0.01)
+    def test_direct_value(self, fd_triangular):
+        # an empty HOT group at 100 km/h, GP at 40 veh/km: 20 * (140 - 40) / 40 = 50 km/h
+        r = plant_run(fd_triangular, d2=400.0)[0]
+        assert (r.v1, r.v2) == (100.0, 50.0)
+        assert r.omega == pytest.approx(0.01)
 
-    def test_jammed_gp_is_unbounded(self):
-        assert travel_time_gap(100.0, 0.0) == math.inf
+    def test_jammed_gp_is_unbounded(self, fd_triangular):
+        assert plant_run(fd_triangular, d2=1400.0)[0].omega == math.inf
 
-    def test_hot_gridlock_raises(self):
+    def test_hot_gridlock_raises(self, fd_triangular):
         with pytest.raises(HotGridlockError):
-            travel_time_gap(0.0, 50.0)
+            plant_run(fd_triangular, d1=1400.0, d2=400.0)
 
 
 class TestStep:

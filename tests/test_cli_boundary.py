@@ -114,3 +114,18 @@ def test_state_overflow_at_full_horizon_is_a_runtime_abort(command, overrides, t
     if command == "run":  # the rows before the abort stay, and they are finite
         assert read_csv(str(out))
         assert not non_finite_cells(out)
+
+
+@pytest.mark.parametrize("command", ["run", "estimate"])
+def test_directory_path_is_a_config_error(command, tmp_path, capsys):
+    # run cannot write its CSV to a directory, and estimate cannot read one
+    if command == "run":
+        argv = ["run", "--preset", "constant", "--set", "simulation.horizon_h=0.01",
+                "--out", str(tmp_path)]
+    else:
+        argv = ["estimate", "--records", str(tmp_path), "--model", "ue"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # A1 warnings are expected here
+        assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not list(tmp_path.iterdir())

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from hotlanes.bathtub import HotGridlockError
 from hotlanes.controller import ControllerState
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
-from hotlanes.nfd import FdParams, capacity
+from hotlanes.nfd import FdParams, capacity, classify_phase, speed
 from hotlanes.presets import preset
 from hotlanes.scenario import CSV_COLUMNS, ConfigError, DemandProfile, run
 
@@ -80,6 +80,11 @@ def test_run_outcome_and_invariants(overrides):
             assert math.isfinite(value) or (name == "omega" and value == math.inf), (name, r)
         assert 0.0 <= r.p <= 1.0
         assert r.u >= 0.0
+        # the loop's inline speeds, gap and phase labels equal their references bit for bit
+        assert r.v1 == speed(config.fd_hot, r.rho1) and r.v2 == speed(config.fd_gp, r.rho2), r
+        assert r.omega == (math.inf if r.v2 == 0.0 else 1.0 / r.v2 - 1.0 / r.v1), r
+        assert r.phase1 == classify_phase(config.fd_hot, r.rho1).value, r
+        assert r.phase2 == classify_phase(config.fd_gp, r.rho2).value, r
 
     # Mass balance across each Euler step; the clamp flags are sticky, so an
     # unflagged later row means neither bathtub was clamped in between.

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from conftest import until_gp_jam
@@ -13,7 +13,7 @@ from hotlanes.cli import main
 from hotlanes.controller import ControllerState
 from hotlanes.lane_choice import LogitChoice, UeChoice, UniformVot
 from hotlanes.nfd import FdParams
-from hotlanes.presets import apply_overrides, load_config, preset
+from hotlanes.presets import _KNOWN_KEYS, apply_overrides, load_config, preset
 from hotlanes.scenario import (
     ConfigError,
     DemandProfile,
@@ -39,6 +39,16 @@ def quiet_run(config, **kwargs):
 
 def short(config, horizon_h=0.02, dt_s=0.5, **kwargs):
     return replace(config, horizon_h=horizon_h, dt_s=dt_s, output_dt_s=dt_s, **kwargs)
+
+
+def leaf_fields(obj, prefix=""):
+    """{dotted field path: value} of every field of ``obj`` that is not itself a dataclass."""
+    if not is_dataclass(obj):
+        return {prefix: obj}
+    out = {}
+    for f in fields(obj):
+        out.update(leaf_fields(getattr(obj, f.name), f"{prefix}.{f.name}".lstrip(".")))
+    return out
 
 
 class TestDemandProfile:
@@ -184,6 +194,66 @@ class TestConfig:
     def test_demand_key_of_another_kind_rejected(self):
         with pytest.raises(ConfigError, match="does not apply to demand kind 'trapezoid'"):
             apply_overrides(None, "trapezoid", ["demand.sov_veh_h=900"])
+
+    def test_override_changes_only_the_field_it_names(self):
+        # A key of another demand kind or choice model runs on ``constant``
+        # switched to that kind or model; the switch itself is in both configs.
+        trapezoid = ["demand.kind=trapezoid", "demand.ramp_up_start_h=0", "demand.ramp_up_end_h=1",
+                     "demand.ramp_down_start_h=2", "demand.ramp_down_end_h=3"]
+        piecewise = ["demand.kind=piecewise", "demand.breakpoints_h=0,1",
+                     "demand.hov_rates_veh_h=200,200", "demand.sov_rates_veh_h=860,860"]
+        logit, uniform = ["choice.model=logit"], ["choice.vot_family=uniform"]
+        # key -> (new value, the fields it may change, the switch it needs)
+        cases = {
+            "demand.hov_veh_h": ("300", {"demand.hov_rate"}, []),
+            "demand.sov_veh_h": ("900", {"demand.sov_rate"}, []),
+            "demand.hov_peak_veh_h": ("300", {"demand.hov_rate"}, trapezoid),
+            "demand.sov_peak_veh_h": ("900", {"demand.sov_rate"}, trapezoid),
+            "demand.ramp_up_start_h": ("0.5", {"demand.t0"}, trapezoid),
+            "demand.ramp_up_end_h": ("1.5", {"demand.t1"}, trapezoid),
+            "demand.ramp_down_start_h": ("2.5", {"demand.t2"}, trapezoid),
+            "demand.ramp_down_end_h": ("4", {"demand.t3"}, trapezoid),
+            "demand.breakpoints_h": ("0,2", {"demand.breakpoints"}, piecewise),
+            "demand.hov_rates_veh_h": ("100,300", {"demand.hov_rates"}, piecewise),
+            "demand.sov_rates_veh_h": ("500,900", {"demand.sov_rates"}, piecewise),
+            "geometry.corridor_km": ("2", {"corridor_length"}, []),
+            "geometry.hot_lanes": ("2", {"hot_lanes"}, []),
+            "geometry.gp_lanes": ("3", {"gp_lanes"}, []),
+            "geometry.mean_trip_km": ("4", {"mean_trip_distance"}, []),
+            "choice.expected_vot": ("40", {"choice.dist.mean"}, []),
+            "choice.logit_vot": ("40", {"choice.pi_star"}, logit),
+            "choice.logit_scale": ("2", {"choice.alpha_star"}, logit),
+            "choice.vot_low": ("10", {"choice.dist.low"}, uniform),
+            "choice.vot_high": ("90", {"choice.dist.high"}, uniform),
+            "simulation.dt_s": ("0.5", {"dt_s"}, []),
+            "simulation.horizon_h": ("2", {"horizon_h"}, []),
+            "simulation.output_dt_s": ("2", {"output_dt_s"}, []),
+            "simulation.initial_hot_trips": ("10", {"initial_hot_trips"}, []),
+            "simulation.initial_gp_trips": ("20", {"initial_gp_trips"}, []),
+            "controller.k1": ("9", {"controller.k1"}, []),
+            "controller.k2": ("6", {"controller.k2"}, []),
+            "controller.k3": ("9", {"controller.k3"}, []),
+            "controller.k4": ("7", {"controller.k4"}, []),
+            "controller.a0": ("1.5", {"controller.a"}, []),
+            "controller.b0": ("0.5", {"controller.b"}, []),
+            "controller.toll_ceiling": ("20", {"controller.toll_ceiling"}, []),
+            "controller.decimation": ("10", {"control_decimation"}, []),
+        }
+        fd_cases = {"free_flow_kmh": ("120", "u_f"), "wave_kmh": ("25", "w"),
+                    "jam_veh_km": ("150", "rho_j"), "flow_floor_fraction": ("0.5", "c"),
+                    "flow_floor_veh_h": ("1000", "c")}
+        for key, (value, field) in fd_cases.items():
+            cases[f"fd.{key}"] = (value, {f"fd_hot.{field}", f"fd_gp.{field}"}, [])
+            cases[f"fd.hot.{key}"] = (value, {f"fd_hot.{field}"}, [])
+            cases[f"fd.gp.{key}"] = (value, {f"fd_gp.{field}"}, [])
+        switches = {"scenario.preset", "demand.kind", "choice.model", "choice.vot_family",
+                    "simulation.mode"}
+        assert set(cases) == {f"{s}.{k}" for s, keys in _KNOWN_KEYS.items() for k in keys} - switches
+
+        for key, (value, changed, switch) in cases.items():
+            base = leaf_fields(apply_overrides(None, "constant", switch))
+            got = leaf_fields(apply_overrides(None, "constant", [*switch, f"{key}={value}"]))
+            assert {f for f in base if got[f] != base[f]} == changed, key
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
