@@ -5,8 +5,13 @@ drivers with a value of time above ``u / omega`` pay, so the paying share is
 the upper tail of the VOT distribution.  Under the fixed-VOT logit model the
 share follows a logistic curve in the toll.  Both are invertible in the toll,
 which is what the estimation module exploits.  A model answers ``share(u,
-omega)`` and ``inverse_toll(p, omega)``; nothing else in the package needs
-to know which one is in use.
+omega)`` and ``inverse_toll(p, omega)``.
+
+The scenario step loop specializes the two built-in models: it computes the
+share of ``UeChoice`` with an ``ExponentialVot`` and of ``LogitChoice``
+inline, with the expressions of their ``share``.  ``share`` stays the
+reference for those, which the tests and the analysis use, and it is the
+path for any other model.
 """
 
 import math

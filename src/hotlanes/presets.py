@@ -203,30 +203,26 @@ def _convert(cp: configparser.ConfigParser, section: str, key: str, typ):
 def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
     config = preset(cp.get("scenario", "preset", fallback="constant"))
     updates: dict[str, object] = {}
-    # Every constructor rejects a bad value with ValueError; ConfigError is one.
-    try:
-        if cp.has_section("fd"):
-            updates["fd_hot"] = updates["fd_gp"] = _parse_fd(cp, "fd", config.fd_hot)
-        for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
-            if cp.has_section(group):
-                updates[attr] = _parse_fd(cp, group, updates.get(attr, getattr(config, attr)))
-        if cp.has_section("demand"):
-            updates["demand"] = _parse_demand(cp, config.demand)
-        if cp.has_section("choice"):
-            updates["choice"] = _parse_choice(cp, config.choice)
-        for (section, key), (attr, typ) in _SCALARS.items():
-            if cp.has_option(section, key):
-                updates[attr] = _convert(cp, section, key, typ)
-        ctrl_kwargs = {
-            attr: _convert(cp, "controller", key, float)
-            for key, attr in _CONTROLLER_KEYS.items()
-            if cp.has_option("controller", key)
-        }
-        if ctrl_kwargs:
-            updates["controller"] = replace(config.controller, **ctrl_kwargs)
-        return replace(config, **updates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if cp.has_section("fd"):
+        updates["fd_hot"] = updates["fd_gp"] = _parse_fd(cp, "fd", config.fd_hot)
+    for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
+        if cp.has_section(group):
+            updates[attr] = _parse_fd(cp, group, updates.get(attr, getattr(config, attr)))
+    if cp.has_section("demand"):
+        updates["demand"] = _parse_demand(cp, config.demand)
+    if cp.has_section("choice"):
+        updates["choice"] = _parse_choice(cp, config.choice)
+    for (section, key), (attr, typ) in _SCALARS.items():
+        if cp.has_option(section, key):
+            updates[attr] = _convert(cp, section, key, typ)
+    ctrl_kwargs = {
+        attr: _convert(cp, "controller", key, float)
+        for key, attr in _CONTROLLER_KEYS.items()
+        if cp.has_option("controller", key)
+    }
+    if ctrl_kwargs:
+        updates["controller"] = replace(config.controller, **ctrl_kwargs)
+    return replace(config, **updates)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -238,24 +234,33 @@ def apply_overrides(config_or_none, preset_name: str | None, overrides: list[str
     """Resolve a config from an optional file, preset name and key=value overrides.
 
     Overrides use ``section.key=value`` with the same keys as the INI format.
+    A file or value that does not parse, a bad value and an unknown key raise
+    :class:`ConfigError`.
     """
     cp = configparser.ConfigParser()
-    if preset_name:
-        cp["scenario"] = {"preset": preset_name}
-    if config_or_none is not None:
-        read = cp.read(config_or_none)
-        if not read:
-            raise ConfigError(f"cannot read config file {config_or_none!r}")
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        dotted, value = item.split("=", 1)
-        section, key = dotted.rsplit(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key.strip(), value.strip())
-    _reject_unknown(cp)
-    return _build_from_parser(cp)
+    # Every constructor rejects a bad value with ValueError (ConfigError is
+    # one), and so does the parser a bad section name, a bad '%' and a file
+    # not in the locale's encoding; a file that is not INI and a missing
+    # interpolation key raise configparser.Error.
+    try:
+        if preset_name:
+            cp["scenario"] = {"preset": preset_name}
+        if config_or_none is not None:
+            read = cp.read(config_or_none)
+            if not read:
+                raise ConfigError(f"cannot read config file {config_or_none!r}")
+        for item in overrides:
+            if "=" not in item or "." not in item.split("=", 1)[0]:
+                raise ConfigError(f"override {item!r} is not of the form section.key=value")
+            dotted, value = item.split("=", 1)
+            section, key = dotted.rsplit(".", 1)
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key.strip(), value.strip())
+        _reject_unknown(cp)
+        return _build_from_parser(cp)
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 _KNOWN_SECTIONS = {"scenario", "fd", "fd.hot", "fd.gp", "demand", "geometry", "choice", "simulation", "controller"}

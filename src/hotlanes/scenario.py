@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import analysis
 from .bathtub import HotGridlockError, SaturationStats, jam_trip_cap
 from .controller import ControllerState
-from .lane_choice import LogitChoice, UeChoice
+from .lane_choice import ExponentialVot, LogitChoice, UeChoice
 from .nfd import PHASE_TOLERANCE, FdParams, Phase, critical_density
 
 __all__ = [
@@ -91,28 +91,38 @@ class DemandProfile:
 
     def rates(self, t: float) -> tuple[float, float]:
         """(HOV rate, SOV rate) at time t [veh/h]."""
+        hov, sov, _ = self.held_rates(t)
+        return hov, sov
+
+    def held_rates(self, t: float) -> tuple[float, float, float]:
+        """(HOV rate, SOV rate, t_end): the rates at t [veh/h], which hold unchanged on [t, t_end].
+
+        ``t_end`` is inf once the rates hold for good, and t itself on a ramp.
+        """
         if self.kind == "constant":
-            return self.hov_rate, self.sov_rate
+            return self.hov_rate, self.sov_rate, math.inf
         if self.kind == "trapezoid":
-            if t <= self.t0 or t >= self.t3:
-                f = 0.0
+            if t <= self.t0:
+                f, t_end = 0.0, self.t0
+            elif t >= self.t3:
+                f, t_end = 0.0, math.inf
             elif t < self.t1:
-                f = (t - self.t0) / (self.t1 - self.t0)
+                f, t_end = (t - self.t0) / (self.t1 - self.t0), t
             elif t <= self.t2:
-                f = 1.0
+                f, t_end = 1.0, self.t2
             else:
-                f = (self.t3 - t) / (self.t3 - self.t2)
-            return self.hov_rate * f, self.sov_rate * f
+                f, t_end = (self.t3 - t) / (self.t3 - self.t2), t
+            return self.hov_rate * f, self.sov_rate * f, t_end
         bp = self.breakpoints
         if t <= bp[0]:
-            return self.hov_rates[0], self.sov_rates[0]
+            return self.hov_rates[0], self.sov_rates[0], bp[0]
         if t >= bp[-1]:
-            return self.hov_rates[-1], self.sov_rates[-1]
+            return self.hov_rates[-1], self.sov_rates[-1], math.inf
         i = bisect.bisect_right(bp, t)
         f = (t - bp[i - 1]) / (bp[i] - bp[i - 1])
         hov = self.hov_rates[i - 1] + f * (self.hov_rates[i] - self.hov_rates[i - 1])
         sov = self.sov_rates[i - 1] + f * (self.sov_rates[i] - self.sov_rates[i - 1])
-        return hov, sov
+        return hov, sov, t
 
     def peak_rates(self) -> tuple[float, float]:
         if self.kind == "piecewise":
@@ -254,15 +264,18 @@ def run(config: ScenarioConfig, stats: SaturationStats | None = None) -> list[Si
 def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[SimulationRecord]:
     """The step loop: one Euler step per ``dt_s``, a record every ``output_dt_s`` and at the last.
 
-    This is the one place that does the per-step arithmetic; it calls out
-    only for the demand and the share.  The speeds are ``nfd.speed``'s and
-    the phase labels ``nfd.classify_phase``'s, computed inline; the gap
-    ``1/v2 - 1/v1`` is inf at a GP jam.  The plant completes ``delta / D * v``
-    trips per hour (0 from an empty group) and keeps each trip count in
-    [0, cap]; a count over its jam cap drops the excess, counted in
-    ``stats``.  The toll ``a * omega + b`` is clamped at 0, posts the ceiling
-    at an unbounded gap, and is held between controller ticks (every
-    ``control_decimation`` steps).
+    This is the one place that does the per-step arithmetic.  The speeds are
+    ``nfd.speed``'s and the phase labels ``nfd.classify_phase``'s, computed
+    inline; the gap ``1/v2 - 1/v1`` is inf at a GP jam.  The paying share of
+    ``UeChoice`` with an exponential VOT and of ``LogitChoice`` is their
+    ``share``'s, computed inline; any other model's ``share`` is called.  The
+    demand is read from ``DemandProfile.held_rates`` only when a step passes
+    the end of the interval the last rates hold on, so a constant profile is
+    read once.  The plant completes ``delta / D * v`` trips per hour (0 from
+    an empty group) and keeps each trip count in [0, cap]; a count over its
+    jam cap drops the excess, counted in ``stats``.  The toll ``a * omega +
+    b`` is clamped at 0, posts the ceiling at an unbounded gap, and is held
+    between controller ticks (every ``control_decimation`` steps).
 
     Both coefficients accumulate the same ``lam`` and ``xi``.  An unclamped
     plant step moves the HOT-lane trips ``delta1`` by exactly ``-dt * xi``,
@@ -278,7 +291,14 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     last = n_steps - 1
     # an interval past the horizon records the first and the last step; capped, it cannot overflow
     record_every = max(1, round(min(config.output_dt_s, horizon_s) / config.dt_s))
-    share = config.choice.share
+    choice = config.choice
+    share = choice.share
+    # the built-in models computed inline, with their parameters bound once per run
+    ue_exp = type(choice) is UeChoice and type(choice.dist) is ExponentialVot
+    logit = type(choice) is LogitChoice
+    vot_mean = choice.dist.mean if ue_exp else 0.0
+    alpha, pi_star = (choice.alpha_star, choice.pi_star) if logit else (0.0, 0.0)
+    exp = math.exp
     hov_mode = config.mode == "hov"
     ctrl = config.controller
     a, b = ctrl.a, ctrl.b
@@ -298,12 +318,14 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     d2_init = d2 = config.initial_gp_trips
     G1 = G2 = 0.0
     u = p = 0.0
-    demand_rates = config.demand.rates
+    held_rates = config.demand.held_rates
+    hold_until = -inf  # the demand rates e1t, e2t hold for t <= hold_until
     next_tick = next_record = 0  # the step indices of the next controller tick and record
 
     for i in range(n_steps):
         t = i * dt
-        e1t, e2t = demand_rates(t)
+        if t > hold_until:
+            e1t, e2t, hold_until = held_rates(t)
         rho1, rho2 = d1 / L1, d2 / L2
         if not (0.0 <= rho1 < inf and 0.0 <= rho2 < inf):
             raise OverflowError(
@@ -342,7 +364,24 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
                 u = ceiling if gap == inf else a * gap + b
                 if not u > 0.0:
                     u = 0.0
-            p = 0.0 if omega < 0.0 else share(u, gap)
+            if omega < 0.0:
+                p = 0.0
+            elif ue_exp:  # UeChoice.share, with ExponentialVot.tail
+                if gap == inf:
+                    p = 1.0
+                elif gap == 0.0:
+                    p = 0.0 if u > 0.0 else 1.0
+                else:
+                    x = u / gap
+                    p = 1.0 if x <= 0.0 else exp(-x / vot_mean)
+            elif logit:  # LogitChoice.share
+                if gap == inf:
+                    p = 1.0
+                else:
+                    x = alpha * (u - pi_star * gap)
+                    p = 0.0 if x > 700.0 else 1.0 / (1.0 + exp(x))
+            else:
+                p = share(u, gap)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"paying share {p} outside [0, 1]")
         e21 = p * e2t

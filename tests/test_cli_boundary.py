@@ -1,12 +1,16 @@
 """The CLI at the config boundary: every key at every edge value exits cleanly."""
 
+import contextlib
+import io
 import math
+import os
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from hotlanes.cli import main
-from hotlanes.presets import _KNOWN_KEYS
+from hotlanes.presets import _KNOWN_KEYS, PRESETS
 from hotlanes.scenario import CSV_COLUMNS, read_csv
 
 EDGE_VALUES = ("nan", "inf", "-1", "0", "1e300", "1e308", "", "abc")
@@ -129,3 +133,99 @@ def test_directory_path_is_a_config_error(command, tmp_path, capsys):
         assert main(argv) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.iterdir())
+
+
+# Values no option or key accepts as they are, or accepts at an edge.  A
+# real command line cannot pass a NUL byte, so none is drawn.
+HOSTILE = (*EDGE_VALUES, "-inf", "-0", "1e-300", " ", "%", "%(x)s", "%%", "1,2", "0x10", "1_0",
+           "\u0661", "=", "[x]", "DEFAULT", "constant", "piecewise", "logit", "uniform", "hov")
+VALUES = (*HOSTILE, "1", "0.5", "2", "100", "ue", "exponential", "trapezoid", "hot")
+HOSTILE_KEYS = ("DEFAULT.x", "simulation", ".dt_s", "simulation.", "fd.hot.x", "x.y", "demand.kind.x")
+# The file contents --config reads: a valid piecewise file, and files that do not parse.
+INI_FILES = {
+    "piecewise.ini": "[demand]\nkind = piecewise\nbreakpoints_h = 0, 0.005\n"
+                     "hov_rates_veh_h = 100, 200\nsov_rates_veh_h = 500, 900\n",
+    "no-header.ini": "horizon_h = 1\n",
+    "interpolation.ini": "[simulation]\nhorizon_h = %(x)s\n",
+    "duplicate.ini": "[simulation]\ndt_s = 1\ndt_s = 2\n",
+    "default.ini": "[DEFAULT]\nx = 1\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding a short record file, the INI files and the run outputs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in INI_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "latin1.ini").write_bytes(b"[simulation]\ndt_s = \xff\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--preset", "constant", "--set", "simulation.horizon_h=0.02",
+                     "--out", str(root / "records.csv")]) == 0
+    return root
+
+
+def file_argument(names):
+    """A path inside the fuzz directory: a file, the directory itself or a missing file."""
+    return st.sampled_from((*names, "", "missing", "missing/x")).map(
+        lambda name: lambda root: os.path.join(root, name))
+
+
+@st.composite
+def argvs(draw):
+    """A command line in parts; paths are callables of the fuzz directory."""
+    command = draw(st.sampled_from(("run", "analyze", "compare", "estimate")))
+    if not draw(st.integers(0, 9)):  # a command that does not exist
+        command = draw(st.sampled_from(HOSTILE))
+    parts = [command]
+    if command == "estimate":
+        parts += ["--records", draw(file_argument(("records.csv", "piecewise.ini")))]
+        parts += ["--model", draw(st.sampled_from(("ue", "logit", "UE", "", "nan")))]
+        for option in ("--bins", "--alpha-star"):
+            if draw(st.booleans()):
+                parts.append(f"{option}={draw(st.sampled_from(VALUES))}")
+        return parts
+    if draw(st.integers(0, 3)):
+        parts += ["--preset", draw(st.sampled_from((*sorted(PRESETS), "abc")))]
+    if not draw(st.integers(0, 3)):
+        parts += ["--config", draw(file_argument((*INI_FILES, "latin1.ini")))]
+    for _ in range(draw(st.integers(0, 3))):
+        key, value = draw(st.sampled_from((*KEYS, *HOSTILE_KEYS))), draw(st.sampled_from(VALUES))
+        # mostly section.key=value; sometimes a bare value, which has no '='
+        parts += ["--set", f"{key}={value}" if draw(st.integers(0, 5)) else value]
+    if command == "analyze":
+        for option in ("--at-time", "--phase-offset"):
+            if draw(st.booleans()):
+                parts.append(f"{option}={draw(st.sampled_from(VALUES))}")
+    # every run ends by 0.01 h; the step ceiling rejects a dt_s that would take long
+    parts += ["--set", "simulation.horizon_h=0.01"]
+    if command == "run":
+        parts += ["--out", draw(file_argument(("run.csv",)))]
+    return parts
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parts=argvs())
+def test_fuzzed_argv_exits_cleanly(parts, fuzz_dir):
+    """Every command line exits 0 to 3 without a traceback; exit 1 prints a config error line."""
+    argv = [part(str(fuzz_dir)) if callable(part) else part for part in parts]
+    out = fuzz_dir / "run.csv"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # A1 warnings are expected here
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    err = stderr.getvalue()
+    event(f"{argv[0]}: exit {code}")
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code == 1:
+        assert err.startswith("config error:"), (argv, err)
+        assert not out.exists(), argv
+    if code == 2:
+        assert err.startswith(("usage:", "runtime abort:")), (argv, err)

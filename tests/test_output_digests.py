@@ -8,8 +8,11 @@ from the ``csv.writer`` writer that the one-template writer replaced.  The
 stop at GP jam density wrote for the same config at every-step cadence.  The
 ``coarse-step``, ``decimation7`` and ``constant-logit/every-step`` pins were
 taken from the loop that called one helper function per formula, before that
-arithmetic moved inline.  A change that alters the numerics or the bytes on
-purpose must say so and pin new digests.
+arithmetic moved inline.  The ``constant/piecewise`` and
+``trapezoid/every-step`` pins were taken from the loop that read the demand
+profile at every step, before it read it only where the rates change.  A
+change that alters the numerics or the bytes on purpose must say so and pin
+new digests.
 """
 
 import csv
@@ -32,8 +35,14 @@ def case_config(case: str):
     """The config of a pinned case; every horizon is 0.25 h."""
     name, _, variant = case.partition("/")
     cfg = replace(preset(name), horizon_h=0.25)
+    step = cfg.dt_s / 3600.0  # the loop's step in hours: step i is at t = i * step
     if variant == "every-step":
         cfg = replace(cfg, output_dt_s=cfg.dt_s)
+        if name == "trapezoid":
+            # the pulse moved into the horizon, t1 and t2 on step times: every ramp
+            # step and both inclusive plateau ends are recorded
+            cfg = replace(cfg, demand=replace(
+                cfg.demand, t0=100.5 * step, t1=2000 * step, t2=5000 * step, t3=7000.5 * step))
     elif variant == "coarse-step":
         # a 300 s step drains a lane group past zero: the lower clamp engages
         cfg = replace(cfg, dt_s=300.0, output_dt_s=300.0,
@@ -53,6 +62,14 @@ def case_config(case: str):
         # the whole pulse and its tail fit in the horizon: the toll clamps at 0
         cfg = replace(cfg, demand=DemandProfile(
             kind="trapezoid", hov_rate=200.0, sov_rate=700.0, t0=0.0, t1=0.05, t2=0.15, t3=0.2))
+    elif variant == "piecewise":
+        # breakpoints on and off step times, a flat interior segment (1500 to
+        # 3000) and held end rates before the first and after the last, every step
+        cfg = replace(cfg, output_dt_s=cfg.dt_s, demand=DemandProfile(
+            kind="piecewise",
+            breakpoints=tuple(k * step for k in (300.5, 1500, 3000, 4500.25, 6000, 8000.7)),
+            hov_rates=(150.0, 250.0, 250.0, 100.0, 300.0, 200.0),
+            sov_rates=(600.0, 1000.0, 1000.0, 500.0, 900.0, 700.0)))
     elif variant == "until-gp-jam":  # consumed by until_gp_jam
         cfg = replace(cfg, initial_gp_trips=130.0)
     elif variant == "hot-gridlock":
@@ -124,6 +141,14 @@ PINNED = {
     ),
     "trapezoid/short-pulse": (
         "5f28a17e9e856573d06839b995c82758a042d7daa42fb90f0f951f7c75fd18e4",
+        (0, 0, 0.0, 0.0),
+    ),
+    "constant/piecewise": (
+        "f6ded91adea5bddcb92262353afc88b3bd203d38753371a07246d0bc8f817641",
+        (0, 0, 0.0, 0.0),
+    ),
+    "trapezoid/every-step": (
+        "faf1bb040eb84ce6bc8cca16de527f3106f5695dc10b4fa3978017d0042e8286",
         (0, 0, 0.0, 0.0),
     ),
     "triangular-gridlock/until-gp-jam": (

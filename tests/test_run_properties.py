@@ -16,7 +16,7 @@ from hotlanes.scenario import CSV_COLUMNS, ConfigError, DemandProfile, run
 FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 BASE_FD = FdParams(u_f=100.0, w=20.0, rho_j=140.0)
 
-rates = st.one_of(st.just(0.0), st.floats(1.0, 10_000.0))
+rates = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1.0, 10_000.0))
 trips = st.one_of(st.just(0.0), st.floats(1.0, 800.0))
 gains = st.floats(0.1, 50.0)
 floors = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
@@ -29,15 +29,42 @@ def choice_of(model, family):
     return UeChoice(ExponentialVot() if family == "exponential" else UniformVot())
 
 
+def demand_times(draw, count, dt_s, horizon_h):
+    """``count`` increasing times from 0 to ``count`` steps past the horizon.
+
+    Each lies on a step time or half a step off one.
+    """
+    step = dt_s / 3600.0
+    halves = st.integers(0, 2 * (round(horizon_h / step) + count))
+    return [k / 2 * step for k in sorted(draw(st.sets(halves, min_size=count, max_size=count)))]
+
+
+@st.composite
+def demands(draw, dt_s, horizon_h):
+    """A constant, trapezoid or piecewise profile whose breakpoints fall in or just past the run."""
+    kind = draw(st.sampled_from(("constant", "trapezoid", "piecewise")))
+    if kind == "constant":
+        return DemandProfile(hov_rate=draw(rates), sov_rate=draw(rates))
+    if kind == "trapezoid":
+        t0, t1, t2, t3 = demand_times(draw, 4, dt_s, horizon_h)
+        return DemandProfile(kind=kind, hov_rate=draw(rates), sov_rate=draw(rates),
+                             t0=t0, t1=t1, t2=t2, t3=t3)
+    n = draw(st.integers(2, 5))
+    return DemandProfile(kind=kind, breakpoints=tuple(demand_times(draw, n, dt_s, horizon_h)),
+                         hov_rates=tuple(draw(rates) for _ in range(n)),
+                         sov_rates=tuple(draw(rates) for _ in range(n)))
+
+
 @st.composite
 def short_configs(draw):
     """Field overrides of the ``constant`` preset for a run of at most 0.05 h."""
     dt_s = draw(st.sampled_from((0.1, 0.5, 1.0, 5.0)))
+    horizon_h = draw(st.floats(1e-4, 0.05))
     return {
         "dt_s": dt_s,
         "output_dt_s": dt_s,
-        "horizon_h": draw(st.floats(1e-4, 0.05)),
-        "demand": DemandProfile(hov_rate=draw(rates), sov_rate=draw(rates)),
+        "horizon_h": horizon_h,
+        "demand": draw(demands(dt_s, horizon_h)),
         "controller": ControllerState(**{k: draw(gains) for k in ("k1", "k2", "k3", "k4")}),
         "hot_lanes": draw(st.integers(0, 6)),
         "gp_lanes": draw(st.integers(0, 6)),
@@ -49,6 +76,11 @@ def short_configs(draw):
         "fd_hot": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
         "fd_gp": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
     }
+
+
+def identical(got, want):
+    """Equal, and of the same sign when zero: -0.0 and 0.0 are told apart."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def close(got, want, *running):
@@ -72,6 +104,7 @@ def test_run_outcome_and_invariants(overrides):
         event(type(exc).__name__)
         return
     event("records")
+    event(f"{config.demand.kind} demand")
     assert isinstance(records, list) and records
 
     for r in records:
@@ -85,6 +118,11 @@ def test_run_outcome_and_invariants(overrides):
         assert r.omega == (math.inf if r.v2 == 0.0 else 1.0 / r.v2 - 1.0 / r.v1), r
         assert r.phase1 == classify_phase(config.fd_hot, r.rho1).value, r
         assert r.phase2 == classify_phase(config.fd_gp, r.rho2).value, r
+        # the demand the loop holds between reads, and its inline share, equal their references
+        hov, sov = config.demand.rates(r.t)
+        assert identical(r.e1_tilde, hov) and identical(r.e2_tilde, sov), r
+        if config.mode == "hot" and r.omega >= 0.0:
+            assert identical(r.p, config.choice.share(r.u, r.omega)), r
 
     # Mass balance across each Euler step; the clamp flags are sticky, so an
     # unflagged later row means neither bathtub was clamped in between.

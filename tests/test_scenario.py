@@ -1,6 +1,8 @@
 """Scenario configuration, the closed-loop runner, metrics and the CLI."""
 
+import gc
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
@@ -98,6 +100,29 @@ class TestDemandProfile:
         d = DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),
                           hov_rates=(5.0, 2.0), sov_rates=(1.0, 9.0))
         assert d.peak_rates() == (5.0, 9.0)
+
+    @pytest.mark.parametrize("demand, ends", [
+        (DemandProfile(kind="constant", hov_rate=200.0, sov_rate=-0.0),
+         {0.0: math.inf, 3.7: math.inf}),
+        (DemandProfile(kind="trapezoid", hov_rate=100.0, sov_rate=-0.0,
+                       t0=0.5, t1=1.0, t2=3.0, t3=4.0),
+         {-1.0: 0.5, 0.5: 0.5, 0.7: 0.7, 1.0: 3.0, 2.0: 3.0, 3.0: 3.0, 3.5: 3.5,
+          4.0: math.inf, 9.0: math.inf}),
+        (DemandProfile(kind="piecewise", breakpoints=(0.5, 1.0, 2.0, 3.0),
+                       hov_rates=(0.0, 100.0, 100.0, 20.0), sov_rates=(300.0, 400.0, 400.0, -0.0)),
+         {0.0: 0.5, 0.5: 0.5, 0.75: 0.75, 1.0: 1.0, 1.5: 1.5, 2.0: 2.0, 2.5: 2.5,
+          3.0: math.inf, 7.0: math.inf}),
+    ], ids=["constant", "trapezoid", "piecewise"])
+    def test_held_rates_hold_until_their_end(self, demand, ends):
+        # on every kind: before, at and between the breakpoints, and at t_end = inf
+        for t, want_end in ends.items():
+            hov, sov, t_end = demand.held_rates(t)
+            assert t_end == want_end, t
+            between = ([t + f * (t_end - t) for f in (0.25, 0.5, 0.999)] if t_end < math.inf
+                       else [t + 1e-9, t + 1.0, t + 1e6])
+            for s in (t, *between, t_end):
+                if s < math.inf:  # bit for bit: a -0.0 rate stays -0.0
+                    assert repr(demand.rates(s)) == repr((hov, sov)), (t, s)
 
 
 class TestConfig:
@@ -396,6 +421,43 @@ class TestRunner:
         assert 1.4 < d1 / d2 < 2.8
 
 
+class TestStepLoopCalls:
+    @pytest.mark.parametrize("name", ["constant", "constant-logit"])
+    def test_at_most_a_quarter_python_call_per_step(self, name):
+        """A run of a built-in choice model on constant demand makes no call per step.
+
+        Counted are the profiler's ``call`` events over the whole ``iter_run``,
+        set-up and generator resumptions included; the count does not depend
+        on timing.  A loop that calls the share or the demand every step
+        makes more than two calls a step.
+        """
+        config = replace(preset(name), horizon_h=0.05)
+        steps = round(config.horizon_h * 3600.0 / config.dt_s)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        gc_was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()  # no finalizer of earlier garbage runs inside the count
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sys.setprofile(count)
+                try:
+                    for _ in iter_run(config):
+                        pass
+                finally:
+                    sys.setprofile(None)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        assert calls / steps <= 0.25, f"{calls} Python calls in {steps} steps"
+
+
 class TestMetrics:
     def test_zero_delay_when_curves_coincide(self):
         cfg = short(preset("constant"))
@@ -607,6 +669,17 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "missing.ini"), "--out", "x.csv"]) == 1
         assert main(["run", "--set", "a.b=1", "--out", "x.csv"]) == 1
 
+    @pytest.mark.parametrize("content", [
+        b"horizon_h = 1\n", b"[simulation]\ndt_s = 1\ndt_s = 2\n",
+        b"[simulation]\nhorizon_h = %(x)s\n", b"[simulation]\ndt_s = \xff\n",
+    ], ids=["no-section", "repeated-key", "interpolation", "not-utf-8"])
+    def test_config_file_that_does_not_parse_exits_1(self, content, tmp_path, capsys):
+        path, out = tmp_path / "bad.ini", tmp_path / "run.csv"
+        path.write_bytes(content)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -615,6 +688,7 @@ class TestCli:
             "fd.free_flow_kmh=nan", "fd.free_flow_kmh=abc", "fd.gp.flow_floor_fraction=abc",
             "choice.expected_vot=nan", "choice.vot_low=nan",
             "choice.vot_high=inf", "choice.logit_vot=inf", "choice.logit_scale=nan",
+            "simulation.dt_s=%", "simulation.dt_s=%(x)s", "DEFAULT.x=1",
         ],
     )
     def test_invalid_value_exits_1_without_output(self, override, tmp_path, capsys):
