@@ -50,6 +50,7 @@ from .scenario import (
     SimulationRecord,
     compare_hov_hot,
     constant_equilibrium,
+    iter_csv,
     iter_run,
     metrics,
     read_csv,

@@ -18,9 +18,9 @@ from .scenario import (
     compare_hov_hot,
     constant_equilibrium,
     csv_rows,
+    iter_csv,
     iter_run,
     metrics,
-    read_csv,
 )
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigError(f"--alpha-star must be positive and finite, got {alpha_star}")
     ue = args.model == "ue"
     found = []
-    for row, r in enumerate(read_csv(args.records), 1):
+    for row, r in enumerate(iter_csv(args.records), 1):
         try:
             found.append(estimation.estimate_cdf_point(r) if ue
                          else estimation.estimate_logit_vot(r, alpha_star))
@@ -222,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, analysis.A1ViolationError, OSError) as exc:
@@ -233,6 +232,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+
+_PARSER = build_parser()  # built once per process; main only parses with it
 
 if __name__ == "__main__":
     sys.exit(main())

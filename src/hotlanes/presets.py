@@ -279,6 +279,8 @@ _KNOWN_KEYS = {
 
 
 def _reject_unknown(cp: configparser.ConfigParser) -> None:
+    if cp.defaults():
+        raise ConfigError(f"section [DEFAULT] takes no keys, got {sorted(cp.defaults())}")
     for section in cp.sections():
         if section not in _KNOWN_SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")

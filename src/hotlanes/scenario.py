@@ -8,7 +8,6 @@ CSV for external tooling.
 """
 
 import bisect
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -35,6 +34,7 @@ __all__ = [
     "compare_hov_hot",
     "csv_rows",
     "write_csv",
+    "iter_csv",
     "read_csv",
     "constant_equilibrium",
     "CSV_COLUMNS",
@@ -577,30 +577,41 @@ def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
         pass
 
 
-def read_csv(path: str) -> list[SimulationRecord]:
-    """Read back a record CSV produced by :func:`write_csv`.
+def iter_csv(path: str) -> Iterator[SimulationRecord]:
+    """Stream the records of a :func:`write_csv` file, in any line ending and column order.
 
-    Columns may come in any order; extra columns and blank lines are skipped.
-    A missing column, a ragged row or a bad cell raises :class:`ConfigError`.
+    Extra columns and blank lines are skipped; a missing column, a ragged row, a bad cell or
+    a line holding a quote or NUL (cells are plain) is a :class:`ConfigError` naming the line.
     """
-    out: list[SimulationRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, encoding="utf-8") as fh:
+        num, lines = 0, enumerate(fh, 1)
         try:
-            header = next(reader, [])
+            num, line = next(lines, (0, ""))
+            if '"' in line or "\0" in line:
+                raise ConfigError("a quote or NUL byte in a plain-cell record file")
+            header = line.rstrip("\n").split(",")
             index = {name: i for i, name in enumerate(header)}
             missing = set(CSV_COLUMNS) - set(index)
             if missing:
                 raise ConfigError(f"record file lacks columns: {sorted(missing)}")
+            width = len(header)
             floats = itemgetter(*(index[c] for c in _FLOAT_COLUMNS))
             phases = itemgetter(index["phase1"], index["phase2"])
             flags = itemgetter(*(index[c] for c in _FLAG_COLUMNS))
-            for row in filter(None, reader):
-                if len(row) != len(header):
-                    raise ConfigError(f"{len(row)} cells under a {len(header)}-column header")
-                out.append(_new_tuple(SimulationRecord, (
-                    *map(float, floats(row)), *phases(row), *map(int, flags(row)))))
-        except (ValueError, csv.Error) as exc:  # ConfigError included
-            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
-    return out
+            for num, line in lines:
+                row = line.rstrip("\n").split(",")
+                if len(row) != width:
+                    if row == [""]:  # a blank line
+                        continue
+                    raise ConfigError(f"{len(row)} cells under a {width}-column header")
+                if '"' in line or "\0" in line:
+                    raise ConfigError("a quote or NUL byte in a plain-cell record file")
+                yield _new_tuple(SimulationRecord, (
+                    *map(float, floats(row)), *phases(row), *map(int, flags(row))))
+        except ValueError as exc:  # ConfigError included
+            raise ConfigError(f"{path}, line {num}: {exc}") from None
 
+
+def read_csv(path: str) -> list[SimulationRecord]:
+    """The records of :func:`iter_csv`, as a list."""
+    return list(iter_csv(path))

@@ -4,7 +4,9 @@ import contextlib
 import io
 import math
 import os
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -133,6 +135,25 @@ def test_directory_path_is_a_config_error(command, tmp_path, capsys):
         assert main(argv) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.iterdir())
+
+
+def test_keys_in_the_default_section_are_a_config_error(tmp_path, capsys):
+    # the parser copies [DEFAULT] keys into every section, so none is applied as written
+    path, out = tmp_path / "default.ini", tmp_path / "run.csv"
+    path.write_text("[DEFAULT]\nhorizon_h = 0.01\nbogus = 1\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: section [DEFAULT] takes no keys")
+    assert not out.exists()
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"### Config format\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    path, out = tmp_path / "readme.ini", tmp_path / "run.csv"
+    path.write_text(example, encoding="utf-8")
+    assert main(["run", "--config", str(path), "--set", "simulation.horizon_h=0.01",
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    assert read_csv(str(out))
 
 
 # Values no option or key accepts as they are, or accepts at an edge.  A

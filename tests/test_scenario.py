@@ -1,5 +1,6 @@
 """Scenario configuration, the closed-loop runner, metrics and the CLI."""
 
+import csv
 import gc
 import math
 import sys
@@ -10,6 +11,7 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 from conftest import until_gp_jam
 
+from hotlanes import cli
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.cli import main
 from hotlanes.controller import ControllerState
@@ -25,6 +27,7 @@ from hotlanes.scenario import (
     CSV_COLUMNS,
     SimulationRecord,
     compare_hov_hot,
+    iter_csv,
     iter_run,
     metrics,
     read_csv,
@@ -557,6 +560,37 @@ class TestMetrics:
         assert stream_peak < list_peak / 10
 
 
+def csv_module_read(path):
+    """The records the csv-module reader gives for ``path``, or its error message.
+
+    This is the reader ``read_csv`` was before it split lines itself; the
+    parity tests hold the two to the same records and the same messages.
+    """
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}
+            missing = set(CSV_COLUMNS) - set(index)
+            if missing:
+                raise ConfigError(f"record file lacks columns: {sorted(missing)}")
+            kinds = [str if c in ("phase1", "phase2") else int if c.endswith("_clamped") else float
+                     for c in CSV_COLUMNS]
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ConfigError(f"{len(row)} cells under a {len(header)}-column header")
+                out.append(SimulationRecord(*(k(row[index[c]]) for k, c in zip(kinds, CSV_COLUMNS))))
+        except (ValueError, csv.Error) as exc:
+            return f"{path}, line {reader.line_num}: {exc}"
+    return out
+
+
+def reprs(records):
+    """Records as cell reprs, so nan equals nan and -0.0 differs from 0.0."""
+    return [tuple(map(repr, r)) for r in records]
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         cfg = short(preset("constant"), horizon_h=0.01, dt_s=0.5)
@@ -635,6 +669,101 @@ class TestCsv:
         assert record == tuple(getattr(record, c) for c in CSV_COLUMNS)
         assert record._replace(u=1.5).u == 1.5
 
+    def test_iter_csv_streams_the_records_of_read_csv(self, tmp_path):
+        path, _ = self.written_lines(tmp_path)
+        records = iter_csv(str(path))
+        assert next(records) == read_csv(str(path))[0]
+        assert [next(records), *records] == read_csv(str(path))[1:]
+
+    # read_csv against the csv module's reader on the files write_csv writes
+    EDGES = {"omega": math.inf, "lam": math.nan, "xi": -0.0, "a": 1e-300, "b": 1e300, "u": -1e300}
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        """(path, text) of a ``write_csv`` file whose third row holds the edge cells."""
+        records = quiet_run(short(preset("constant"), horizon_h=0.002, dt_s=0.5))
+        records[2] = records[2]._replace(**self.EDGES)
+        path = tmp_path / "edges.csv"
+        write_csv(records, str(path))
+        return path, path.read_bytes().decode("utf-8")
+
+    def same_as_csv_module(self, path):
+        want = csv_module_read(str(path))
+        if isinstance(want, str):
+            with pytest.raises(ConfigError) as caught:
+                read_csv(str(path))
+            assert str(caught.value) == want
+            return want
+        assert reprs(read_csv(str(path))) == reprs(want)
+        return want
+
+    def test_edge_cells_survive(self, written):
+        path, _ = written
+        got = read_csv(str(path))[2]
+        assert reprs([got])[0] == reprs([got._replace(**self.EDGES)])[0]
+        assert self.same_as_csv_module(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
+    def test_line_endings(self, written, ending, final):
+        path, text = written
+        lines = text.split("\r\n")[:-1]
+        path.write_text(ending.join(lines) + (ending if final else ""), encoding="utf-8", newline="")
+        assert len(self.same_as_csv_module(path)) == len(lines) - 1
+
+    def test_reordered_and_extra_columns(self, written):
+        path, text = written
+        rows = [line.split(",") for line in text.split("\r\n")[:-1]]
+        order = [*range(len(CSV_COLUMNS) - 1, 12, -1), *range(13)]
+        lines = [",".join(["note", *(rows[0][i] for i in order), "more"])]
+        lines += [",".join(["x", *(r[i] for i in order), "y"]) for r in rows[1:]]
+        other = path.with_name("shuffled.csv")
+        other.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert reprs(self.same_as_csv_module(other)) == reprs(read_csv(str(path)))
+
+    @pytest.mark.parametrize("case", [
+        "truncated", "bad-cell", "missing-column", "empty", "header-only", "blank-then-bad",
+    ])
+    def test_errors_and_line_numbers(self, written, case):
+        path, text = written
+        lines = text.split("\r\n")[:-1]
+        want_line = {"truncated": len(lines), "bad-cell": 5, "missing-column": 1, "empty": 0,
+                     "header-only": None, "blank-then-bad": 7}[case]
+        if case == "truncated":
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        elif case == "bad-cell":
+            cells = lines[4].split(",")
+            cells[CSV_COLUMNS.index("u")] = "1.0.0"
+            lines[4] = ",".join(cells)
+        elif case == "missing-column":
+            lines = [",".join(line.split(",")[1:]) for line in lines]
+        elif case == "empty":
+            lines = []
+        elif case == "header-only":
+            lines = lines[:1]
+        else:
+            cells = lines[6].split(",")
+            cells[CSV_COLUMNS.index("gp_clamped")] = "yes"
+            lines[5:7] = ["", ",".join(cells)]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        got = self.same_as_csv_module(path)
+        if want_line is None:
+            assert got == []
+        else:
+            assert got.startswith(f"{path}, line {want_line}: ")
+
+    @pytest.mark.parametrize("row, cell", [(3, '"free"'), (3, "fr\0ee"), (0, '"phase1"')],
+                             ids=["quoted", "nul", "quoted-header"])
+    def test_quoted_cell_and_nul_name_the_line(self, written, row, cell):
+        path, text = written
+        lines = text.split("\r\n")[:-1]
+        cells = lines[row].split(",")
+        cells[CSV_COLUMNS.index("phase1")] = cell
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"edges\.csv, line {row + 1}: a quote or NUL byte"):
+            read_csv(str(path))
+
 
 class TestCli:
     def test_run_and_estimate_ue(self, tmp_path, capsys):
@@ -651,6 +780,30 @@ class TestCli:
         code = main(["estimate", "--records", str(out), "--model", "ue", "--bins", "5"])
         assert code == 0
         assert "cdf_estimate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", ["ue", "logit"])
+    def test_estimate_holds_no_record_list(self, model, tmp_path, capsys):
+        path = tmp_path / "every-step.csv"  # output_dt_s is the preset's dt_s
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["run", "--preset", "constant", "--set", "simulation.horizon_h=0.05",
+                         "--set", "simulation.output_dt_s=0.1", "--out", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            records = read_csv(str(path))
+            _, list_peak = tracemalloc.get_traced_memory()
+            del records
+            tracemalloc.reset_peak()
+            assert main(["estimate", "--records", str(path), "--model", model]) == 0
+            _, estimate_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert estimate_peak < list_peak / 10
+
+    def test_the_one_parser_keeps_no_state_between_calls(self):
+        first = cli._PARSER.parse_args(["run", "--preset", "constant", "--set", "a.b=1", "--out", "x"])
+        again = cli._PARSER.parse_args(["run", "--preset", "constant", "--out", "x"])
+        assert first.overrides == ["a.b=1"] and again.overrides == []
 
     def test_estimate_infeasible_exit_code(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"

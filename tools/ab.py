@@ -1,0 +1,155 @@
+"""Alternating parent/change pairs of ``benchmark/run.py``, summarised as a BENCH file.
+
+    python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload records-io --seed 7 \
+        --pairs 10 --seconds 25 --out BENCH_13.json
+
+Each directory is a clean checkout of one version.  Pair i runs
+``benchmark/run.py`` unchanged in both, the parent first in odd pairs and the
+change first in even pairs, so a drift of the host's speed falls on both
+sides alike.  The last stdout line of each run is its JSON result.
+
+The output file holds the shas, the Python version, the CPU count, every run,
+and per (workload, seed) and metric the medians, quartiles and the number of
+pairs the change won.  When ``--out`` exists its runs of other workloads or
+seeds are kept, and runs of the same workload and seed are replaced, so one
+file can gather several series.  Stdlib only.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+
+def git_sha(root: str) -> str | None:
+    """HEAD of the checkout at ``root``, or None when it is not a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, timeout=30,
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": os.path.dirname(os.path.abspath(root))},
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_sha256(root: str) -> str:
+    """Digest of the package sources, as ``benchmark/run.py`` computes it."""
+    digest = hashlib.sha256()
+    pkg = os.path.join(root, "src", "hotlanes")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            digest.update(name.encode())
+            with open(os.path.join(pkg, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result that one ``benchmark/run.py`` run in ``root`` prints last."""
+    cmd = [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{root}: {' '.join(cmd)} exited {proc.returncode}: "
+                         f"{proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "n": 1}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: both sides' quartiles, the change's wins and the median ratio."""
+    by_pair = {}
+    for r in runs:
+        by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
+    pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
+    out = {}
+    for name in sorted(pairs[0]["parent"]["metrics"]) if pairs else []:
+        unit = pairs[0]["parent"]["metrics"][name]["unit"]
+        way = better.get(name, "higher" if unit.endswith("/s") else "lower")
+        parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        wins = sum((c > q) if way == "higher" else (c < q) for q, c in zip(parent, change))
+        p_stats, c_stats = quartiles(parent), quartiles(change)
+        iqr = p_stats["q3"] - p_stats["q1"]
+        out[name] = {
+            "unit": unit, "better": way, "parent": p_stats, "change": c_stats,
+            "change_wins": wins, "pairs": len(pairs),
+            "change_over_parent_median": c_stats["median"] / p_stats["median"],
+            "median_gap_over_parent_iqr":
+                abs(c_stats["median"] - p_stats["median"]) / iqr if iqr else None,
+        }
+    for key, field in (("failed_operations", "failed"), ("attempted_operations", "attempted")):
+        out[key] = {side: sum(p[side][field] for p in pairs) for side in ("parent", "change")}
+    out["incorrect_runs"] = {side: sum(not p[side]["correct"] for p in pairs)
+                             for side in ("parent", "change")}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_dir")
+    ap.add_argument("change_dir")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--what", help="what the change is, stored in the output file")
+    args = ap.parse_args(argv)
+
+    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc.update({
+        "what": args.what or doc.get("what", ""),
+        "command": "python3 benchmark/run.py --workload WORKLOAD --seed SEED --seconds SECONDS",
+        "order": "odd pairs run the parent first, even pairs the change first",
+        "parent_sha": git_sha(args.parent_dir),
+        "change_sha": git_sha(args.change_dir),
+        "parent_src_sha256": src_sha256(args.parent_dir),
+        "change_src_sha256": src_sha256(args.change_dir),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+    })
+    with open(os.path.join(args.parent_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    key = (args.workload, args.seed)
+    runs = [r for r in doc.get("runs", []) if (r["workload"], r["seed"]) != key]
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            runs.append({"pair": pair, "side": side, "workload": args.workload,
+                         "seed": args.seed, "seconds": args.seconds, "result": result})
+            print(f"pair {pair} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
+    doc["runs"] = runs
+
+    series = {}
+    for r in runs:
+        series.setdefault((r["workload"], r["seed"]), []).append(r)
+    doc["summary"] = {f"{w} seed {s}": summarise(rs, better) for (w, s), rs in series.items()}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(json.dumps(doc["summary"][f"{args.workload} seed {args.seed}"], indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
