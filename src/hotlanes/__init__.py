@@ -14,9 +14,9 @@ from .analysis import (
     MaxOutflowAnalysis,
     StabilityResult,
     atfd_growth_rates,
-    choice_sensitivity,
     equilibrium_share,
     linearized_matrix,
+    loop_matrix,
     max_outflow_cases,
     stability_check,
     triangular_growth,
@@ -37,6 +37,7 @@ from .nfd import (
     classify_phase,
     critical_density,
     flow,
+    flow_slope,
     speed,
 )
 from .presets import PRESETS, load_config, preset

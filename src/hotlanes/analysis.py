@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .nfd import FdParams, critical_density, flow
+from .nfd import FdParams, critical_density, flow, flow_slope
 
 __all__ = [
     "A1ViolationError",
@@ -29,10 +29,7 @@ __all__ = [
     "linearized_matrix",
     "stability_check",
     "max_outflow_cases",
-    "choice_sensitivity",
-    "share_from_state",
-    "toll_decomposition",
-    "gap_sensitivities",
+    "loop_matrix",
 ]
 
 
@@ -179,6 +176,8 @@ class LinearizedSystem:
     m22: float
     H: float
     J: float
+    K1: float
+    K2: float
 
     @property
     def trace(self) -> float:
@@ -202,6 +201,8 @@ def linearized_matrix(H: float, J: float, K1: float, K2: float, L1: float) -> Li
         m22=0.0,
         H=H,
         J=J,
+        K1=K1,
+        K2=K2,
     )
 
 
@@ -307,100 +308,33 @@ def max_outflow_cases(
     )
 
 
-def share_from_state(
-    lam: float,
-    xi: float,
-    fd: FdParams,
-    L1: float,
-    D: float,
-    e1_tilde: float,
-    e2_tilde: float,
-) -> float:
-    """Paying share implied by the plant state: p = (g1(lam) - e1 - xi) / e2."""
+def loop_matrix(config, lam: float, xi: float, omega: float) -> LinearizedSystem:
+    """The linearized loop of a constant-demand config at state (lam, xi) and gap ``omega``.
+
+    At density rho = rho_c + lam the state fixes the paying share
+    p = (g1(rho) L1 / D - e1 - xi) / e2, and the toll that holds it is
+    u = A(p) omega + B(p).  The share sees u / omega = A + B / omega, so
+    with s = A'(p) + B'(p) / omega the sensitivities are H = -s / e2 and
+    J = s (L1 / D) g1'(rho) / e2, where g1' is the diagram's slope, the
+    right limit at a kink.  The gains are the effective ones,
+    K1 = k1 + k3 / omega and K2 = k2 + k4 / omega.  Raises ``ValueError``
+    for a negative density, a share outside the choice model's range or a
+    gap that is not positive.
+    """
+    if not omega > 0.0:
+        raise ValueError(f"the travel time gap must be positive, got {omega}")
+    fd = config.fd_hot
     rho = lam + critical_density(fd)
     if rho < 0:
         raise ValueError("state implies a negative density")
-    completion = flow(fd, rho) * L1 / D
-    return (completion - e1_tilde - xi) / e2_tilde
-
-
-def choice_sensitivity(
-    lam: float,
-    xi: float,
-    fd: FdParams,
-    L1: float,
-    D: float,
-    e1_tilde: float,
-    e2_tilde: float,
-    direction: str,
-    step: float = 1e-6,
-    side: str = "central",
-) -> float:
-    """Finite-difference derivative of :func:`share_from_state` in ``lam`` or ``xi``.
-
-    ``side`` selects central, left or right differences; one-sided stencils
-    matter at the critical density where the diagram has a kink.
-    """
-
-    def p_of(lam_: float, xi_: float) -> float:
-        return share_from_state(lam_, xi_, fd, L1, D, e1_tilde, e2_tilde)
-
-    if direction == "xi":
-        var = xi
-        f = lambda v: p_of(lam, v)
-    elif direction == "lam":
-        var = lam
-        f = lambda v: p_of(v, xi)
-    else:
-        raise ValueError("direction must be 'lam' or 'xi'")
-    if side == "central":
-        return (f(var + step) - f(var - step)) / (2.0 * step)
-    if side == "right":
-        return (f(var + step) - f(var)) / step
-    if side == "left":
-        return (f(var) - f(var - step)) / step
-    raise ValueError("side must be 'central', 'left' or 'right'")
-
-
-def toll_decomposition(choice, p: float, omega_a: float = 0.01, omega_b: float = 0.02) -> tuple[float, float]:
-    """Split the inverse toll at share ``p`` into gap-proportional and flat parts.
-
-    Any model whose inverse toll is affine in the gap decomposes exactly as
-    u = A * omega + B; A and B are recovered from two gap evaluations.
-    """
-    u_a = choice.inverse_toll(p, omega_a)
-    u_b = choice.inverse_toll(p, omega_b)
-    a = (u_b - u_a) / (omega_b - omega_a)
-    return a, u_a - a * omega_a
-
-
-def gap_sensitivities(
-    choice,
-    fd: FdParams,
-    L1: float,
-    D: float,
-    e1_tilde: float,
-    e2_tilde: float,
-    lam: float,
-    xi: float,
-    omega: float,
-    step: float = 1e-6,
-) -> tuple[float, float]:
-    """Numeric H and J for the linearized loop at the given state and gap.
-
-    H bundles the toll sensitivity to the residual service rate, J the
-    sensitivity to excess density; both combine the gap-proportional and
-    flat toll components, the latter weighted by 1 / omega.
-    """
-
-    def ab(lam_: float, xi_: float) -> tuple[float, float]:
-        p = share_from_state(lam_, xi_, fd, L1, D, e1_tilde, e2_tilde)
-        return toll_decomposition(choice, p)
-
-    a_hi, b_hi = ab(lam, xi + step)
-    a_lo, b_lo = ab(lam, xi - step)
-    h = (a_hi - a_lo) / (2.0 * step) + (b_hi - b_lo) / (2.0 * step) / omega
-    a_hi, b_hi = ab(lam + step, xi)
-    a_lo, b_lo = ab(lam - step, xi)
-    j = (a_hi - a_lo) / (2.0 * step) + (b_hi - b_lo) / (2.0 * step) / omega
-    return h, j
+    L1 = config.hot_lanes * config.corridor_length
+    D = config.mean_trip_distance
+    e1, e2 = config.demand.hov_rate, config.demand.sov_rate
+    p = (flow(fd, rho) * L1 / D - e1 - xi) / e2
+    _, _, da, db = config.choice.toll_line(p)
+    s = da + db / omega
+    c = config.controller
+    return linearized_matrix(
+        -s / e2, s * L1 / D * flow_slope(fd, rho) / e2,
+        c.k1 + c.k3 / omega, c.k2 + c.k4 / omega, L1,
+    )

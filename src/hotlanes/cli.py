@@ -97,25 +97,20 @@ def _cmd_analyze(args) -> int:
         print(f"no equilibrium: {exc}")
         return EXIT_OK
     print(f"equilibrium paying share p0 = {pred.p0:.6g}")
-    if pred.regime == "linear":
-        print(
-            f"gp queue growth {pred.delta2_rate:.6g} veh/h on the flow floor; "
-            f"unit-corridor gap line omega(t) = {pred.omega0:.6g} t + {pred.omega1:.6g}"
-        )
-    else:
+    if pred.regime != "linear":
         print("no flow floor: gp lanes gridlock in finite time under constant overload")
-    L1 = config.hot_lanes * config.corridor_length
-    omega = pred.omega0 * at_time + pred.omega1 if pred.regime == "linear" else at_time
+        print("no gap line to linearize on: the stability analysis needs a flow floor")
+        return EXIT_OK
+    print(
+        f"gp queue growth {pred.delta2_rate:.6g} veh/h on the flow floor; "
+        f"unit-corridor gap line omega(t) = {pred.omega0:.6g} t + {pred.omega1:.6g}"
+    )
+    omega = pred.omega0 * at_time + pred.omega1
     if not omega > 0.0:
         raise ConfigError(f"--at-time {at_time:g} gives gap {omega:g}; need a positive gap")
-    hov, sov = config.demand.hov_rate, config.demand.sov_rate
     for label, lam in (("under-critical", -phase_offset), ("over-critical", phase_offset)):
         try:
-            h, j = analysis.gap_sensitivities(
-                config.choice, config.fd_hot, L1, config.mean_trip_distance, hov, sov,
-                lam=lam, xi=0.0, omega=omega,
-            )
-            sysm = analysis.linearized_matrix(h, j, config.controller.k1, config.controller.k2, L1)
+            sysm = analysis.loop_matrix(config, lam, 0.0, omega)
         except ValueError as exc:
             raise ConfigError(
                 f"--phase-offset {phase_offset:g} gives no valid {label} state: {exc}"
@@ -123,7 +118,8 @@ def _cmd_analyze(args) -> int:
         res = analysis.stability_check(sysm)
         eig = ", ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in res.eigenvalues)
         verdict = "stable" if res.stable else "unstable"
-        print(f"{label} (lam={lam:+.3g}): H={h:.6g}, J={j:.6g}, eigenvalues [{eig}] -> {verdict}")
+        print(f"{label} (lam={lam:+.3g}): H={sysm.H:.6g}, J={sysm.J:.6g}, K1={sysm.K1:.6g}, "
+              f"K2={sysm.K2:.6g}, eigenvalues [{eig}] -> {verdict}")
     return EXIT_OK
 
 

@@ -5,7 +5,9 @@ drivers with a value of time above ``u / omega`` pay, so the paying share is
 the upper tail of the VOT distribution.  Under the fixed-VOT logit model the
 share follows a logistic curve in the toll.  Both are invertible in the toll,
 which is what the estimation module exploits.  A model answers ``share(u,
-omega)`` and ``inverse_toll(p, omega)``.
+omega)``, ``toll_line(p)`` and ``inverse_toll(p, omega)``.  The toll that
+yields share ``p`` is affine in the gap, ``u = A * omega + B``; ``toll_line``
+returns ``(A, B, dA/dp, dB/dp)``, which is all the loop linearization needs.
 
 The scenario step loop specializes the two built-in models: it computes the
 share of ``UeChoice`` with an ``ExponentialVot`` and of ``LogitChoice``
@@ -60,6 +62,10 @@ class ExponentialVot:
         """Value z with upper-tail probability p in (0, 1]."""
         return -self.mean * math.log(p)
 
+    def tail_value_slope(self, p: float) -> float:
+        """dz/dp of :meth:`tail_value`."""
+        return -self.mean / p
+
 
 @dataclass(frozen=True, slots=True)
 class UniformVot:
@@ -85,6 +91,10 @@ class UniformVot:
         """Value z with upper-tail probability p in (0, 1]."""
         return self.low + (1.0 - p) * (self.high - self.low)
 
+    def tail_value_slope(self, p: float) -> float:
+        """dz/dp of :meth:`tail_value`."""
+        return self.low - self.high
+
 
 @dataclass(frozen=True, slots=True)
 class UeChoice:
@@ -107,13 +117,21 @@ class UeChoice:
             return 0.0 if u > 0.0 else self.dist.tail(0.0)
         return self.dist.tail(u / omega)
 
-    def inverse_toll(self, p: float, omega: float) -> float:
-        """Toll that yields paying share ``p``: omega * z(p)."""
+    def toll_line(self, p: float) -> tuple[float, float, float, float]:
+        """``(A, B, dA/dp, dB/dp)`` of the toll ``A * omega + B`` that yields share ``p``.
+
+        The toll is omega * z(p), so A = z(p) and B = 0.
+        """
         if not 0.0 < p <= 1.0:
             raise ValueError("target share must be in (0, 1]; p = 0 needs an unbounded toll")
+        return self.dist.tail_value(p), 0.0, self.dist.tail_value_slope(p), 0.0
+
+    def inverse_toll(self, p: float, omega: float) -> float:
+        """Toll that yields paying share ``p``: omega * z(p)."""
+        a, b, _, _ = self.toll_line(p)
         if omega < 0:
             raise ValueError("travel time gap cannot be negative")
-        return omega * self.dist.tail_value(p)
+        return a * omega + b
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +160,16 @@ class LogitChoice:
             return 0.0
         return 1.0 / (1.0 + math.exp(x))
 
+    def toll_line(self, p: float) -> tuple[float, float, float, float]:
+        """``(A, B, dA/dp, dB/dp)`` of the toll ``A * omega + B`` that yields share ``p``.
+
+        A = pi* and B = ln(1/p - 1) / alpha*, so dB/dp = -1 / (alpha* p (1 - p)).
+        """
+        if not 0.0 < p < 1.0:
+            raise ValueError("target share must be in (0, 1); the toll is unbounded at 0 or 1")
+        alpha = self.alpha_star
+        return self.pi_star, math.log(1.0 / p - 1.0) / alpha, 0.0, -1.0 / (alpha * p * (1.0 - p))
+
     def inverse_toll(self, p: float, omega: float) -> float:
         """Toll that yields paying share ``p``.
 
@@ -149,8 +177,7 @@ class LogitChoice:
         exceeds the zero-toll share; clamping to a non-negative toll is the
         pricing controller's job, not the choice model's.
         """
-        if not 0.0 < p < 1.0:
-            raise ValueError("target share must be in (0, 1); the toll is unbounded at 0 or 1")
+        a, b, _, _ = self.toll_line(p)
         if omega < 0:
             raise ValueError("travel time gap cannot be negative")
-        return omega * self.pi_star + math.log(1.0 / p - 1.0) / self.alpha_star
+        return a * omega + b

@@ -16,6 +16,7 @@ __all__ = [
     "capacity",
     "speed",
     "flow",
+    "flow_slope",
     "classify_phase",
     "PHASE_TOLERANCE",
 ]
@@ -93,6 +94,27 @@ def speed(params: FdParams, rho: float) -> float:
 def flow(params: FdParams, rho: float) -> float:
     """Per-lane flow ``rho * speed(rho)`` [veh/h/lane]."""
     return rho * speed(params, rho)
+
+
+def flow_slope(params: FdParams, rho: float, side: str = "right") -> float:
+    """One-sided derivative of :func:`flow` at ``rho`` (``side`` is "left" or "right").
+
+    The flow is ``u_f`` rho below the critical density, ``w`` (rho_j - rho)
+    from there to the floor entry rho_j - c / w (to rho_j without a floor)
+    and flat beyond, so the slope is ``u_f``, ``-w`` or 0; at a kink ``side``
+    picks the branch.
+    """
+    if not 0.0 <= rho < _INF:
+        raise ValueError(f"density must be non-negative and finite, got {rho}")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    rho_c = critical_density(params)
+    floor_entry = params.rho_j - params.c / params.w
+    if rho < rho_c or (side == "left" and rho == rho_c):
+        return params.u_f
+    if rho < floor_entry or (side == "left" and rho == floor_entry):
+        return -params.w
+    return 0.0
 
 
 def classify_phase(params: FdParams, rho: float, tol: float = PHASE_TOLERANCE) -> Phase:

@@ -1,0 +1,159 @@
+"""``tools/ab.py``: the summary of paired benchmark runs, and a series cut by a failed run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+_SPEC = importlib.util.spec_from_file_location("ab_tool", _PATH)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+BETTER = {"run_s": "lower", "sim_h_per_s": "higher"}
+
+
+def result(run_s, sim_h_per_s, correct=True, failed=0, attempted=10):
+    return {
+        "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                    "sim_h_per_s": {"value": sim_h_per_s, "unit": "sim_h/s"}},
+        "correct": correct, "failed": failed, "attempted": attempted,
+    }
+
+
+def pair(n, parent, change):
+    return [{"pair": n, "side": "parent", "result": parent},
+            {"pair": n, "side": "change", "result": change}]
+
+
+def test_wins_follow_each_metrics_better():
+    runs = (pair(1, result(2.0, 10.0), result(1.0, 11.0))   # change wins both
+            + pair(2, result(2.0, 10.0), result(3.0, 9.0))  # parent wins both
+            + pair(3, result(2.0, 10.0), result(1.5, 9.5)))  # change wins run_s only
+    out = ab.summarise(runs, BETTER)
+    assert out["run_s"]["better"] == "lower" and out["run_s"]["change_wins"] == 2
+    assert out["sim_h_per_s"]["better"] == "higher" and out["sim_h_per_s"]["change_wins"] == 1
+    assert out["run_s"]["pairs"] == 3
+
+
+def test_unlisted_metric_takes_its_way_from_the_unit():
+    out = ab.summarise(pair(1, result(2.0, 10.0), result(1.0, 11.0)), {})
+    assert out["run_s"]["better"] == "lower"
+    assert out["sim_h_per_s"]["better"] == "higher"
+
+
+def test_quartiles_of_one_run():
+    assert ab.quartiles([4.0]) == {"median": 4.0, "q1": 4.0, "q3": 4.0, "n": 1}
+
+
+def test_quartiles_of_several_runs():
+    q = ab.quartiles([5.0, 1.0, 3.0, 2.0, 4.0])
+    assert q == {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
+    q = ab.quartiles([1.0, 3.0])
+    assert q["median"] == 2.0 and q["q1"] == 1.5 and q["q3"] == 2.5 and q["n"] == 2
+
+
+def test_gap_over_iqr():
+    runs = []
+    for n, parent_s in enumerate((1.0, 2.0, 3.0), 1):
+        runs += pair(n, result(parent_s, 5.0), result(0.5, 6.0))
+    out = ab.summarise(runs, BETTER)
+    # parent run_s quartiles 1.5, 2, 2.5: the medians differ by 1.5 IQRs
+    assert out["run_s"]["median_gap_over_parent_iqr"] == pytest.approx(1.5)
+    assert out["run_s"]["change_over_parent_median"] == pytest.approx(0.25)
+    # every parent sim_h_per_s is 5.0: the IQR is 0, and the ratio is null
+    assert out["sim_h_per_s"]["median_gap_over_parent_iqr"] is None
+
+
+def test_unpaired_runs_are_dropped():
+    runs = pair(1, result(2.0, 10.0), result(1.0, 11.0))
+    runs.append({"pair": 2, "side": "parent", "result": result(100.0, 1.0)})
+    out = ab.summarise(runs, BETTER)
+    assert out["run_s"]["pairs"] == 1
+    assert out["run_s"]["parent"]["median"] == 2.0
+
+
+def test_incorrect_runs_and_failed_operations_are_counted():
+    runs = (pair(1, result(2.0, 10.0, correct=False, failed=1), result(1.0, 11.0))
+            + pair(2, result(2.0, 10.0), result(1.0, 11.0, correct=False, failed=3)))
+    out = ab.summarise(runs, BETTER)
+    assert out["incorrect_runs"] == {"parent": 1, "change": 1}
+    assert out["failed_operations"] == {"parent": 1, "change": 3}
+    assert out["attempted_operations"] == {"parent": 20, "change": 20}
+
+
+def test_no_pairs_summarise_to_counts_only():
+    out = ab.summarise([{"pair": 1, "side": "parent", "result": result(1.0, 1.0)}], BETTER)
+    assert set(out) == {"failed_operations", "attempted_operations", "incorrect_runs"}
+
+
+def checkouts(tmp_path):
+    """Two empty checkouts, the parent's with a BENCHMARK.json."""
+    dirs = {}
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "src" / "hotlanes").mkdir(parents=True)
+        dirs[side] = str(root)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "run_s", "better": "lower"},
+                        {"name": "sim_h_per_s", "better": "higher"}]}))
+    return dirs
+
+
+def fake_runs(monkeypatch, dirs, fail_at=None):
+    """Replace ``run_once``: the change runs in 1 s, the parent in 2 s; run ``fail_at`` fails."""
+    calls = []
+
+    def fake_run_once(root, workload, seed, seconds):
+        calls.append(root)
+        if len(calls) == fail_at:
+            raise ab.RunFailed(f"{root}: exited 1")
+        return result(1.0 if root == dirs["change"] else 2.0, 10.0)
+
+    monkeypatch.setattr(ab, "run_once", fake_run_once)
+
+
+def run_main(dirs, out, workload, pairs):
+    return ab.main([dirs["parent"], dirs["change"], "--workload", workload,
+                    "--pairs", str(pairs), "--out", str(out)])
+
+
+def test_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch, capsys):
+    dirs = checkouts(tmp_path)
+    fake_runs(monkeypatch, dirs, fail_at=3)  # the first run of pair 2
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 3) == 1
+    assert "run failed" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert [(r["pair"], r["side"]) for r in doc["runs"]] == [(1, "parent"), (1, "change")]
+    summary = doc["summary"]["closed-loop seed 7"]
+    assert summary["run_s"]["pairs"] == 1 and summary["run_s"]["change_wins"] == 1
+
+
+def test_failed_rerun_leaves_a_stored_series_as_it_was(tmp_path, monkeypatch, capsys):
+    dirs = checkouts(tmp_path)
+    out = tmp_path / "BENCH.json"
+    fake_runs(monkeypatch, dirs)
+    assert run_main(dirs, out, "closed-loop", 10) == 0
+    assert run_main(dirs, out, "records-io", 2) == 0
+    before = out.read_bytes()
+    fake_runs(monkeypatch, dirs, fail_at=3)
+    assert run_main(dirs, out, "closed-loop", 10) == 1
+    assert "left as it was" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    doc = json.loads(before)
+    assert doc["summary"]["closed-loop seed 7"]["run_s"]["pairs"] == 10
+
+
+def test_rerun_replaces_its_series_and_keeps_the_others(tmp_path, monkeypatch):
+    dirs = checkouts(tmp_path)
+    out = tmp_path / "BENCH.json"
+    fake_runs(monkeypatch, dirs)
+    assert run_main(dirs, out, "closed-loop", 10) == 0
+    assert run_main(dirs, out, "records-io", 2) == 0
+    assert run_main(dirs, out, "closed-loop", 3) == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["closed-loop seed 7"]["run_s"]["pairs"] == 3
+    assert doc["summary"]["records-io seed 7"]["run_s"]["pairs"] == 2
+    assert len(doc["runs"]) == 2 * (3 + 2)

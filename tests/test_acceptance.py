@@ -15,12 +15,11 @@ import pytest
 from conftest import until_gp_jam
 
 from hotlanes.analysis import (
-    choice_sensitivity,
     equilibrium_share,
     linearized_matrix,
+    loop_matrix,
     max_outflow_cases,
     stability_check,
-    toll_decomposition,
     triangular_growth,
 )
 from hotlanes.controller import ControllerState
@@ -35,6 +34,7 @@ from hotlanes.nfd import capacity, critical_density
 from hotlanes.presets import preset
 from hotlanes.scenario import (
     DemandProfile,
+    ScenarioConfig,
     compare_hov_hot,
     constant_equilibrium,
     iter_run,
@@ -127,7 +127,7 @@ def slow_mode_closed_form(cfg, records, p0, invariant):
     """
     c = cfg.controller
     L1 = cfg.hot_lanes * cfg.corridor_length
-    A, B = toll_decomposition(cfg.choice, p0)
+    A, B, _, _ = cfg.choice.toll_line(p0)
     r = c.k3 / c.k1
     beta = ((c.k1 * c.k4 - c.k2 * c.k3) * critical_density(cfg.fd_hot) * L1 - invariant) / c.k1
     ts = [rec.t for rec in records]
@@ -327,10 +327,24 @@ def test_criterion_7_choice_model_properties(criterion, fd_floor):
                 )
     rt_ok = round_trip_err <= 1e-10
 
-    def sensitivity(rho1, direction):
-        # one HOT lane on a 1 km corridor, D = 5 km, at xi = 0
+    one_lane = ScenarioConfig(
+        fd_hot=fd_floor, fd_gp=fd_floor, demand=DemandProfile("constant", 200.0, 860.0),
+        corridor_length=1.0, hot_lanes=1.0, mean_trip_distance=5.0, choice=UE50,
+    )
+
+    def sensitivity(rho1, direction, step=1e-6):
+        # the share slope in lam or xi at xi = 0, read through loop_matrix on one
+        # HOT lane of a 1 km corridor, D = 5 km: -J / H = (L1 / D) g1', and the
+        # UE toll slope -mean / p gives H = mean / (p e2), so p = mean / (H e2)
         lam = rho1 - critical_density(fd_floor)
-        return choice_sensitivity(lam, 0.0, fd_floor, 1.0, 5.0, 200.0, 860.0, direction)
+        if direction == "lam":
+            m = loop_matrix(one_lane, lam, 0.0, 0.1)
+            return -m.J / (m.H * 860.0)
+
+        def share(xi):
+            return 50.0 / (loop_matrix(one_lane, lam, xi, 0.1).H * 860.0)
+
+        return (share(step) - share(-step)) / (2.0 * step)
 
     sens_ok = (
         sensitivity(12.0, "lam") > 0.0

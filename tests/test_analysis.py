@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,17 +10,17 @@ from hotlanes.analysis import (
     A1ViolationError,
     atfd_growth_rates,
     check_a1,
-    choice_sensitivity,
     equilibrium_share,
-    gap_sensitivities,
     linearized_matrix,
+    loop_matrix,
     max_outflow_cases,
-    share_from_state,
     stability_check,
     triangular_growth,
 )
-from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice
-from hotlanes.nfd import critical_density
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from hotlanes.nfd import critical_density, flow, flow_slope
+from hotlanes.presets import preset
+from hotlanes.scenario import DemandProfile, ScenarioConfig
 
 RHO_C = 70.0 / 3.0
 
@@ -186,20 +187,90 @@ class TestMaxOutflow:
         assert not max_outflow_cases(10.0, fd_triangular, 10.0, 1.0, 5.0).a1_applicable
 
 
-def sensitivity(rho1, fd, direction, **kwargs):
-    """choice_sensitivity at xi = 0 for a one-lane, 1 km HOT group at density rho1, D = 5 km."""
+# The finite-difference chain that computed H and J before the closed forms of
+# loop_matrix, kept as the reference they are checked against.
+
+
+def ref_share_from_state(lam, xi, fd, L1, D, e1_tilde, e2_tilde):
+    """Paying share implied by the plant state: p = (g1(lam) - e1 - xi) / e2."""
+    rho = lam + critical_density(fd)
+    if rho < 0:
+        raise ValueError("state implies a negative density")
+    return (flow(fd, rho) * L1 / D - e1_tilde - xi) / e2_tilde
+
+
+def ref_choice_sensitivity(lam, xi, fd, L1, D, e1_tilde, e2_tilde, direction, step=1e-6):
+    """Central difference of ref_share_from_state in ``lam`` or ``xi``."""
+    dlam, dxi = (step, 0.0) if direction == "lam" else (0.0, step)
+    hi = ref_share_from_state(lam + dlam, xi + dxi, fd, L1, D, e1_tilde, e2_tilde)
+    lo = ref_share_from_state(lam - dlam, xi - dxi, fd, L1, D, e1_tilde, e2_tilde)
+    return (hi - lo) / (2.0 * step)
+
+
+def ref_toll_decomposition(choice, p, omega_a=0.01, omega_b=0.02):
+    """(A, B) of u = A omega + B from two inverse tolls at share ``p``."""
+    u_a = choice.inverse_toll(p, omega_a)
+    u_b = choice.inverse_toll(p, omega_b)
+    a = (u_b - u_a) / (omega_b - omega_a)
+    return a, u_a - a * omega_a
+
+
+def ref_gap_sensitivities(config, lam, xi, omega, step=1e-6):
+    """H and J by central differences of the toll line in xi and lam."""
+    L1 = config.hot_lanes * config.corridor_length
+    args = (config.fd_hot, L1, config.mean_trip_distance,
+            config.demand.hov_rate, config.demand.sov_rate)
+
+    def slope(dlam, dxi):
+        a_hi, b_hi = ref_toll_decomposition(
+            config.choice, ref_share_from_state(lam + dlam, xi + dxi, *args))
+        a_lo, b_lo = ref_toll_decomposition(
+            config.choice, ref_share_from_state(lam - dlam, xi - dxi, *args))
+        return (a_hi - a_lo) / (2.0 * step) + (b_hi - b_lo) / (2.0 * step) / omega
+
+    return slope(0.0, step), slope(step, 0.0)
+
+
+def one_lane(fd, choice=UeChoice(ExponentialVot(50.0))):
+    """One HOT lane on a 1 km corridor, D = 5 km, 200 HOV and 860 SOV veh/h."""
+    return ScenarioConfig(
+        fd_hot=fd, fd_gp=fd, demand=DemandProfile("constant", 200.0, 860.0),
+        corridor_length=1.0, hot_lanes=1.0, mean_trip_distance=5.0, choice=choice,
+    )
+
+
+def sensitivity(rho1, fd, direction, xi=0.0, step=1e-6):
+    """Share slope in ``lam`` or ``xi`` at (rho1, xi), read through loop_matrix.
+
+    One HOT lane with the UE mean-50 choice: -J / H = (L1 / D) g1', and the
+    UE toll slope -mean / p gives H = mean / (p e2), so p = mean / (H e2) is
+    differenced in xi.
+    """
     lam = rho1 - critical_density(fd)
-    return choice_sensitivity(lam, 0.0, fd, 1.0, 5.0, 200.0, 860.0, direction, **kwargs)
+    cfg = one_lane(fd)
+    if direction == "lam":
+        m = loop_matrix(cfg, lam, xi, 0.1)
+        return -m.J / (m.H * 860.0)
+
+    def share(xi_):
+        return 50.0 / (loop_matrix(cfg, lam, xi_, 0.1).H * 860.0)
+
+    return (share(xi + step) - share(xi - step)) / (2.0 * step)
 
 
 class TestChoiceSensitivity:
     def test_share_formula_matches_equilibrium(self, fd_floor):
-        p = share_from_state(0.0, 0.0, fd_floor, 1.0, 5.0, 200.0, 860.0)
+        # at lam = xi = 0 the UE toll slope is -mean / p, so H = mean / (p e2)
+        h = loop_matrix(one_lane(fd_floor), 0.0, 0.0, 0.1).H
+        p = 50.0 / (h * 860.0)
         assert p == pytest.approx(equilibrium_share(1.0, RHO_C, 100.0, 5.0, 200.0, 860.0), rel=1e-9)
 
     def test_decreasing_in_residual_service(self, fd_floor):
-        for rho1 in (10.0, 30.0, 60.0):
-            d = sensitivity(rho1, fd_floor, "xi")
+        # at rho1 = 10 the share at xi = 0 is exactly 0 (g1 L1 / D = e1), where
+        # the toll is unbounded and loop_matrix raises; the share is linear in
+        # xi, so there the slope is read at xi = -0.001 veh/h
+        for rho1, xi in ((10.0, -1e-3), (30.0, 0.0), (60.0, 0.0)):
+            d = sensitivity(rho1, fd_floor, "xi", xi=xi)
             assert d < 0.0
             assert d == pytest.approx(-1.0 / 860.0, rel=1e-6)
 
@@ -217,9 +288,19 @@ class TestChoiceSensitivity:
         assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_one_sided_derivatives_bracket_zero_at_critical(self, fd_floor):
-        left = sensitivity(RHO_C, fd_floor, "lam", side="left")
-        right = sensitivity(RHO_C, fd_floor, "lam", side="right")
+        # loop_matrix takes the right-hand slope at the kink; the left one is flow_slope's
+        rho_c = critical_density(fd_floor)
+        left = 1.0 / 5.0 * flow_slope(fd_floor, rho_c, "left") / 860.0
+        right = sensitivity(rho_c, fd_floor, "lam")
+        assert right == pytest.approx(1.0 / 5.0 * flow_slope(fd_floor, rho_c, "right") / 860.0)
         assert left > 0.0 > right
+
+    @pytest.mark.parametrize("rho1", [12.0, 30.0, 35.0, 60.0])
+    @pytest.mark.parametrize("direction", ["lam", "xi"])
+    def test_closed_slopes_match_the_reference(self, fd_floor, rho1, direction):
+        lam = rho1 - critical_density(fd_floor)
+        ref = ref_choice_sensitivity(lam, 0.0, fd_floor, 1.0, 5.0, 200.0, 860.0, direction)
+        assert sensitivity(rho1, fd_floor, direction) == pytest.approx(ref, rel=1e-6, abs=1e-12)
 
 
 class TestGapSensitivities:
@@ -227,24 +308,129 @@ class TestGapSensitivities:
         ue = UeChoice(ExponentialVot(50.0))
         logit = LogitChoice(50.0, 1.0)
         for choice in (ue, logit):
-            h, _ = gap_sensitivities(choice, fd_floor, 1.0, 5.0, 200.0, 860.0,
-                                     lam=-1.0, xi=0.0, omega=0.1)
+            h = loop_matrix(one_lane(fd_floor, choice), -1.0, 0.0, 0.1).H
             assert h > 0.0
 
     def test_j_sign_tracks_phase_for_ue(self, fd_floor):
-        ue = UeChoice(ExponentialVot(50.0))
-        _, j_suc = gap_sensitivities(ue, fd_floor, 1.0, 5.0, 200.0, 860.0,
-                                     lam=-1.0, xi=0.0, omega=0.1)
-        _, j_soc = gap_sensitivities(ue, fd_floor, 1.0, 5.0, 200.0, 860.0,
-                                     lam=5.0, xi=0.0, omega=0.1)
+        ue = one_lane(fd_floor, UeChoice(ExponentialVot(50.0)))
+        j_suc = loop_matrix(ue, -1.0, 0.0, 0.1).J
+        j_soc = loop_matrix(ue, 5.0, 0.0, 0.1).J
         assert j_suc < 0.0 < j_soc
 
     def test_logit_gap_term_is_flat(self, fd_floor):
         # the gap-proportional part of the logit toll is the fixed VOT
         logit = LogitChoice(50.0, 1.0)
-        from hotlanes.analysis import toll_decomposition
-
-        p = share_from_state(-1.0, 0.0, fd_floor, 1.0, 5.0, 200.0, 860.0)
-        a, b = toll_decomposition(logit, p)
+        p = ref_share_from_state(-1.0, 0.0, fd_floor, 1.0, 5.0, 200.0, 860.0)
+        a, b, _, _ = logit.toll_line(p)
         assert a == pytest.approx(50.0, rel=1e-9)
         assert b == pytest.approx(math.log(1.0 / p - 1.0), rel=1e-9)
+
+
+CONFIGS = {
+    "constant": preset("constant"),
+    "constant-logit": preset("constant-logit"),
+    "uniform-ue": replace(preset("constant"), choice=UeChoice(UniformVot(0.0, 100.0))),
+}
+
+
+class TestLoopMatrix:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("lam", [-1.0, 1.0, 5.0])
+    @pytest.mark.parametrize("omega", [0.1, 0.6])
+    def test_h_and_j_match_the_reference(self, name, lam, omega):
+        cfg = CONFIGS[name]
+        sysm = loop_matrix(cfg, lam, 0.0, omega)
+        h, j = ref_gap_sensitivities(cfg, lam, 0.0, omega)
+        assert sysm.H == pytest.approx(h, rel=1e-6)
+        assert sysm.J == pytest.approx(j, rel=1e-6)
+
+    def test_effective_gains(self):
+        cfg = preset("constant")
+        c, omega = cfg.controller, 0.25
+        sysm = loop_matrix(cfg, 1.0, 0.0, omega)
+        L1 = cfg.hot_lanes * cfg.corridor_length
+        K1, K2 = c.k1 + c.k3 / omega, c.k2 + c.k4 / omega
+        assert sysm == linearized_matrix(sysm.H, sysm.J, K1, K2, L1)
+
+    def test_negative_density_rejected(self):
+        cfg = preset("constant")
+        with pytest.raises(ValueError, match="negative density"):
+            loop_matrix(cfg, -critical_density(cfg.fd_hot) - 1e-6, 0.0, 0.1)
+
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    def test_logit_share_at_the_bounds_rejected(self, share):
+        cfg = preset("constant-logit")
+        # xi that puts the share implied by the state at lam = 0 exactly on the bound
+        completion = flow(cfg.fd_hot, critical_density(cfg.fd_hot)) * 1.0 / 5.0 - 200.0
+        xi = completion - share * 860.0
+        with pytest.raises(ValueError, match="target share"):
+            loop_matrix(cfg, 0.0, xi, 0.1)
+
+    def test_non_positive_gap_rejected(self):
+        with pytest.raises(ValueError, match="gap must be positive"):
+            loop_matrix(preset("constant"), 1.0, 0.0, 0.0)
+
+
+CHOICES = {
+    "exponential-ue": UeChoice(ExponentialVot(50.0)),
+    "uniform-ue": UeChoice(UniformVot(10.0, 90.0)),
+    "logit": LogitChoice(50.0, 1.0),
+}
+
+
+class TestTollLine:
+    @pytest.mark.parametrize("name", sorted(CHOICES))
+    @pytest.mark.parametrize("p", [0.05, 0.31, 0.8])
+    def test_line_is_the_inverse_toll_at_two_gaps(self, name, p):
+        choice = CHOICES[name]
+        a, b, _, _ = choice.toll_line(p)
+        for omega in (0.01, 0.3):
+            u = a * omega + b
+            assert u == pytest.approx(choice.inverse_toll(p, omega), rel=1e-12, abs=1e-12)
+            if u >= 0.0:
+                assert choice.share(u, omega) == pytest.approx(p, rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(CHOICES))
+    @pytest.mark.parametrize("p", [0.05, 0.31, 0.8])
+    def test_slopes_match_central_differences(self, name, p):
+        choice = CHOICES[name]
+        step = 1e-6
+        a_hi, b_hi, _, _ = choice.toll_line(p + step)
+        a_lo, b_lo, _, _ = choice.toll_line(p - step)
+        _, _, da, db = choice.toll_line(p)
+        assert da == pytest.approx((a_hi - a_lo) / (2.0 * step), rel=1e-6, abs=1e-9)
+        assert db == pytest.approx((b_hi - b_lo) / (2.0 * step), rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("exponential-ue", 0.0), ("uniform-ue", 1.5), ("logit", 0.0), ("logit", 1.0),
+    ])
+    def test_share_outside_the_range_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="target share"):
+            CHOICES[name].toll_line(bad)
+
+
+class TestFlowSlope:
+    def test_kink_at_critical_density(self, fd_floor):
+        assert flow_slope(fd_floor, critical_density(fd_floor), "left") == 100.0
+        assert flow_slope(fd_floor, critical_density(fd_floor), "right") == -20.0
+
+    def test_kink_at_floor_entry(self, fd_floor):
+        entry = fd_floor.rho_j - fd_floor.c / fd_floor.w
+        assert flow_slope(fd_floor, entry, "left") == -20.0
+        assert flow_slope(fd_floor, entry, "right") == 0.0
+
+    def test_no_floor_falls_to_jam(self, fd_triangular):
+        assert flow_slope(fd_triangular, 139.0) == -20.0
+        assert flow_slope(fd_triangular, 140.0, "left") == -20.0
+        assert flow_slope(fd_triangular, 140.0, "right") == 0.0
+
+    @pytest.mark.parametrize("rho", [5.0, 30.0, 45.0, 60.0, 120.0])
+    def test_matches_central_differences_off_the_kinks(self, fd_floor, rho):
+        step = 1e-6
+        fd_slope = (flow(fd_floor, rho + step) - flow(fd_floor, rho - step)) / (2.0 * step)
+        assert flow_slope(fd_floor, rho) == pytest.approx(fd_slope, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("rho, side", [(-1.0, "right"), (math.inf, "right"), (10.0, "up")])
+    def test_bad_input_rejected(self, fd_floor, rho, side):
+        with pytest.raises(ValueError):
+            flow_slope(fd_floor, rho, side)

@@ -969,6 +969,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "p0 = 0.310078" in out
         assert "stable" in out
+        # the effective gains at the gap omega(2 h) = 0.250714 h/km set the slow mode
+        assert out.count("K1=39.9088, K2=28.9316, eigenvalues") == 2
+        assert "eigenvalues [-1.219+0j, -161.5+0j] -> stable" in out
+        assert "eigenvalues [-1.431+0j, -146.6+0j] -> stable" in out
+
+    @pytest.mark.parametrize("model", ["ue", "logit"])
+    def test_analyze_without_a_flow_floor_has_no_gap_line(self, model, capsys):
+        outs = []
+        for at_time in ("2", "0.5"):
+            argv = ["analyze", "--preset", "triangular-gridlock", "--at-time", at_time,
+                    "--set", f"choice.model={model}"]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "no gap line to linearize on" in outs[0]
+        assert "eigenvalues" not in outs[0]
 
     def test_compare_smoke(self, capsys):
         code = main([

@@ -11,8 +11,11 @@ sides alike.  The last stdout line of each run is its JSON result.
 The output file holds the shas, the Python version, the CPU count, every run,
 and per (workload, seed) and metric the medians, quartiles and the number of
 pairs the change won.  When ``--out`` exists its runs of other workloads or
-seeds are kept, and runs of the same workload and seed are replaced, so one
-file can gather several series.  Stdlib only.
+seeds are kept, and runs of the same workload and seed are replaced once every
+pair has run, so one file can gather several series.  When a run fails the
+script exits non-zero: if ``--out`` held no series for that workload and seed,
+the runs gathered so far are written with their summary; if it held one, the
+file is left as it was.  Stdlib only.
 """
 
 import argparse
@@ -49,6 +52,10 @@ def src_sha256(root: str) -> str:
     return digest.hexdigest()
 
 
+class RunFailed(RuntimeError):
+    """A ``benchmark/run.py`` run exited non-zero or printed no JSON result."""
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result that one ``benchmark/run.py`` run in ``root`` prints last."""
     cmd = [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
@@ -56,9 +63,12 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{root}: {' '.join(cmd)} exited {proc.returncode}: "
-                         f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+        raise RunFailed(f"{root}: {' '.join(cmd)} exited {proc.returncode}: "
+                        f"{proc.stderr.strip()[-500:]}")
+    try:
+        return json.loads(lines[-1])
+    except ValueError:
+        raise RunFailed(f"{root}: {' '.join(cmd)} printed no JSON result: {lines[-1][:500]}") from None
 
 
 def quartiles(values: list[float]) -> dict:
@@ -130,15 +140,24 @@ def main(argv: list[str] | None = None) -> int:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
     key = (args.workload, args.seed)
-    runs = [r for r in doc.get("runs", []) if (r["workload"], r["seed"]) != key]
-    for pair in range(1, args.pairs + 1):
-        order = ("parent", "change") if pair % 2 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, args.seed, args.seconds)
-            runs.append({"pair": pair, "side": side, "workload": args.workload,
-                         "seed": args.seed, "seconds": args.seconds, "result": result})
-            print(f"pair {pair} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
-    doc["runs"] = runs
+    kept = [r for r in doc.get("runs", []) if (r["workload"], r["seed"]) != key]
+    had_series = len(kept) < len(doc.get("runs", []))
+    new = []
+    failure = None
+    try:
+        for pair in range(1, args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side], args.workload, args.seed, args.seconds)
+                new.append({"pair": pair, "side": side, "workload": args.workload,
+                            "seed": args.seed, "seconds": args.seconds, "result": result})
+                print(f"pair {pair} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
+    except RunFailed as exc:
+        failure = str(exc)
+    if failure and had_series:
+        print(f"run failed, {args.out} is left as it was: {failure}", file=sys.stderr)
+        return 1
+    runs = doc["runs"] = kept + new
 
     series = {}
     for r in runs:
@@ -147,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    if failure:
+        print(f"run failed, {args.out} holds the runs before it: {failure}", file=sys.stderr)
+        return 1
     print(json.dumps(doc["summary"][f"{args.workload} seed {args.seed}"], indent=1))
     return 0
 
