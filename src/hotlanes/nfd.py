@@ -117,15 +117,15 @@ def flow_slope(params: FdParams, rho: float, side: str = "right") -> float:
     return 0.0
 
 
-def classify_phase(params: FdParams, rho: float, tol: float = PHASE_TOLERANCE) -> Phase:
+def classify_phase(params: FdParams, rho: float) -> Phase:
     """Classify a density as under-critical, critical or over-critical.
 
-    The critical phase is detected within an absolute density tolerance;
+    The critical phase is detected within ``PHASE_TOLERANCE`` in density;
     exact float equality would be meaningless.
     """
     if not 0.0 <= rho < _INF:
         raise ValueError(f"density must be non-negative and finite, got {rho}")
     rho_c = critical_density(params)
-    if abs(rho - rho_c) <= tol:
+    if abs(rho - rho_c) <= PHASE_TOLERANCE:
         return Phase.C
     return Phase.SUC if rho < rho_c else Phase.SOC

@@ -93,80 +93,98 @@ def preset(name: str) -> ScenarioConfig:
         ) from None
 
 
-_FD_FIELDS = {"free_flow_kmh": "u_f", "wave_kmh": "w", "jam_veh_km": "rho_j"}
-_FD_KEYS = (*_FD_FIELDS, "flow_floor_fraction", "flow_floor_veh_h")
-
-_SCALARS = {
-    # (section, key) -> (config attr, type)
-    ("geometry", "corridor_km"): ("corridor_length", float),
-    ("geometry", "hot_lanes"): ("hot_lanes", float),
-    ("geometry", "gp_lanes"): ("gp_lanes", float),
-    ("geometry", "mean_trip_km"): ("mean_trip_distance", float),
-    ("simulation", "dt_s"): ("dt_s", float),
-    ("simulation", "horizon_h"): ("horizon_h", float),
-    ("simulation", "output_dt_s"): ("output_dt_s", float),
-    ("simulation", "mode"): ("mode", str),
-    ("simulation", "initial_hot_trips"): ("initial_hot_trips", float),
-    ("simulation", "initial_gp_trips"): ("initial_gp_trips", float),
-    ("controller", "decimation"): ("control_decimation", int),
-}
-
-_CONTROLLER_KEYS = {
-    "k1": "k1", "k2": "k2", "k3": "k3", "k4": "k4",
-    "a0": "a", "b0": "b", "toll_ceiling": "toll_ceiling",
-}
-
-
-def _parse_fd(cp: configparser.ConfigParser, section: str, base: FdParams) -> FdParams:
-    fd = replace(base, c=0.0, **_updates(cp, section, _FD_FIELDS, "a diagram", _FD_KEYS))
-    if cp.has_option(section, "flow_floor_veh_h"):
-        return replace(fd, c=_convert(cp, section, "flow_floor_veh_h", float))
-    if cp.has_option(section, "flow_floor_fraction"):
-        return replace(fd, c=_convert(cp, section, "flow_floor_fraction", float) * capacity(fd))
-    return replace(fd, c=base.c)
-
-
-# Per demand kind and per choice class: INI key -> field it sets.
-_DEMAND_FIELDS = {
-    "constant": {"hov_veh_h": "hov_rate", "sov_veh_h": "sov_rate"},
-    "trapezoid": {"hov_peak_veh_h": "hov_rate", "sov_peak_veh_h": "sov_rate",
-                  "ramp_up_start_h": "t0", "ramp_up_end_h": "t1",
-                  "ramp_down_start_h": "t2", "ramp_down_end_h": "t3"},
-    "piecewise": {"breakpoints_h": "breakpoints", "hov_rates_veh_h": "hov_rates",
-                  "sov_rates_veh_h": "sov_rates"},
-}
-
-_CHOICE_FIELDS = {
-    LogitChoice: {"logit_vot": "pi_star", "logit_scale": "alpha_star"},
-    ExponentialVot: {"expected_vot": "mean"},
-    UniformVot: {"vot_low": "low", "vot_high": "high"},
-}
-
-_VOT_FAMILIES = {"exponential": ExponentialVot, "uniform": UniformVot}
-
-
 def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(","))
 
 
-def _updates(cp: configparser.ConfigParser, section: str, fields: dict[str, str], what: str,
-             extra: tuple[str, ...], typ=float) -> dict[str, object]:
-    """{field: value} of the section's keys; a key outside ``fields`` and ``extra`` is an error."""
-    foreign = sorted(set(cp[section]) - set(fields) - set(extra))
+# The config schema: per table, INI key -> (field it sets, type its value converts to).
+# The fixed sections take one table each; [fd], [fd.hot] and [fd.gp] share one.
+_FD = {"free_flow_kmh": ("u_f", float), "wave_kmh": ("w", float), "jam_veh_km": ("rho_j", float),
+       "flow_floor_veh_h": ("c", float), "flow_floor_fraction": ("c_fraction", float)}
+_FIXED = {
+    "scenario": {"preset": ("preset", str)},
+    "fd": _FD, "fd.hot": _FD, "fd.gp": _FD,
+    "geometry": {"corridor_km": ("corridor_length", float), "hot_lanes": ("hot_lanes", float),
+                 "gp_lanes": ("gp_lanes", float), "mean_trip_km": ("mean_trip_distance", float)},
+    "simulation": {"dt_s": ("dt_s", float), "horizon_h": ("horizon_h", float),
+                   "output_dt_s": ("output_dt_s", float), "mode": ("mode", str),
+                   "initial_hot_trips": ("initial_hot_trips", float),
+                   "initial_gp_trips": ("initial_gp_trips", float)},
+    "controller": {"k1": ("k1", float), "k2": ("k2", float), "k3": ("k3", float),
+                   "k4": ("k4", float), "a0": ("a", float), "b0": ("b", float),
+                   "toll_ceiling": ("toll_ceiling", float),
+                   "decimation": ("control_decimation", int)},
+}
+# A variant section takes the table its switch keys pick, and those keys: [demand] one
+# per ``kind``; [choice] one per ``model``, and under ``model = ue`` one per ``vot_family``.
+_SWITCHES = {"demand": ("kind",), "choice": ("model", "vot_family")}
+_DEMAND = {
+    "constant": {"hov_veh_h": ("hov_rate", float), "sov_veh_h": ("sov_rate", float)},
+    "trapezoid": {"hov_peak_veh_h": ("hov_rate", float), "sov_peak_veh_h": ("sov_rate", float),
+                  "ramp_up_start_h": ("t0", float), "ramp_up_end_h": ("t1", float),
+                  "ramp_down_start_h": ("t2", float), "ramp_down_end_h": ("t3", float)},
+    "piecewise": {"breakpoints_h": ("breakpoints", _float_list),
+                  "hov_rates_veh_h": ("hov_rates", _float_list),
+                  "sov_rates_veh_h": ("sov_rates", _float_list)},
+}
+_CHOICE = {  # values of the first n switch keys -> (class, what its table applies to, table)
+    ("logit",): (LogitChoice, "the logit model",
+                 {"logit_vot": ("pi_star", float), "logit_scale": ("alpha_star", float)}),
+    ("ue", "exponential"): (ExponentialVot, "UE choice, exponential VOT",
+                            {"expected_vot": ("mean", float)}),
+    ("ue", "uniform"): (UniformVot, "UE choice, uniform VOT",
+                        {"vot_low": ("low", float), "vot_high": ("high", float)}),
+}
+_KNOWN_KEYS = {
+    **{section: set(table) for section, table in _FIXED.items()},
+    "demand": set(_SWITCHES["demand"]).union(*_DEMAND.values()),
+    "choice": set(_SWITCHES["choice"]).union(*(table for *_, table in _CHOICE.values())),
+}
+
+
+def _read(cp: configparser.ConfigParser, section: str, table: dict | None = None,
+          switches: tuple[str, ...] = (), what: str = "") -> dict[str, object]:
+    """{field: value} of the section's keys, converted by their types in ``table``.
+
+    ``table`` defaults to the fixed section's, and a missing section reads as
+    empty.  Every key outside ``table`` and ``switches`` is rejected.
+    """
+    if not cp.has_section(section):
+        return {}
+    keys, table = cp[section], _FIXED[section] if table is None else table
+    foreign = [key for key in keys if key not in table and key not in switches]
+    unknown = [key for key in foreign if key not in _KNOWN_KEYS[section]]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}]")
     if foreign:
-        raise ConfigError(f"[{section}] {', '.join(foreign)} does not apply to {what}")
-    return {attr: _convert(cp, section, key, typ)
-            for key, attr in fields.items() if cp.has_option(section, key)}
+        raise ConfigError(f"[{section}] {', '.join(sorted(foreign))} does not apply to {what}")
+    values = {}
+    for key, (field, typ) in table.items():
+        if key in keys:
+            raw = keys[key]
+            try:
+                values[field] = typ(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    return values
+
+
+def _parse_fd(values: dict[str, float], base: FdParams) -> FdParams:
+    """``base`` with a section's diagram values; a floor in veh/h beats one as a fraction."""
+    fraction = values.pop("c_fraction", None)
+    if fraction is None or "c" in values:
+        return replace(base, **values)
+    fd = replace(base, **values, c=0.0)
+    return replace(fd, c=fraction * capacity(fd))
 
 
 def _parse_demand(cp: configparser.ConfigParser, base: DemandProfile) -> DemandProfile:
     """The preset's profile with ``kind`` and that kind's ``[demand]`` keys applied."""
     kind = cp.get("demand", "kind", fallback=base.kind)
-    if kind not in _DEMAND_FIELDS:
+    if kind not in _DEMAND:
         raise ConfigError(f"unknown demand kind {kind!r}")
-    typ = _float_list if kind == "piecewise" else float
-    return replace(base, kind=kind, **_updates(
-        cp, "demand", _DEMAND_FIELDS[kind], f"demand kind {kind!r}", ("kind",), typ))
+    return replace(base, kind=kind, **_read(
+        cp, "demand", _DEMAND[kind], _SWITCHES["demand"], f"demand kind {kind!r}"))
 
 
 def _parse_choice(cp: configparser.ConfigParser, base):
@@ -176,52 +194,41 @@ def _parse_choice(cp: configparser.ConfigParser, base):
     """
     model = cp.get("choice", "model", fallback="logit" if isinstance(base, LogitChoice) else "ue")
     current = base.dist if isinstance(base, UeChoice) else base
-    if model == "logit":
-        cls, what, extra = LogitChoice, "the logit model", ("model",)
-    elif model == "ue":
-        family = cp.get("choice", "vot_family",
-                        fallback="uniform" if isinstance(current, UniformVot) else "exponential")
-        if family not in _VOT_FAMILIES:
-            raise ConfigError(f"unknown VOT family {family!r}")
-        cls, what = _VOT_FAMILIES[family], f"UE choice, {family} VOT"
-        extra = ("model", "vot_family")
-    else:
-        raise ConfigError(f"unknown choice model {model!r}")
+    family = cp.get("choice", "vot_family",
+                    fallback="uniform" if isinstance(current, UniformVot) else "exponential")
+    variant = (model, family) if model == "ue" else (model,)
+    if variant not in _CHOICE:
+        raise ConfigError(f"unknown VOT family {family!r}" if model == "ue"
+                          else f"unknown choice model {model!r}")
+    cls, what, table = _CHOICE[variant]
     start = current if isinstance(current, cls) else cls()
-    chosen = replace(start, **_updates(cp, "choice", _CHOICE_FIELDS[cls], what, extra))
+    chosen = replace(start, **_read(cp, "choice", table, _SWITCHES["choice"][:len(variant)], what))
     return chosen if model == "logit" else UeChoice(chosen)
 
 
-def _convert(cp: configparser.ConfigParser, section: str, key: str, typ):
-    raw = cp.get(section, key)
-    try:
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-
-
 def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
-    config = preset(cp.get("scenario", "preset", fallback="constant"))
-    updates: dict[str, object] = {}
+    if cp.defaults():
+        raise ConfigError(f"section [DEFAULT] takes no keys, got {sorted(cp.defaults())}")
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+    config = preset(_read(cp, "scenario").get("preset", "constant"))
+    updates = {}
     if cp.has_section("fd"):
-        updates["fd_hot"] = updates["fd_gp"] = _parse_fd(cp, "fd", config.fd_hot)
+        updates["fd_hot"] = updates["fd_gp"] = _parse_fd(_read(cp, "fd"), config.fd_hot)
     for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
         if cp.has_section(group):
-            updates[attr] = _parse_fd(cp, group, updates.get(attr, getattr(config, attr)))
+            updates[attr] = _parse_fd(_read(cp, group), updates.get(attr, getattr(config, attr)))
     if cp.has_section("demand"):
         updates["demand"] = _parse_demand(cp, config.demand)
     if cp.has_section("choice"):
         updates["choice"] = _parse_choice(cp, config.choice)
-    for (section, key), (attr, typ) in _SCALARS.items():
-        if cp.has_option(section, key):
-            updates[attr] = _convert(cp, section, key, typ)
-    ctrl_kwargs = {
-        attr: _convert(cp, "controller", key, float)
-        for key, attr in _CONTROLLER_KEYS.items()
-        if cp.has_option("controller", key)
-    }
-    if ctrl_kwargs:
-        updates["controller"] = replace(config.controller, **ctrl_kwargs)
+    updates.update(_read(cp, "geometry"), **_read(cp, "simulation"))
+    controller = _read(cp, "controller")
+    if "control_decimation" in controller:
+        updates["control_decimation"] = controller.pop("control_decimation")
+    if controller:
+        updates["controller"] = replace(config.controller, **controller)
     return replace(config, **updates)
 
 
@@ -234,21 +241,20 @@ def apply_overrides(config_or_none, preset_name: str | None, overrides: list[str
     """Resolve a config from an optional file, preset name and key=value overrides.
 
     Overrides use ``section.key=value`` with the same keys as the INI format.
-    A file or value that does not parse, a bad value and an unknown key raise
-    :class:`ConfigError`.
+    The preset name is the override ``scenario.preset=NAME``; the overrides
+    apply after the file, in order.  A file or value that does not parse, a
+    bad value and an unknown key raise :class:`ConfigError`.
     """
+    if preset_name:
+        overrides = [f"scenario.preset={preset_name}", *overrides]
     cp = configparser.ConfigParser()
     # Every constructor rejects a bad value with ValueError (ConfigError is
     # one), and so does the parser a bad section name, a bad '%' and a file
     # not in the locale's encoding; a file that is not INI and a missing
     # interpolation key raise configparser.Error.
     try:
-        if preset_name:
-            cp["scenario"] = {"preset": preset_name}
-        if config_or_none is not None:
-            read = cp.read(config_or_none)
-            if not read:
-                raise ConfigError(f"cannot read config file {config_or_none!r}")
+        if config_or_none is not None and not cp.read(config_or_none):
+            raise ConfigError(f"cannot read config file {config_or_none!r}")
         for item in overrides:
             if "=" not in item or "." not in item.split("=", 1)[0]:
                 raise ConfigError(f"override {item!r} is not of the form section.key=value")
@@ -257,40 +263,13 @@ def apply_overrides(config_or_none, preset_name: str | None, overrides: list[str
             if not cp.has_section(section):
                 cp.add_section(section)
             cp.set(section, key.strip(), value.strip())
-        _reject_unknown(cp)
         return _build_from_parser(cp)
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from None
 
 
-_KNOWN_SECTIONS = {"scenario", "fd", "fd.hot", "fd.gp", "demand", "geometry", "choice", "simulation", "controller"}
-
-_KNOWN_KEYS = {
-    "scenario": {"preset"},
-    "fd": set(_FD_KEYS),
-    "fd.hot": set(_FD_KEYS),
-    "fd.gp": set(_FD_KEYS),
-    "demand": {"kind"}.union(*_DEMAND_FIELDS.values()),
-    "geometry": {k for (s, k) in _SCALARS if s == "geometry"},
-    "choice": {"model", "vot_family"}.union(*_CHOICE_FIELDS.values()),
-    "simulation": {k for (s, k) in _SCALARS if s == "simulation"},
-    "controller": set(_CONTROLLER_KEYS) | {"decimation"},
-}
-
-
-def _reject_unknown(cp: configparser.ConfigParser) -> None:
-    if cp.defaults():
-        raise ConfigError(f"section [DEFAULT] takes no keys, got {sorted(cp.defaults())}")
-    for section in cp.sections():
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-
 def section_help() -> str:
     lines = ["Config sections and keys:"]
-    for section in sorted(_KNOWN_SECTIONS):
+    for section in sorted(_KNOWN_KEYS):
         lines.append(f"  [{section}]: {', '.join(sorted(_KNOWN_KEYS[section]))}")
     return "\n".join(lines)

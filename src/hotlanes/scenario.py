@@ -284,6 +284,8 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     (``decimation = 1``) and ``delta1`` is not clamped.
     """
     stats = SaturationStats() if stats is None else stats
+    # a reused stats object carries earlier runs' counts; the flags mark this run's clamps
+    hot_clamps0, gp_clamps0 = stats.hot_clamp_steps, stats.gp_clamp_steps
     inf = math.inf
     dt = config.dt_s / 3600.0
     horizon_s = config.horizon_h * 3600.0
@@ -401,7 +403,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
                 C if abs(rho1 - rho_c1) <= tol else SUC if rho1 < rho_c1 else SOC,
                 C if abs(rho2 - rho_c2) <= tol else SUC if rho2 < rho_c2 else SOC,
                 int(not hov_mode and gap < inf and a * gap + b < 0.0),
-                int(stats.hot_clamp_steps > 0), int(stats.gp_clamp_steps > 0),
+                int(stats.hot_clamp_steps > hot_clamps0), int(stats.gp_clamp_steps > gp_clamps0),
             ))
             # With finite densities every float but the gap is finite if these seven are: E
             # covers delta and G, and xi covers g1 and the HOT inflow.  Their sum is not finite

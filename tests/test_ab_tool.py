@@ -157,3 +157,55 @@ def test_rerun_replaces_its_series_and_keeps_the_others(tmp_path, monkeypatch):
     assert doc["summary"]["closed-loop seed 7"]["run_s"]["pairs"] == 3
     assert doc["summary"]["records-io seed 7"]["run_s"]["pairs"] == 2
     assert len(doc["runs"]) == 2 * (3 + 2)
+
+
+def series(parent_runs, change_runs):
+    """Pairs of ``run_s`` values; ``sim_h_per_s`` is held at 10 on both sides."""
+    runs = []
+    for n, (p, c) in enumerate(zip(parent_runs, change_runs), 1):
+        runs += pair(n, result(p, 10.0), result(c, 10.0))
+    return runs
+
+
+def verdict(parent_runs, change_runs, bound=0.25):
+    return ab.summarise(series(parent_runs, change_runs), BETTER, {"run_s": bound})["run_s"]
+
+
+def test_regression_worse_when_the_median_moves_past_the_bound():
+    # parent median 1.0, change median 1.3: worse by 30% of the parent median, bound 25%
+    assert verdict([0.99, 1.0, 1.01], [1.29, 1.3, 1.31])["regression"] == "worse"
+    # the same gap for a higher-is-better metric is worse the other way round
+    runs = []
+    for n, (p, c) in enumerate(zip([10.0, 10.1, 9.9], [7.0, 7.1, 6.9]), 1):
+        runs += pair(n, result(1.0, p), result(1.0, c))
+    out = ab.summarise(runs, BETTER, {"sim_h_per_s": 0.25, "run_s": 0.25})
+    assert out["sim_h_per_s"]["regression"] == "worse"
+    assert out["run_s"]["regression"] == "none"
+
+
+def test_regression_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent quartiles 0.75 and 1.25: an IQR of 0.5 against an allowed 0.25
+    parent, change = [0.5, 1.0, 1.5], [0.9, 1.1, 1.0]
+    assert verdict(parent, change)["regression"] == "unresolved"
+    # unless every change run beats every parent run
+    assert verdict(parent, [0.1, 0.2, 0.3])["regression"] == "none"
+
+
+def test_regression_none_within_the_bound():
+    assert verdict([0.99, 1.0, 1.01], [1.1, 1.2, 1.15])["regression"] == "none"
+    assert verdict([0.99, 1.0, 1.01], [0.5, 0.6, 0.55])["regression"] == "none"
+    # a metric without a bound gets no verdict
+    assert "regression" not in ab.summarise(series([1.0], [2.0]), BETTER)["run_s"]
+
+
+def test_main_reads_the_bounds_next_to_better(tmp_path, monkeypatch):
+    dirs = checkouts(tmp_path)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
+                        {"name": "sim_h_per_s", "better": "higher"}]}))
+    fake_runs(monkeypatch, dirs)  # the change runs in 1 s, the parent in 2 s
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 3) == 0
+    summary = json.loads(out.read_text())["summary"]["closed-loop seed 7"]
+    assert summary["run_s"]["regression"] == "none"
+    assert "regression" not in summary["sim_h_per_s"]

@@ -137,6 +137,68 @@ def test_directory_path_is_a_config_error(command, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+NOT_A_FLOAT = "could not convert string to float"
+# case -> (--preset, config file text or None, --set overrides, the whole stderr line)
+CONFIG_ERRORS = {
+    "unknown section": ("constant", None, ["bogus.x=1"], "unknown config section [bogus]"),
+    "unknown key, fixed section": ("constant", None, ["simulation.horizonn_h=1"],
+                                   "unknown key 'horizonn_h' in section [simulation]"),
+    "unknown key, variant section": ("constant", None, ["demand.bogus=1"],
+                                     "unknown key 'bogus' in section [demand]"),
+    "key of another demand kind": ("trapezoid", None, ["demand.sov_veh_h=900"],
+                                   "[demand] sov_veh_h does not apply to demand kind 'trapezoid'"),
+    "keys of another demand kind": ("trapezoid", None, ["demand.sov_veh_h=1", "demand.hov_veh_h=1"],
+                                    "[demand] hov_veh_h, sov_veh_h does not apply to demand kind "
+                                    "'trapezoid'"),
+    "key of another choice model": ("constant", None, ["choice.logit_vot=40"],
+                                    "[choice] logit_vot does not apply to UE choice, "
+                                    "exponential VOT"),
+    "key of the UE model under logit": ("constant-logit", None, ["choice.expected_vot=40"],
+                                        "[choice] expected_vot does not apply to the logit model"),
+    "vot_family under logit": ("constant", None,
+                               ["choice.model=logit", "choice.vot_family=uniform"],
+                               "[choice] vot_family does not apply to the logit model"),
+    "bad fd value": ("constant", None, ["fd.wave_kmh=fast"],
+                     f"[fd] wave_kmh = 'fast': {NOT_A_FLOAT}: 'fast'"),
+    "bad demand value": ("constant", None, ["demand.hov_veh_h=x"],
+                         f"[demand] hov_veh_h = 'x': {NOT_A_FLOAT}: 'x'"),
+    "bad demand list": ("constant", None, ["demand.kind=piecewise", "demand.breakpoints_h=0,a"],
+                        f"[demand] breakpoints_h = '0,a': {NOT_A_FLOAT}: 'a'"),
+    "bad controller value": ("constant", None, ["controller.k1=x"],
+                             f"[controller] k1 = 'x': {NOT_A_FLOAT}: 'x'"),
+    "bad decimation": ("constant", None, ["controller.decimation=1.5"],
+                       "[controller] decimation = '1.5': invalid literal for int() with base 10: "
+                       "'1.5'"),
+    "bad simulation value": ("constant", None, ["simulation.dt_s=x"],
+                             f"[simulation] dt_s = 'x': {NOT_A_FLOAT}: 'x'"),
+    "[DEFAULT] key in a file": ("constant", "[DEFAULT]\nx = 1\n", [],
+                                "section [DEFAULT] takes no keys, got ['x']"),
+    "[DEFAULT] key in an override": ("constant", None, ["DEFAULT.x=1"],
+                                     "Invalid section name: 'DEFAULT'"),
+    "unknown preset": ("constant", None, ["scenario.preset=nope"],
+                       "unknown preset 'nope'; available: constant, constant-logit, trapezoid, "
+                       "triangular-gridlock"),
+    "unknown demand kind": ("constant", None, ["demand.kind=sine"], "unknown demand kind 'sine'"),
+    "unknown choice model": ("constant", None, ["choice.model=probit"],
+                             "unknown choice model 'probit'"),
+    "unknown VOT family": ("constant", None, ["choice.vot_family=normal"],
+                           "unknown VOT family 'normal'"),
+}
+
+
+@pytest.mark.parametrize("preset, ini, overrides, line", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_config_error_texts(preset, ini, overrides, line, tmp_path, capsys):
+    argv = ["analyze", "--preset", preset]
+    if ini is not None:
+        path = tmp_path / "case.ini"
+        path.write_text(ini, encoding="utf-8")
+        argv += ["--config", str(path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
 def test_keys_in_the_default_section_are_a_config_error(tmp_path, capsys):
     # the parser copies [DEFAULT] keys into every section, so none is applied as written
     path, out = tmp_path / "default.ini", tmp_path / "run.csv"

@@ -283,6 +283,23 @@ class TestConfig:
             got = leaf_fields(apply_overrides(None, "constant", [*switch, f"{key}={value}"]))
             assert {f for f in base if got[f] != base[f]} == changed, key
 
+    def test_every_flow_floor_key_is_converted(self):
+        # a floor in veh/h beats a fraction, but a fraction that does not parse is still an error
+        floor = "fd.flow_floor_veh_h=1000"
+        cfg = apply_overrides(None, "constant", [floor, "fd.flow_floor_fraction=0.5"])
+        assert cfg.fd_hot.c == cfg.fd_gp.c == 1000.0
+        with pytest.raises(ConfigError, match=r"\[fd\] flow_floor_fraction = 'x'"):
+            apply_overrides(None, "constant", [floor, "fd.flow_floor_fraction=x"])
+
+    def test_command_line_preset_beats_the_file(self, tmp_path):
+        path = tmp_path / "preset.ini"
+        path.write_text("[scenario]\npreset = constant\n")
+        assert apply_overrides(str(path), None, []) == preset("constant")
+        assert apply_overrides(str(path), "trapezoid", []) == preset("trapezoid")
+        # --set still beats --preset
+        cfg = apply_overrides(str(path), "trapezoid", ["scenario.preset=constant-logit"])
+        assert cfg == preset("constant-logit")
+
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
             apply_overrides(None, "constant", ["horizon=2"])
@@ -395,6 +412,16 @@ class TestRunner:
             until_gp_jam(cfg, stats)
         assert stats.gp_clamp_steps > 0
         assert stats.gp_dropped > 0.0
+
+    def test_reused_stats_flag_only_this_runs_clamps(self):
+        # a 300 s step drains a lane group past zero after the first row
+        cfg = replace(preset("constant"), horizon_h=1.0, dt_s=300.0, output_dt_s=300.0,
+                      initial_hot_trips=10.0, initial_gp_trips=10.0)
+        stats = SaturationStats()
+        first = quiet_run(cfg, stats=stats)
+        assert stats.hot_clamp_steps + stats.gp_clamp_steps > 0
+        assert (first[0].hot_clamped, first[0].gp_clamped) == (0, 0)
+        assert quiet_run(cfg, stats=stats) == first
 
     def test_toll_tracks_a_short_peak(self):
         # two-hour plateau: no equilibrium, toll rises through the peak and

@@ -10,12 +10,18 @@ sides alike.  The last stdout line of each run is its JSON result.
 
 The output file holds the shas, the Python version, the CPU count, every run,
 and per (workload, seed) and metric the medians, quartiles and the number of
-pairs the change won.  When ``--out`` exists its runs of other workloads or
-seeds are kept, and runs of the same workload and seed are replaced once every
-pair has run, so one file can gather several series.  When a run fails the
-script exits non-zero: if ``--out`` held no series for that workload and seed,
-the runs gathered so far are written with their summary; if it held one, the
-file is left as it was.  Stdlib only.
+pairs the change won.  A metric with a ``bound`` in the parent's
+``BENCHMARK.json`` also gets a no-regression verdict: ``worse`` when the
+change's median is worse than the parent's by more than bound x the parent
+median; else ``unresolved`` when the parent's quartiles lie further apart than
+that, unless every change run beats every parent run; else ``none``.
+
+When ``--out`` exists its runs of other workloads or seeds are kept, and runs
+of the same workload and seed are replaced once every pair has run, so one
+file can gather several series.  When a run fails the script exits non-zero:
+if ``--out`` held no series for that workload and seed, the runs gathered so
+far are written with their summary; if it held one, the file is left as it
+was.  Stdlib only.
 """
 
 import argparse
@@ -78,8 +84,23 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' quartiles, the change's wins and the median ratio."""
+def regression(parent: list[float], change: list[float], way: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``none``: the change against the parent under ``bound``."""
+    p_stats = quartiles(parent)
+    allowed = bound * abs(p_stats["median"])
+    worse_by = quartiles(change)["median"] - p_stats["median"]
+    if (worse_by if way == "lower" else -worse_by) > allowed:
+        return "worse"
+    beats_all = max(change) < min(parent) if way == "lower" else min(change) > max(parent)
+    if p_stats["q3"] - p_stats["q1"] > allowed and not beats_all:
+        return "unresolved"
+    return "none"
+
+
+def summarise(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: both sides' quartiles, the change's wins, the median ratio and,
+    for a metric in ``bounds``, the no-regression verdict."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
@@ -100,6 +121,8 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             "median_gap_over_parent_iqr":
                 abs(c_stats["median"] - p_stats["median"]) / iqr if iqr else None,
         }
+        if bounds and name in bounds:
+            out[name]["regression"] = regression(parent, change, way, bounds[name])
     for key, field in (("failed_operations", "failed"), ("attempted_operations", "attempted")):
         out[key] = {side: sum(p[side][field] for p in pairs) for side in ("parent", "change")}
     out["incorrect_runs"] = {side: sum(not p[side]["correct"] for p in pairs)
@@ -137,7 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
     })
     with open(os.path.join(args.parent_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
 
     key = (args.workload, args.seed)
     kept = [r for r in doc.get("runs", []) if (r["workload"], r["seed"]) != key]
@@ -162,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     series = {}
     for r in runs:
         series.setdefault((r["workload"], r["seed"]), []).append(r)
-    doc["summary"] = {f"{w} seed {s}": summarise(rs, better) for (w, s), rs in series.items()}
+    doc["summary"] = {f"{w} seed {s}": summarise(rs, better, bounds)
+                      for (w, s), rs in series.items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
