@@ -13,7 +13,7 @@ from .analysis import (
     LinearizedSystem,
     MaxOutflowAnalysis,
     StabilityResult,
-    atfd_growth_rates,
+    constant_equilibrium,
     equilibrium_share,
     linearized_matrix,
     loop_matrix,
@@ -50,7 +50,6 @@ from .scenario import (
     ScenarioConfig,
     SimulationRecord,
     compare_hov_hot,
-    constant_equilibrium,
     iter_csv,
     iter_run,
     metrics,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .nfd import FdParams, critical_density, flow, flow_slope
+from .nfd import FdParams, capacity, critical_density, flow, flow_slope
 
 __all__ = [
     "A1ViolationError",
@@ -22,77 +22,18 @@ __all__ = [
     "LinearizedSystem",
     "StabilityResult",
     "MaxOutflowAnalysis",
-    "check_a1",
-    "equilibrium_share",
     "triangular_growth",
-    "atfd_growth_rates",
     "linearized_matrix",
     "stability_check",
     "max_outflow_cases",
     "loop_matrix",
+    "equilibrium_share",
+    "constant_equilibrium",
 ]
 
 
 class A1ViolationError(ValueError):
     """The demand pattern does not satisfy the overload assumptions."""
-
-
-def check_a1(
-    L1: float,
-    rho_c: float,
-    u_f: float,
-    D: float,
-    e1_tilde: float,
-    e2_tilde: float,
-    L2: float | None = None,
-) -> list[str]:
-    """Return the list of violated overload conditions (empty when all hold).
-
-    The three conditions: HOV demand alone leaves the managed lanes
-    under-used, SOV demand alone overloads the GP lanes, and total demand
-    exceeds the joint capacity.  ``L2`` defaults to ``L1``.
-    """
-    if L2 is None:
-        L2 = L1
-    cap1 = L1 * rho_c * u_f
-    cap2 = L2 * rho_c * u_f
-    failures = []
-    if not e1_tilde * D < cap1:
-        failures.append(
-            f"HOV demand saturates the managed lanes: e1*D = {e1_tilde * D:.6g} "
-            f">= {cap1:.6g}"
-        )
-    if not e2_tilde * D > cap2:
-        failures.append(
-            f"SOV demand does not overload the GP lanes: e2*D = {e2_tilde * D:.6g} "
-            f"<= {cap2:.6g}"
-        )
-    if not (e1_tilde + e2_tilde) * D > cap1 + cap2:
-        failures.append(
-            f"total demand below joint capacity: {(e1_tilde + e2_tilde) * D:.6g} "
-            f"<= {cap1 + cap2:.6g}"
-        )
-    return failures
-
-
-def equilibrium_share(
-    L1: float,
-    rho_c: float,
-    u_f: float,
-    D: float,
-    e1_tilde: float,
-    e2_tilde: float,
-    L2: float | None = None,
-) -> float:
-    """Paying share that holds the managed lanes exactly at capacity.
-
-    Raises :class:`A1ViolationError` if the demand overload conditions fail,
-    listing the failed inequalities.
-    """
-    failures = check_a1(L1, rho_c, u_f, D, e1_tilde, e2_tilde, L2)
-    if failures:
-        raise A1ViolationError("; ".join(failures))
-    return (L1 * rho_c * u_f - e1_tilde * D) / (D * e2_tilde)
 
 
 def triangular_growth(
@@ -121,9 +62,8 @@ class EquilibriumPrediction:
     """Operating point under constant overload demand.
 
     ``omega0``/``omega1`` describe the travel-time-gap line omega(t) =
-    omega0 t + omega1 of the flow-floor regime for a unit-length corridor
-    (for a corridor of length L0 the measured gap slope is omega0 / L0;
-    the trip-count slope ``delta2_rate`` is geometry-exact either way).
+    omega0 t + omega1 of the flow-floor regime, and ``delta2_rate`` the GP
+    trip count's growth on it.
     """
 
     p0: float
@@ -131,35 +71,6 @@ class EquilibriumPrediction:
     omega1: float  # gap intercept [h/length]
     delta2_rate: float  # GP active-trip growth rate on the floor [veh/h]
     regime: str  # "exponential" (no floor) or "linear" (flow floor)
-
-
-def atfd_growth_rates(
-    e2_tilde: float,
-    p0: float,
-    c: float,
-    L2: float,
-    D: float,
-    delta2_t0: float,
-    u_f: float,
-) -> EquilibriumPrediction:
-    """Growth of the GP queue and of the travel-time gap on the flow floor.
-
-    ``c`` is the total GP flow floor (per-lane floor times lane count)
-    [veh/h].  The queue grows at ``omega0 * c`` vehicles per hour once the
-    floor is active; the gap line starts from the queue ``delta2_t0`` at the
-    moment the floor engages.
-    """
-    if c <= 0:
-        raise ValueError("the flow floor must be positive in the linear regime")
-    omega0 = e2_tilde * (1.0 - p0) / c - L2 / D
-    omega1 = delta2_t0 / c - 1.0 / u_f
-    return EquilibriumPrediction(
-        p0=p0,
-        omega0=omega0,
-        omega1=omega1,
-        delta2_rate=omega0 * c,
-        regime="linear",
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,4 +248,47 @@ def loop_matrix(config, lam: float, xi: float, omega: float) -> LinearizedSystem
     return linearized_matrix(
         -s / e2, s * L1 / D * flow_slope(fd, rho) / e2,
         c.k1 + c.k3 / omega, c.k2 + c.k4 / omega, L1,
+    )
+
+
+def equilibrium_share(config) -> float:
+    """Paying share that holds the managed lanes of a constant-demand config exactly at capacity.
+
+    Raises ``ValueError`` if the demand is not constant, and
+    :class:`A1ViolationError`, listing the failed inequalities, if
+    ``config.a1_warnings()`` is not empty.
+    """
+    if config.demand.kind != "constant":
+        raise ValueError("equilibrium predictions need a constant demand profile")
+    failures = config.a1_warnings()
+    if failures:
+        raise A1ViolationError("; ".join(failures))
+    L1 = config.hot_lanes * config.corridor_length
+    D = config.mean_trip_distance
+    return (L1 * capacity(config.fd_hot) - config.demand.hov_rate * D) / (D * config.demand.sov_rate)
+
+
+def constant_equilibrium(config) -> EquilibriumPrediction:
+    """The operating point of a constant-demand config, with its flow-floor queue and gap lines.
+
+    On the floor each GP lane serves the per-lane floor c, so the GP trips
+    grow at delta2' = e2 (1 - p0) - c L2 / D and the GP speed is
+    c L2 / delta2.  At the optimum the managed lanes run at critical density,
+    at their free-flow speed, so the gap is delta2 / (c L2) - 1 / u_f,HOT,
+    counted from the floor's entry density rho_j - c / w.  Without a floor
+    the regime is exponential and the lines are NaN.  Raises as
+    :func:`equilibrium_share` does.
+    """
+    p0 = equilibrium_share(config)
+    fd = config.fd_gp
+    if fd.c <= 0.0:
+        return EquilibriumPrediction(p0, math.nan, math.nan, math.nan, "exponential")
+    served = fd.c * config.gp_lanes * config.corridor_length  # c L2
+    rate = config.demand.sov_rate * (1.0 - p0) - served / config.mean_trip_distance
+    return EquilibriumPrediction(
+        p0=p0,
+        omega0=rate / served,
+        omega1=(fd.rho_j - fd.c / fd.w) / fd.c - 1.0 / config.fd_hot.u_f,
+        delta2_rate=rate,
+        regime="linear",
     )

@@ -16,7 +16,6 @@ from .presets import PRESETS, apply_overrides, section_help
 from .scenario import (
     ConfigError,
     compare_hov_hot,
-    constant_equilibrium,
     csv_rows,
     iter_csv,
     iter_run,
@@ -33,8 +32,7 @@ def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI scenario file")
     sub.add_argument(
         "--preset",
-        choices=sorted(PRESETS),
-        help="named preset used as the base configuration",
+        help=f"named preset used as the base configuration: {', '.join(sorted(PRESETS))}",
     )
     sub.add_argument(
         "--set",
@@ -92,7 +90,7 @@ def _cmd_analyze(args) -> int:
         print("demand profile is time-varying; equilibrium analysis needs constant demand")
         return EXIT_OK
     try:
-        pred = constant_equilibrium(config)
+        pred = analysis.constant_equilibrium(config)
     except analysis.A1ViolationError as exc:
         print(f"no equilibrium: {exc}")
         return EXIT_OK
@@ -103,7 +101,7 @@ def _cmd_analyze(args) -> int:
         return EXIT_OK
     print(
         f"gp queue growth {pred.delta2_rate:.6g} veh/h on the flow floor; "
-        f"unit-corridor gap line omega(t) = {pred.omega0:.6g} t + {pred.omega1:.6g}"
+        f"gap line omega(t) = {pred.omega0:.6g} t + {pred.omega1:.6g}"
     )
     omega = pred.omega0 * at_time + pred.omega1
     if not omega > 0.0:

@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from . import analysis
+from .analysis import constant_equilibrium  # noqa: F401  the name scenario.constant_equilibrium
 from .bathtub import HotGridlockError, SaturationStats, jam_trip_cap
 from .controller import ControllerState
 from .lane_choice import ExponentialVot, LogitChoice, UeChoice
-from .nfd import PHASE_TOLERANCE, FdParams, Phase, critical_density
+from .nfd import PHASE_TOLERANCE, FdParams, Phase, capacity, critical_density
 
 __all__ = [
     "DemandProfile",
@@ -36,7 +36,6 @@ __all__ = [
     "write_csv",
     "iter_csv",
     "read_csv",
-    "constant_equilibrium",
     "CSV_COLUMNS",
 ]
 
@@ -181,16 +180,28 @@ class ScenarioConfig:
             raise ConfigError("initial trip counts cannot be negative")
 
     def a1_warnings(self) -> list[str]:
-        hov_peak, sov_peak = self.demand.peak_rates()
-        return analysis.check_a1(
-            L1=self.hot_lanes * self.corridor_length,
-            rho_c=critical_density(self.fd_hot),
-            u_f=self.fd_hot.u_f,
-            D=self.mean_trip_distance,
-            e1_tilde=hov_peak,
-            e2_tilde=sov_peak,
-            L2=self.gp_lanes * self.corridor_length,
-        )
+        """The violated overload (A1) conditions at peak demand; empty when all hold.
+
+        HOV demand alone leaves the managed lanes under-used, SOV demand alone
+        overloads the GP lanes, and total demand exceeds the joint capacity.
+        Demand counts as rate times trip length, and each group's capacity as
+        its lanes times the corridor length times its own diagram's capacity.
+        """
+        e1, e2 = self.demand.peak_rates()
+        D = self.mean_trip_distance
+        cap1 = self.hot_lanes * self.corridor_length * capacity(self.fd_hot)
+        cap2 = self.gp_lanes * self.corridor_length * capacity(self.fd_gp)
+        failures = []
+        if not e1 * D < cap1:
+            failures.append(
+                f"HOV demand saturates the managed lanes: e1*D = {e1 * D:.6g} >= {cap1:.6g}")
+        if not e2 * D > cap2:
+            failures.append(
+                f"SOV demand does not overload the GP lanes: e2*D = {e2 * D:.6g} <= {cap2:.6g}")
+        if not (e1 + e2) * D > cap1 + cap2:
+            failures.append(
+                f"total demand below joint capacity: {(e1 + e2) * D:.6g} <= {cap1 + cap2:.6g}")
+        return failures
 
 
 class SimulationRecord(NamedTuple):
@@ -522,40 +533,6 @@ def compare_hov_hot(config: ScenarioConfig) -> ComparisonResult:
     hot, hov = (metrics(_stream(replace(config, mode=mode), None), config.mean_trip_distance)
                 for mode in ("hot", "hov"))
     return ComparisonResult(hov=hov, hot=hot)
-
-
-def constant_equilibrium(config: ScenarioConfig) -> analysis.EquilibriumPrediction:
-    """Equilibrium prediction for a constant-demand scenario.
-
-    Uses the configured HOT-side demand split and the GP flow floor; raises
-    if the demand profile is not constant or violates the overload
-    assumptions.
-    """
-    if config.demand.kind != "constant":
-        raise ConfigError("equilibrium predictions need a constant demand profile")
-    L1 = config.hot_lanes * config.corridor_length
-    L2 = config.gp_lanes * config.corridor_length
-    rho_c = critical_density(config.fd_hot)
-    p0 = analysis.equilibrium_share(
-        L1, rho_c, config.fd_hot.u_f, config.mean_trip_distance,
-        config.demand.hov_rate, config.demand.sov_rate, L2,
-    )
-    if config.fd_gp.c <= 0.0:
-        return analysis.EquilibriumPrediction(
-            p0=p0, omega0=math.nan, omega1=math.nan,
-            delta2_rate=math.nan, regime="exponential",
-        )
-    floor_total = config.fd_gp.c * config.gp_lanes
-    floor_entry_trips = (config.fd_gp.rho_j - config.fd_gp.c / config.fd_gp.w) * L2
-    return analysis.atfd_growth_rates(
-        e2_tilde=config.demand.sov_rate,
-        p0=p0,
-        c=floor_total,
-        L2=L2,
-        D=config.mean_trip_distance,
-        delta2_t0=floor_entry_trips,
-        u_f=config.fd_gp.u_f,
-    )
 
 
 # What csv.writer writes for these rows: no phase label or flag needs quoting,

@@ -8,8 +8,7 @@ import pytest
 
 from hotlanes.analysis import (
     A1ViolationError,
-    atfd_growth_rates,
-    check_a1,
+    constant_equilibrium,
     equilibrium_share,
     linearized_matrix,
     loop_matrix,
@@ -18,46 +17,56 @@ from hotlanes.analysis import (
     triangular_growth,
 )
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
-from hotlanes.nfd import critical_density, flow, flow_slope
+from hotlanes.nfd import FdParams, capacity, critical_density, flow, flow_slope
 from hotlanes.presets import preset
 from hotlanes.scenario import DemandProfile, ScenarioConfig
 
 RHO_C = 70.0 / 3.0
 
 
+def study(hov=2000.0, sov=8600.0):
+    """The constant preset on a 10 km corridor with the given constant demand."""
+    return replace(preset("constant"), corridor_length=10.0,
+                   demand=DemandProfile(hov_rate=hov, sov_rate=sov))
+
+
 class TestEquilibriumShare:
     def test_study_parameters(self):
-        p0 = equilibrium_share(10.0, 23.333, 100.0, 5.0, 2000.0, 8600.0)
+        p0 = equilibrium_share(study())
         assert p0 == pytest.approx(13333.0 / 43000.0, rel=1e-3)
         assert p0 == pytest.approx(0.3101, rel=1e-3)
 
     def test_share_in_unit_interval(self):
-        p0 = equilibrium_share(1.0, RHO_C, 100.0, 5.0, 200.0, 860.0)
+        p0 = equilibrium_share(preset("constant"))
         assert 0.0 < p0 < 1.0
 
     def test_doubling_sov_demand_halves_share(self):
-        p0 = equilibrium_share(10.0, RHO_C, 100.0, 5.0, 2000.0, 8600.0)
-        p0_double = equilibrium_share(10.0, RHO_C, 100.0, 5.0, 2000.0, 17200.0)
+        p0 = equilibrium_share(study())
+        p0_double = equilibrium_share(study(sov=17200.0))
         assert p0_double == pytest.approx(p0 / 2.0)
 
     def test_saturating_hov_demand_rejected(self):
         # numerator <= 0 sits on or beyond the overload boundary
         e1 = 10.0 * RHO_C * 100.0 / 5.0 * (1.0 + 1e-9)
         with pytest.raises(A1ViolationError, match="HOV demand"):
-            equilibrium_share(10.0, RHO_C, 100.0, 5.0, e1, 8600.0)
+            equilibrium_share(study(hov=e1))
 
     def test_share_vanishes_near_hov_saturation(self):
         e1 = 10.0 * RHO_C * 100.0 / 5.0
-        p0 = equilibrium_share(10.0, RHO_C, 100.0, 5.0, e1 * (1 - 1e-9), 8600.0)
+        p0 = equilibrium_share(study(hov=e1 * (1 - 1e-9)))
         assert p0 == pytest.approx(0.0, abs=1e-9)
 
     def test_low_sov_demand_rejected(self):
         with pytest.raises(A1ViolationError, match="SOV demand"):
-            equilibrium_share(10.0, RHO_C, 100.0, 5.0, 2000.0, 3000.0)
+            equilibrium_share(study(sov=3000.0))
 
     def test_check_a1_lists_all_failures(self):
-        failures = check_a1(10.0, RHO_C, 100.0, 5.0, 4700.0, 100.0)
+        failures = study(hov=4700.0, sov=100.0).a1_warnings()
         assert len(failures) == 3
+
+    def test_time_varying_demand_rejected(self):
+        with pytest.raises(ValueError, match="constant demand"):
+            equilibrium_share(preset("trapezoid"))
 
 
 class TestTriangularGrowth:
@@ -77,26 +86,42 @@ class TestTriangularGrowth:
 
 
 class TestAtfdGrowthRates:
+    """The flow-floor (ATFD) queue and gap lines of ``constant_equilibrium``."""
+
     def test_study_parameters(self):
-        pred = atfd_growth_rates(
-            e2_tilde=8600.0, p0=0.3101, c=1866.7, L2=10.0, D=5.0,
-            delta2_t0=466.7, u_f=100.0,
-        )
-        assert pred.omega0 == pytest.approx(8600.0 * (1 - 0.3101) / 1866.7 - 2.0, rel=1e-12)
-        assert pred.omega0 == pytest.approx(1.178, rel=1e-3)
-        assert pred.delta2_rate == pytest.approx(pred.omega0 * 1866.7)
-        assert pred.omega1 == pytest.approx(466.7 / 1866.7 - 0.01)
+        cfg = study()
+        pred = constant_equilibrium(cfg)
+        c = cfg.fd_gp.c
+        assert c == pytest.approx(1866.67, rel=1e-5)
+        assert pred.p0 == pytest.approx(equilibrium_share(cfg))
+        assert pred.delta2_rate == pytest.approx(8600.0 * (1 - pred.p0) - c * 10.0 / 5.0, rel=1e-12)
+        assert pred.delta2_rate == pytest.approx(2200.0, rel=1e-9)
+        assert pred.omega0 == pytest.approx(pred.delta2_rate / (c * 10.0), rel=1e-12)
+        assert pred.omega1 == pytest.approx((140.0 - c / 20.0) / c - 0.01, rel=1e-12)
+        assert pred.regime == "linear"
 
     def test_balanced_floor_has_zero_slope(self):
-        c, L2, d = 1866.67, 10.0, 5.0
-        p0 = 0.31008
-        e2 = c * L2 / d / (1.0 - p0)
-        pred = atfd_growth_rates(e2, p0, c, L2, d, 500.0, 100.0)
+        # delta2' = ((e1 + e2) D - L1 C1 - L2 c) / D: a floor below capacity C2 keeps the
+        # queue growing whenever A1 holds, so the slope reaches 0 only with the floor at
+        # capacity and total demand at the joint capacity
+        fd_ramp = replace(study().fd_gp, c=capacity(study().fd_gp))
+        joint = 2.0 * 10.0 * RHO_C * 100.0
+        pred = constant_equilibrium(replace(study(sov=joint * (1 + 1e-12) / 5.0 - 2000.0),
+                                            fd_gp=fd_ramp))
         assert pred.omega0 == pytest.approx(0.0, abs=1e-12)
+        assert pred.delta2_rate == pytest.approx(0.0, abs=1e-6)
 
     def test_requires_positive_floor(self):
-        with pytest.raises(ValueError):
-            atfd_growth_rates(8600.0, 0.31, 0.0, 10.0, 5.0, 500.0, 100.0)
+        pred = constant_equilibrium(preset("triangular-gridlock"))
+        assert pred.regime == "exponential"
+        assert math.isnan(pred.omega0) and math.isnan(pred.omega1)
+        assert math.isnan(pred.delta2_rate)
+
+    def test_gap_intercept_uses_the_hot_free_flow_speed(self):
+        # at the optimum the managed lanes run at critical density, at their own u_f
+        cfg = replace(study(), fd_gp=FdParams(u_f=60.0, w=20.0, rho_j=140.0, c=1866.67))
+        pred = constant_equilibrium(cfg)
+        assert pred.omega1 == pytest.approx((140.0 - 1866.67 / 20.0) / 1866.67 - 1.0 / 100.0)
 
 
 class TestLinearizedMatrix:
@@ -263,7 +288,7 @@ class TestChoiceSensitivity:
         # at lam = xi = 0 the UE toll slope is -mean / p, so H = mean / (p e2)
         h = loop_matrix(one_lane(fd_floor), 0.0, 0.0, 0.1).H
         p = 50.0 / (h * 860.0)
-        assert p == pytest.approx(equilibrium_share(1.0, RHO_C, 100.0, 5.0, 200.0, 860.0), rel=1e-9)
+        assert p == pytest.approx(equilibrium_share(preset("constant")), rel=1e-9)
 
     def test_decreasing_in_residual_service(self, fd_floor):
         # at rho1 = 10 the share at xi = 0 is exactly 0 (g1 L1 / D = e1), where

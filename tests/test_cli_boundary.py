@@ -178,6 +178,9 @@ CONFIG_ERRORS = {
     "unknown preset": ("constant", None, ["scenario.preset=nope"],
                        "unknown preset 'nope'; available: constant, constant-logit, trapezoid, "
                        "triangular-gridlock"),
+    "unknown --preset": ("nope", None, [],
+                         "unknown preset 'nope'; available: constant, constant-logit, trapezoid, "
+                         "triangular-gridlock"),
     "unknown demand kind": ("constant", None, ["demand.kind=sine"], "unknown demand kind 'sine'"),
     "unknown choice model": ("constant", None, ["choice.model=probit"],
                              "unknown choice model 'probit'"),

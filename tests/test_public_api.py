@@ -37,3 +37,20 @@ def test_no_module_imports_inside_a_function():
                 found += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside a function at {found}"
+
+
+def test_names_the_benchmark_calls_resolve():
+    """Every hotlanes attribute the benchmark's workloads read exists, so a deletion fails here."""
+    path = Path(__file__).parents[1] / "benchmark" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "hotlanes"
+               for alias in node.names}
+    assert {"scenario", "bathtub", "presets", "cli"} <= set(modules)
+    read = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    missing = sorted(f"{module}.{attr}" for module, attr in read
+                     if not hasattr(importlib.import_module(f"hotlanes.{module}"), attr))
+    assert read and not missing, f"benchmark/workloads.py reads undefined {missing}"
+    assert callable(hotlanes.ScenarioConfig.a1_warnings)

@@ -1001,6 +1001,16 @@ class TestCli:
         assert "eigenvalues [-1.219+0j, -161.5+0j] -> stable" in out
         assert "eigenvalues [-1.431+0j, -146.6+0j] -> stable" in out
 
+    def test_analyze_checks_each_group_against_its_own_diagram(self, capsys):
+        # GP capacity 60 * 35 = 2100 veh/h/lane, so e2*D = 2150 overloads the GP lanes;
+        # the managed lanes keep 2333.33, and the joint capacity is 4433.33
+        argv = ["analyze", "--preset", "constant", "--set", "fd.gp.free_flow_kmh=60",
+                "--set", "demand.sov_veh_h=430"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "SOV demand does not overload" not in out
+        assert "warning: total demand below joint capacity: 3150 <= 4433.33\n" in out
+
     @pytest.mark.parametrize("model", ["ue", "logit"])
     def test_analyze_without_a_flow_floor_has_no_gap_line(self, model, capsys):
         outs = []
