@@ -12,13 +12,11 @@ from .analysis import (
     EquilibriumPrediction,
     LinearizedSystem,
     MaxOutflowAnalysis,
-    StabilityResult,
     constant_equilibrium,
     equilibrium_share,
     linearized_matrix,
     loop_matrix,
     max_outflow_cases,
-    stability_check,
     triangular_growth,
 )
 from .bathtub import HotGridlockError, SaturationStats
@@ -32,7 +30,6 @@ from .estimation import (
 from .lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
 from .nfd import (
     FdParams,
-    Phase,
     capacity,
     classify_phase,
     critical_density,

@@ -14,17 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .nfd import FdParams, capacity, critical_density, flow, flow_slope
+from .nfd import capacity, critical_density, flow, flow_slope
 
 __all__ = [
     "A1ViolationError",
     "EquilibriumPrediction",
     "LinearizedSystem",
-    "StabilityResult",
     "MaxOutflowAnalysis",
     "triangular_growth",
     "linearized_matrix",
-    "stability_check",
     "max_outflow_cases",
     "loop_matrix",
     "equilibrium_share",
@@ -98,6 +96,22 @@ class LinearizedSystem:
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
 
+    @property
+    def eigenvalues(self) -> tuple[complex, complex]:
+        """Both roots of the characteristic quadratic, the ``+`` root first."""
+        half_tr = self.trace / 2.0
+        root = cmath.sqrt(complex(half_tr * half_tr - self.det, 0.0))
+        return half_tr + root, half_tr - root
+
+    @property
+    def stable(self) -> bool:
+        """Asymptotic stability: both real parts negative.
+
+        For this matrix that reduces to trace < 0, since the determinant
+        is positive whenever the gains are.
+        """
+        return all(z.real < 0 for z in self.eigenvalues)
+
 
 def linearized_matrix(H: float, J: float, K1: float, K2: float, L1: float) -> LinearizedSystem:
     """Build the linearized closed-loop matrix; requires H > 0."""
@@ -115,28 +129,6 @@ def linearized_matrix(H: float, J: float, K1: float, K2: float, L1: float) -> Li
         K1=K1,
         K2=K2,
     )
-
-
-@dataclass(frozen=True, slots=True)
-class StabilityResult:
-    eigenvalues: tuple[complex, complex]
-    stable: bool
-
-
-def stability_check(sys: LinearizedSystem) -> StabilityResult:
-    """Eigenvalues of the 2x2 system and an asymptotic-stability verdict.
-
-    Solved from the characteristic quadratic; stable iff both real parts are
-    negative, which for this matrix reduces to trace < 0 (the determinant is
-    positive whenever the gains are).
-    """
-    half_tr = sys.trace / 2.0
-    disc = half_tr * half_tr - sys.det
-    root = cmath.sqrt(complex(disc, 0.0))
-    lam1 = half_tr + root
-    lam2 = half_tr - root
-    stable = lam1.real < 0 and lam2.real < 0
-    return StabilityResult(eigenvalues=(lam1, lam2), stable=stable)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,19 +154,21 @@ class MaxOutflowAnalysis:
     g_b: Callable[[float], float]
 
 
-def max_outflow_cases(
-    rho_tot: float, fd: FdParams, L0: float, lanes: float, D: float
-) -> MaxOutflowAnalysis:
-    """Characterize the outflow-maximizing density split between lane groups.
+def max_outflow_cases(config, rho_tot: float) -> MaxOutflowAnalysis:
+    """Characterize the outflow-maximizing density split between the lane groups of ``config``.
 
-    ``rho_tot`` is the combined per-lane density of both groups.  Only the
-    triangular diagram (no flow floor) is supported, matching the analytic
-    piecewise forms.
+    ``rho_tot`` is the combined per-lane density of both groups.  The
+    analytic piecewise forms need both groups to share one plain triangular
+    diagram (no flow floor) and one lane count; otherwise this raises
+    ``ValueError``.
     """
+    fd = config.fd_hot
+    if config.fd_gp != fd or config.gp_lanes != config.hot_lanes:
+        raise ValueError("outflow characterization needs both groups on one diagram and lane count")
     if fd.c != 0.0:
         raise ValueError("outflow characterization assumes a plain triangular diagram")
     rho_c = critical_density(fd)
-    scale = L0 * lanes / D
+    scale = config.hot_lanes * config.corridor_length / config.mean_trip_distance
     u_f, w, rho_j = fd.u_f, fd.w, fd.rho_j
     if not 0.0 <= rho_tot <= 2.0 * rho_j:
         raise ValueError("total density outside the physical range")

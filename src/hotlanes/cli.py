@@ -1,7 +1,8 @@
 """Command line interface: run scenarios, analyze equilibria, estimate VOT.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime abort (managed-lane
-gridlock, or a state that overflows the floats), 3 estimation infeasible.
+Exit codes: 0 success, 1 configuration error (a bad command line is one),
+2 runtime abort (managed-lane gridlock, or a state that overflows the
+floats), 3 estimation infeasible.
 """
 
 import argparse
@@ -70,11 +71,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        at_time, phase_offset = float(args.at_time), float(args.phase_offset)
-    except ValueError as exc:
-        raise ConfigError(
-            f"--at-time {args.at_time!r}, --phase-offset {args.phase_offset!r}: {exc}") from None
+    at_time, phase_offset = args.at_time, args.phase_offset
     if not math.isfinite(at_time):
         raise ConfigError(f"--at-time must be finite, got {at_time}")
     if not (math.isfinite(phase_offset) and phase_offset > 0):
@@ -113,19 +110,15 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(
                 f"--phase-offset {phase_offset:g} gives no valid {label} state: {exc}"
             ) from None
-        res = analysis.stability_check(sysm)
-        eig = ", ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in res.eigenvalues)
-        verdict = "stable" if res.stable else "unstable"
+        eig = ", ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in sysm.eigenvalues)
+        verdict = "stable" if sysm.stable else "unstable"
         print(f"{label} (lam={lam:+.3g}): H={sysm.H:.6g}, J={sysm.J:.6g}, K1={sysm.K1:.6g}, "
               f"K2={sysm.K2:.6g}, eigenvalues [{eig}] -> {verdict}")
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    try:
-        bins, alpha_star = int(args.bins), float(args.alpha_star)
-    except ValueError as exc:
-        raise ConfigError(f"--bins {args.bins!r}, --alpha-star {args.alpha_star!r}: {exc}") from None
+    bins, alpha_star = args.bins, args.alpha_star
     if bins < 1:
         raise ConfigError(f"--bins must be at least 1, got {bins}")
     if not (math.isfinite(alpha_star) and alpha_star > 0):
@@ -174,8 +167,15 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1), subcommands included."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hotlanes",
         description="Managed-lane dynamic pricing simulator",
         epilog=section_help(),
@@ -190,13 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="equilibrium and stability predictions")
     _add_config_args(p_an)
-    # Parsed by _cmd_analyze, so a bad value is a config error (exit 1), not a usage error.
     p_an.add_argument(
-        "--at-time", default="2.0",
+        "--at-time", type=float, default=2.0,
         help="evaluation time [h] for the gap-dependent sensitivities",
     )
     p_an.add_argument(
-        "--phase-offset", default="1.0",
+        "--phase-offset", type=float, default=1.0,
         help="excess density magnitude used for the per-phase sensitivities",
     )
     p_an.set_defaults(func=_cmd_analyze)
@@ -204,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="recover VOT information from a record CSV")
     p_est.add_argument("--records", required=True, help="CSV produced by the run command")
     p_est.add_argument("--model", choices=("ue", "logit"), required=True)
-    # Parsed by _cmd_estimate, so a bad value is a config error (exit 1), not a usage error.
-    p_est.add_argument("--alpha-star", default="1.0", help="logit scale parameter")
-    p_est.add_argument("--bins", default="40", help="abscissa bins for CDF pooling")
+    p_est.add_argument("--alpha-star", type=float, default=1.0, help="logit scale parameter")
+    p_est.add_argument("--bins", type=int, default=40, help="abscissa bins for CDF pooling")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_cmp = sub.add_parser("compare", help="run HOV and HOT modes and compare metrics")
@@ -216,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (ConfigError, analysis.A1ViolationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,9 +5,9 @@ drivers with a value of time above ``u / omega`` pay, so the paying share is
 the upper tail of the VOT distribution.  Under the fixed-VOT logit model the
 share follows a logistic curve in the toll.  Both are invertible in the toll,
 which is what the estimation module exploits.  A model answers ``share(u,
-omega)``, ``toll_line(p)`` and ``inverse_toll(p, omega)``.  The toll that
-yields share ``p`` is affine in the gap, ``u = A * omega + B``; ``toll_line``
-returns ``(A, B, dA/dp, dB/dp)``, which is all the loop linearization needs.
+omega)`` and ``toll_line(p)``.  The toll that yields share ``p`` is affine in
+the gap, ``u = A * omega + B``; ``toll_line`` returns ``(A, B, dA/dp,
+dB/dp)``, which is all the loop linearization needs.
 
 The scenario step loop specializes the two built-in models: it computes the
 share of ``UeChoice`` with an ``ExponentialVot`` and of ``LogitChoice``
@@ -126,13 +126,6 @@ class UeChoice:
             raise ValueError("target share must be in (0, 1]; p = 0 needs an unbounded toll")
         return self.dist.tail_value(p), 0.0, self.dist.tail_value_slope(p), 0.0
 
-    def inverse_toll(self, p: float, omega: float) -> float:
-        """Toll that yields paying share ``p``: omega * z(p)."""
-        a, b, _, _ = self.toll_line(p)
-        if omega < 0:
-            raise ValueError("travel time gap cannot be negative")
-        return a * omega + b
-
 
 @dataclass(frozen=True, slots=True)
 class LogitChoice:
@@ -164,20 +157,10 @@ class LogitChoice:
         """``(A, B, dA/dp, dB/dp)`` of the toll ``A * omega + B`` that yields share ``p``.
 
         A = pi* and B = ln(1/p - 1) / alpha*, so dB/dp = -1 / (alpha* p (1 - p)).
+        The toll is negative when ``p`` exceeds the zero-toll share; clamping
+        it at 0 is the pricing controller's job, not the choice model's.
         """
         if not 0.0 < p < 1.0:
             raise ValueError("target share must be in (0, 1); the toll is unbounded at 0 or 1")
         alpha = self.alpha_star
         return self.pi_star, math.log(1.0 / p - 1.0) / alpha, 0.0, -1.0 / (alpha * p * (1.0 - p))
-
-    def inverse_toll(self, p: float, omega: float) -> float:
-        """Toll that yields paying share ``p``.
-
-        Returns the raw inverse, which is negative when the share target
-        exceeds the zero-toll share; clamping to a non-negative toll is the
-        pricing controller's job, not the choice model's.
-        """
-        a, b, _, _ = self.toll_line(p)
-        if omega < 0:
-            raise ValueError("travel time gap cannot be negative")
-        return a * omega + b

@@ -7,11 +7,9 @@ triangular diagram; ``c = capacity`` gives a ramp-shaped diagram.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
     "FdParams",
-    "Phase",
     "critical_density",
     "capacity",
     "speed",
@@ -25,14 +23,6 @@ __all__ = [
 PHASE_TOLERANCE = 1e-9
 
 _INF = float("inf")
-
-
-class Phase(Enum):
-    """Traffic phase relative to the critical density."""
-
-    SUC = "SUC"  # strictly under-critical (free flow)
-    C = "C"      # critical (at capacity)
-    SOC = "SOC"  # strictly over-critical (hypercongestion)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +66,8 @@ def speed(params: FdParams, rho: float) -> float:
 
     Returns ``u_f`` at zero density (right-limit convention).  With a flow
     floor the speed stays positive at any density; without one it reaches
-    zero at the jam density.  The step loop calls this twice per step, so the
-    clamps are comparisons, not ``min``/``max`` calls.
+    zero at the jam density.  The step loop inlines this expression rather
+    than calling it.
     """
     if not 0.0 <= rho < _INF:
         raise ValueError(f"density must be non-negative and finite, got {rho}")
@@ -117,15 +107,17 @@ def flow_slope(params: FdParams, rho: float, side: str = "right") -> float:
     return 0.0
 
 
-def classify_phase(params: FdParams, rho: float) -> Phase:
-    """Classify a density as under-critical, critical or over-critical.
+def classify_phase(params: FdParams, rho: float) -> str:
+    """The traffic phase of a density: ``"SUC"``, ``"C"`` or ``"SOC"``.
 
-    The critical phase is detected within ``PHASE_TOLERANCE`` in density;
-    exact float equality would be meaningless.
+    Strictly under-critical (free flow), critical (at capacity) or strictly
+    over-critical (hypercongestion), the labels the records carry.  The
+    critical phase is detected within ``PHASE_TOLERANCE`` in density; exact
+    float equality would be meaningless.
     """
     if not 0.0 <= rho < _INF:
         raise ValueError(f"density must be non-negative and finite, got {rho}")
     rho_c = critical_density(params)
     if abs(rho - rho_c) <= PHASE_TOLERANCE:
-        return Phase.C
-    return Phase.SUC if rho < rho_c else Phase.SOC
+        return "C"
+    return "SUC" if rho < rho_c else "SOC"

@@ -18,7 +18,7 @@ from .analysis import constant_equilibrium  # noqa: F401  the name scenario.cons
 from .bathtub import HotGridlockError, SaturationStats, jam_trip_cap
 from .controller import ControllerState
 from .lane_choice import ExponentialVot, LogitChoice, UeChoice
-from .nfd import PHASE_TOLERANCE, FdParams, Phase, capacity, critical_density
+from .nfd import PHASE_TOLERANCE, FdParams, capacity, critical_density
 
 __all__ = [
     "DemandProfile",
@@ -170,8 +170,9 @@ class ScenarioConfig:
             raise ConfigError(f"horizon_h * 3600 / dt_s exceeds {self.MAX_STEPS:.0e} steps")
         if self.output_dt_s < self.dt_s:
             raise ConfigError("output cadence cannot be finer than dt")
-        if self.control_decimation < 1:
-            raise ConfigError("control decimation must be >= 1")
+        if not (isinstance(self.control_decimation, int) and self.control_decimation >= 1):
+            raise ConfigError(
+                f"control decimation must be an integer >= 1, got {self.control_decimation!r}")
         if min(self.corridor_length, self.mean_trip_distance) <= 0:
             raise ConfigError("geometry values must be positive")
         if min(self.hot_lanes, self.gp_lanes) < 1:
@@ -322,7 +323,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     uf1, w1, rj1, c1 = fd_hot.u_f, fd_hot.w, fd_hot.rho_j, fd_hot.c
     uf2, w2, rj2, c2 = fd_gp.u_f, fd_gp.w, fd_gp.rho_j, fd_gp.c
     rho_c1, rho_c2 = critical_density(fd_hot), critical_density(fd_gp)
-    SUC, C, SOC, tol = Phase.SUC.value, Phase.C.value, Phase.SOC.value, PHASE_TOLERANCE
+    SUC, C, SOC, tol = "SUC", "C", "SOC", PHASE_TOLERANCE
     D = config.mean_trip_distance
     L1 = config.hot_lanes * config.corridor_length
     L2 = config.gp_lanes * config.corridor_length

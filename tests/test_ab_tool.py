@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,8 +103,12 @@ def checkouts(tmp_path):
 
 
 def fake_runs(monkeypatch, dirs, fail_at=None):
-    """Replace ``run_once``: the change runs in 1 s, the parent in 2 s; run ``fail_at`` fails."""
+    """Replace ``run_once``: the change runs in 1 s, the parent in 2 s; run ``fail_at`` fails.
+
+    The bare interpreter probe reads 0.05 s without starting one.
+    """
     calls = []
+    monkeypatch.setattr(ab, "bare_start_s", lambda: 0.05)
 
     def fake_run_once(root, workload, seed, seconds):
         calls.append(root)
@@ -209,3 +214,26 @@ def test_main_reads_the_bounds_next_to_better(tmp_path, monkeypatch):
     summary = json.loads(out.read_text())["summary"]["closed-loop seed 7"]
     assert summary["run_s"]["regression"] == "none"
     assert "regression" not in summary["sim_h_per_s"]
+
+
+def test_header_stamps_bytecode_writing_and_the_bare_start(tmp_path, monkeypatch):
+    real_probe, real_run = ab.bare_start_s, ab.subprocess.run
+    dirs = checkouts(tmp_path)
+    fake_runs(monkeypatch, dirs)
+    monkeypatch.setattr(ab, "bare_start_s", real_probe)
+    starts = []
+
+    def counting_run(cmd, **kwargs):
+        if cmd[1:] == ["-c", "pass"]:
+            starts.append(cmd[0])
+        return real_run(cmd, **kwargs)
+
+    monkeypatch.setattr(ab.subprocess, "run", counting_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 1) == 0
+    doc = json.loads(out.read_text())
+    assert doc["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert doc["dont_write_bytecode"] == sys.flags.dont_write_bytecode
+    assert starts == [sys.executable] * 5
+    assert 0.0 < doc["bare_start_s"] < 60.0

@@ -19,7 +19,6 @@ from hotlanes.analysis import (
     linearized_matrix,
     loop_matrix,
     max_outflow_cases,
-    stability_check,
     triangular_growth,
 )
 from hotlanes.controller import ControllerState
@@ -254,10 +253,10 @@ def test_criterion_4_stability_verdicts(criterion):
         k1 = rng.uniform(0.1, 20.0)
         k2 = rng.uniform(0.1, 20.0)
         L1 = rng.uniform(0.5, 20.0)
-        verdict = stability_check(linearized_matrix(h, j, k1, k2, L1)).stable
+        verdict = linearized_matrix(h, j, k1, k2, L1).stable
         if verdict != (j - k2 * L1 < 0.0):
             mismatches += 1
-    res = stability_check(linearized_matrix(1.0, 0.0, 8.0, 5.0, 10.0))
+    res = linearized_matrix(1.0, 0.0, 8.0, 5.0, 10.0)
     eigs = sorted(z.real for z in res.eigenvalues)
     worked_ok = abs(eigs[0] + 4.8345) <= 1e-4 and abs(eigs[1] + 0.1655) <= 1e-4
     ok = mismatches == 0 and worked_ok
@@ -305,12 +304,16 @@ def test_criterion_5_triangular_gridlock(criterion):
 
 def test_criterion_6_max_outflow_brute_force(criterion, fd_triangular):
     rho_j = fd_triangular.rho_j
+    two_groups = ScenarioConfig(  # one lane per group on a 10 km corridor, D = 5 km
+        fd_hot=fd_triangular, fd_gp=fd_triangular, demand=DemandProfile(),
+        corridor_length=10.0, hot_lanes=1.0, gp_lanes=1.0, mean_trip_distance=5.0,
+    )
     grid_step = 1e-3 * rho_j
     worst_gap = 0.0
     stray = 0
     for k in range(1, 21):
         rho_tot = RHO_C + k / 21.0 * (2.0 * rho_j - RHO_C)
-        res = max_outflow_cases(rho_tot, fd_triangular, 10.0, 1.0, 5.0)
+        res = max_outflow_cases(two_groups, rho_tot)
         n = int((res.feasible_hi - res.feasible_lo) / grid_step) + 1
         best = -1.0
         argmaxes = []
@@ -347,9 +350,11 @@ def test_criterion_7_choice_model_properties(criterion, fd_floor):
     round_trip_err = 0.0
     for p in [0.02 + 0.46 * i / 19.0 for i in range(20)]:
         for om in omegas:
-            u_ue = UE50.inverse_toll(p, om)
+            a_ue, b_ue, _, _ = UE50.toll_line(p)
+            u_ue = a_ue * om + b_ue
             round_trip_err = max(round_trip_err, abs(UE50.share(u_ue, om) - p) / p)
-            u_lg = LOGIT50.inverse_toll(p, om)
+            a_lg, b_lg, _, _ = LOGIT50.toll_line(p)
+            u_lg = a_lg * om + b_lg
             if u_lg >= 0.0:
                 round_trip_err = max(
                     round_trip_err, abs(LOGIT50.share(u_lg, om) - p) / p

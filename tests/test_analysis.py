@@ -13,7 +13,6 @@ from hotlanes.analysis import (
     linearized_matrix,
     loop_matrix,
     max_outflow_cases,
-    stability_check,
     triangular_growth,
 )
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
@@ -149,8 +148,7 @@ class TestLinearizedMatrix:
 
 class TestStability:
     def test_worked_eigenvalues(self):
-        sys = linearized_matrix(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
-        res = stability_check(sys)
+        res = linearized_matrix(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
         eigs = sorted(z.real for z in res.eigenvalues)
         assert eigs[0] == pytest.approx(-4.8345, abs=1e-4)
         assert eigs[1] == pytest.approx(-0.1655, abs=1e-4)
@@ -164,35 +162,40 @@ class TestStability:
                 K1=rng.uniform(0.1, 20.0), K2=rng.uniform(0.1, 20.0),
                 L1=rng.uniform(0.5, 20.0),
             )
-            assert stability_check(sys).stable
+            assert sys.stable
 
     def test_over_critical_needs_large_k2(self):
         unstable = linearized_matrix(H=1.0, J=100.0, K1=8.0, K2=5.0, L1=10.0)
-        assert not stability_check(unstable).stable
+        assert not unstable.stable
         stable = linearized_matrix(H=1.0, J=100.0, K1=8.0, K2=15.0, L1=10.0)
-        assert stability_check(stable).stable
+        assert stable.stable
 
     def test_complex_pair_classified_by_real_part(self):
         # small damping, large coupling: complex eigenvalues
-        sys = linearized_matrix(H=1.0, J=-0.5, K1=100.0, K2=0.1, L1=1.0)
-        res = stability_check(sys)
+        res = linearized_matrix(H=1.0, J=-0.5, K1=100.0, K2=0.1, L1=1.0)
         assert res.eigenvalues[0].imag != 0.0
         assert res.stable
 
 
+def two_groups(fd, lanes=1.0):
+    """Both lane groups on ``fd`` with ``lanes`` lanes each on a 10 km corridor, D = 5 km."""
+    return ScenarioConfig(fd_hot=fd, fd_gp=fd, demand=DemandProfile(), corridor_length=10.0,
+                          hot_lanes=lanes, gp_lanes=lanes, mean_trip_distance=5.0)
+
+
 class TestMaxOutflow:
     def test_critical_split_matches_congested_plateau(self, fd_triangular):
-        res = max_outflow_cases(60.0, fd_triangular, 10.0, 1.0, 5.0)
+        res = max_outflow_cases(two_groups(fd_triangular), 60.0)
         assert res.g_a(RHO_C) == pytest.approx(res.g_c, rel=1e-9)
         assert res.g_b(60.0 - RHO_C) == pytest.approx(res.g_c, rel=1e-9)
 
     def test_double_jam_has_zero_outflow(self, fd_triangular):
-        res = max_outflow_cases(280.0, fd_triangular, 10.0, 1.0, 5.0)
+        res = max_outflow_cases(two_groups(fd_triangular), 280.0)
         assert res.max_outflow == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("rho_tot", [30.0, 60.0, 120.0, 200.0, 260.0])
     def test_grid_search_confirms_argmax(self, fd_triangular, rho_tot):
-        res = max_outflow_cases(rho_tot, fd_triangular, 10.0, 1.0, 5.0)
+        res = max_outflow_cases(two_groups(fd_triangular), rho_tot)
         step = 1e-3 * fd_triangular.rho_j
         n = int((res.feasible_hi - res.feasible_lo) / step) + 1
         values = [res.outflow(res.feasible_lo + k * step) for k in range(n)]
@@ -205,11 +208,23 @@ class TestMaxOutflow:
 
     def test_floor_diagram_rejected(self, fd_floor):
         with pytest.raises(ValueError):
-            max_outflow_cases(60.0, fd_floor, 10.0, 1.0, 5.0)
+            max_outflow_cases(two_groups(fd_floor), 60.0)
 
     def test_a1_applicability_flag(self, fd_triangular):
-        assert max_outflow_cases(60.0, fd_triangular, 10.0, 1.0, 5.0).a1_applicable
-        assert not max_outflow_cases(10.0, fd_triangular, 10.0, 1.0, 5.0).a1_applicable
+        assert max_outflow_cases(two_groups(fd_triangular), 60.0).a1_applicable
+        assert not max_outflow_cases(two_groups(fd_triangular), 10.0).a1_applicable
+
+    def test_groups_on_different_diagrams_or_lane_counts_rejected(self, fd_triangular):
+        base = two_groups(fd_triangular)
+        for cfg in (replace(base, fd_gp=replace(fd_triangular, u_f=80.0)),
+                    replace(base, gp_lanes=2.0)):
+            with pytest.raises(ValueError, match="one diagram and lane count"):
+                max_outflow_cases(cfg, 60.0)
+
+    def test_lanes_scale_the_outflow(self, fd_triangular):
+        one, three = (max_outflow_cases(two_groups(fd_triangular, n), 60.0) for n in (1.0, 3.0))
+        assert three.max_outflow == pytest.approx(3.0 * one.max_outflow, rel=1e-12)
+        assert (three.argmax_lo, three.argmax_hi) == (one.argmax_lo, one.argmax_hi)
 
 
 # The finite-difference chain that computed H and J before the closed forms of
@@ -232,10 +247,32 @@ def ref_choice_sensitivity(lam, xi, fd, L1, D, e1_tilde, e2_tilde, direction, st
     return (hi - lo) / (2.0 * step)
 
 
+def ref_toll(choice, p, omega):
+    """The toll at which ``choice.share`` falls to ``p`` at gap ``omega``, by bisection.
+
+    The share falls with the toll, so the bracket [lo, hi] keeps share(lo) > p
+    >= share(hi); it halves until its ends are adjacent floats, well inside
+    1e-12.  Needs share(0, omega) > p: a non-negative toll.
+    """
+    lo, hi = 0.0, 1.0
+    if not choice.share(lo, omega) > p:
+        raise ValueError(f"share {p} needs a negative toll at gap {omega}")
+    while choice.share(hi, omega) > p:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if choice.share(mid, omega) > p:
+            lo = mid
+        else:
+            hi = mid
+
+
 def ref_toll_decomposition(choice, p, omega_a=0.01, omega_b=0.02):
-    """(A, B) of u = A omega + B from two inverse tolls at share ``p``."""
-    u_a = choice.inverse_toll(p, omega_a)
-    u_b = choice.inverse_toll(p, omega_b)
+    """(A, B) of u = A omega + B from the bisected tolls at share ``p`` and two gaps."""
+    u_a = ref_toll(choice, p, omega_a)
+    u_b = ref_toll(choice, p, omega_b)
     a = (u_b - u_a) / (omega_b - omega_a)
     return a, u_a - a * omega_a
 
@@ -407,13 +444,16 @@ class TestTollLine:
     @pytest.mark.parametrize("name", sorted(CHOICES))
     @pytest.mark.parametrize("p", [0.05, 0.31, 0.8])
     def test_line_is_the_inverse_toll_at_two_gaps(self, name, p):
+        # the share round trip on each gap where the line's toll is non-negative
+        # (the logit line at p = 0.8 is negative at 0.01)
         choice = CHOICES[name]
         a, b, _, _ = choice.toll_line(p)
-        for omega in (0.01, 0.3):
-            u = a * omega + b
-            assert u == pytest.approx(choice.inverse_toll(p, omega), rel=1e-12, abs=1e-12)
+        tolls = [(a * omega + b, omega) for omega in (0.01, 0.3)]
+        assert any(u >= 0.0 for u, _ in tolls)
+        for u, omega in tolls:
             if u >= 0.0:
                 assert choice.share(u, omega) == pytest.approx(p, rel=1e-9)
+                assert u == pytest.approx(ref_toll(choice, p, omega), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(CHOICES))
     @pytest.mark.parametrize("p", [0.05, 0.31, 0.8])

@@ -1,4 +1,4 @@
-"""Paying-share models and their inverse toll forms."""
+"""Paying-share models and the toll lines that invert them."""
 
 import math
 import warnings
@@ -15,6 +15,12 @@ from hotlanes.scenario import DemandProfile, run
 EXP50 = ExponentialVot(mean=50.0)
 UE = UeChoice(EXP50)
 LOGIT = LogitChoice(pi_star=50.0, alpha_star=1.0)
+
+
+def toll(choice, p, omega):
+    """The toll ``A * omega + B`` on the model's toll line that yields share ``p``."""
+    a, b, _, _ = choice.toll_line(p)
+    return a * omega + b
 
 
 class TestUeShare:
@@ -48,19 +54,19 @@ class TestUeShare:
 
 class TestUeInverseToll:
     def test_full_share_is_free(self):
-        assert UE.inverse_toll(1.0, 0.02) == 0.0
+        assert toll(UE, 1.0, 0.02) == 0.0
 
     def test_mean_vot_point(self):
-        assert UE.inverse_toll(math.exp(-1.0), 0.01) == pytest.approx(0.5)
+        assert toll(UE, math.exp(-1.0), 0.01) == pytest.approx(0.5)
 
     def test_linear_in_gap(self):
-        u1 = UE.inverse_toll(0.4, 0.01)
-        u2 = UE.inverse_toll(0.4, 0.03)
+        u1 = toll(UE, 0.4, 0.01)
+        u2 = toll(UE, 0.4, 0.03)
         assert u2 == pytest.approx(3.0 * u1)
 
     def test_zero_share_unbounded(self):
         with pytest.raises(ValueError):
-            UE.inverse_toll(0.0, 0.01)
+            toll(UE, 0.0, 0.01)
 
 
 class TestLogitShare:
@@ -83,20 +89,20 @@ class TestLogitShare:
 
 class TestLogitInverseToll:
     def test_half_share(self):
-        assert LOGIT.inverse_toll(0.5, 0.01) == pytest.approx(0.5)
+        assert toll(LOGIT, 0.5, 0.01) == pytest.approx(0.5)
 
     def test_inverse_of_direct_example(self):
         p = 1.0 / (1.0 + math.exp(0.5))
-        assert LOGIT.inverse_toll(p, 0.01) == pytest.approx(1.0, rel=1e-12)
+        assert toll(LOGIT, p, 0.01) == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_shares_rejected(self):
         for p in (0.0, 1.0):
             with pytest.raises(ValueError):
-                LOGIT.inverse_toll(p, 0.01)
+                toll(LOGIT, p, 0.01)
 
     def test_share_above_free_share_needs_negative_toll(self):
         free = LOGIT.share(0.0, 0.01)
-        assert LOGIT.inverse_toll(free + 0.05, 0.01) < 0.0
+        assert toll(LOGIT, free + 0.05, 0.01) < 0.0
 
 
 def split_rows(sov, mode="hot", choice=UE, b0=0.0):
@@ -145,12 +151,12 @@ gaps = st.floats(min_value=1e-3, max_value=0.5)
 class TestRoundTrips:
     @given(p=shares, omega=gaps)
     def test_ue_round_trip(self, p, omega):
-        u = UE.inverse_toll(p, omega)
+        u = toll(UE, p, omega)
         assert UE.share(u, omega) == pytest.approx(p, rel=1e-10)
 
     @given(p=st.floats(min_value=1e-6, max_value=0.5), omega=gaps)
     def test_logit_round_trip(self, p, omega):
-        u = LOGIT.inverse_toll(p, omega)
+        u = toll(LOGIT, p, omega)
         if u < 0:
             return  # outside the non-negative toll domain
         assert LOGIT.share(u, omega) == pytest.approx(p, rel=1e-10)
@@ -158,7 +164,7 @@ class TestRoundTrips:
     @given(p=shares, omega=gaps)
     def test_uniform_vot_round_trip(self, p, omega):
         choice = UeChoice(UniformVot(0.0, 80.0))
-        u = choice.inverse_toll(p, omega)
+        u = toll(choice, p, omega)
         assert choice.share(u, omega) == pytest.approx(p, rel=1e-9)
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from hotlanes.nfd import (
     FdParams,
-    Phase,
     capacity,
     classify_phase,
     critical_density,
@@ -89,16 +88,16 @@ class TestFlow:
 class TestPhase:
     @pytest.mark.parametrize(
         "factor,expected",
-        [(0.5, Phase.SUC), (1.0, Phase.C), (2.0, Phase.SOC)],
+        [(0.5, "SUC"), (1.0, "C"), (2.0, "SOC")],
     )
     def test_classification(self, fd_triangular, factor, expected):
         rho = factor * critical_density(fd_triangular)
-        assert classify_phase(fd_triangular, rho) is expected
+        assert classify_phase(fd_triangular, rho) == expected
 
     def test_tolerance_band(self, fd_triangular):
         rho_c = critical_density(fd_triangular)
-        assert classify_phase(fd_triangular, rho_c + 5e-10) is Phase.C
-        assert classify_phase(fd_triangular, rho_c + 1e-8) is Phase.SOC
+        assert classify_phase(fd_triangular, rho_c + 5e-10) == "C"
+        assert classify_phase(fd_triangular, rho_c + 1e-8) == "SOC"
 
     def test_negative_density_rejected(self, fd_triangular):
         with pytest.raises(ValueError):
@@ -155,9 +154,9 @@ class TestProperties:
         fd = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.0)
         phase = classify_phase(fd, rho)
         diff = rho - critical_density(fd)
-        if phase is Phase.SUC:
+        if phase == "SUC":
             assert diff < 0
-        elif phase is Phase.SOC:
+        elif phase == "SOC":
             assert diff > 0
         else:
-            assert abs(diff) <= 1e-9
+            assert phase == "C" and abs(diff) <= 1e-9

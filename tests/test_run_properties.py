@@ -116,8 +116,8 @@ def test_run_outcome_and_invariants(overrides):
         # the loop's inline speeds, gap and phase labels equal their references bit for bit
         assert r.v1 == speed(config.fd_hot, r.rho1) and r.v2 == speed(config.fd_gp, r.rho2), r
         assert r.omega == (math.inf if r.v2 == 0.0 else 1.0 / r.v2 - 1.0 / r.v1), r
-        assert r.phase1 == classify_phase(config.fd_hot, r.rho1).value, r
-        assert r.phase2 == classify_phase(config.fd_gp, r.rho2).value, r
+        assert r.phase1 == classify_phase(config.fd_hot, r.rho1), r
+        assert r.phase2 == classify_phase(config.fd_gp, r.rho2), r
         # the demand the loop holds between reads, and its inline share, equal their references
         hov, sov = config.demand.rates(r.t)
         assert identical(r.e1_tilde, hov) and identical(r.e2_tilde, sov), r

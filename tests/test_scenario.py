@@ -160,7 +160,10 @@ class TestConfig:
             {"corridor_length": math.inf}, {"mean_trip_distance": math.nan},
             {"initial_hot_trips": math.nan}, {"initial_gp_trips": math.inf},
             {"hot_lanes": 0.5}, {"gp_lanes": math.nan},
-            {"control_decimation": 0},
+            # the loop ticks when the step index equals the next tick, so a fractional
+            # decimation ticks once and freezes the coefficients; NaN passes "< 1"
+            {"control_decimation": 0}, {"control_decimation": 1.5},
+            {"control_decimation": math.nan}, {"control_decimation": 2.0},
         ):
             with pytest.raises(ConfigError):
                 replace(cfg, **bad)
@@ -911,6 +914,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--preset", "constant"], "the following arguments are required: --out"),
+            (["run", "--preset", "constant", "--out", "x.csv", "--bogus"],
+             "unrecognized arguments: --bogus"),
+            (["estimate", "--records", "x.csv", "--model", "nope"], "argument --model: invalid"),
+            (["analyze", "--preset", "constant", "--at-time", "abc"],
+             "argument --at-time: invalid float value: 'abc'"),
+            (["estimate", "--records", "x.csv", "--model", "ue", "--bins", "2.5"],
+             "argument --bins: invalid int value: '2.5'"),
+            (["nope"], "argument command: invalid choice: 'nope'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["missing-out", "unknown-option", "unknown-model", "at-time-text", "bins-float",
+             "unknown-command", "no-command"],
+    )
+    def test_usage_error_is_a_config_error(self, argv, message, capsys):
+        # exit 2 means a runtime abort; a bad command line is a config error with its usage
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "\nusage: hotlanes" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["estimate", "-h"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hotlanes")
 
     def test_estimate_of_truncated_records_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

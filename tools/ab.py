@@ -8,9 +8,12 @@ Each directory is a clean checkout of one version.  Pair i runs
 change first in even pairs, so a drift of the host's speed falls on both
 sides alike.  The last stdout line of each run is its JSON result.
 
-The output file holds the shas, the Python version, the CPU count, every run,
-and per (workload, seed) and metric the medians, quartiles and the number of
-pairs the change won.  A metric with a ``bound`` in the parent's
+The output file holds the shas, the Python version, the CPU count, whether
+the host writes bytecode (``PYTHONDONTWRITEBYTECODE`` and
+``sys.flags.dont_write_bytecode``; without it every fresh interpreter
+compiles ``src/`` again, which ``setup_s`` carries), the median wall time of
+5 bare ``python -c pass`` starts, every run, and per (workload, seed) and
+metric the medians, quartiles and the number of pairs the change won.  A metric with a ``bound`` in the parent's
 ``BENCHMARK.json`` also gets a no-regression verdict: ``worse`` when the
 change's median is worse than the parent's by more than bound x the parent
 median; else ``unresolved`` when the parent's quartiles lie further apart than
@@ -32,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 
 def git_sha(root: str) -> str | None:
@@ -56,6 +60,16 @@ def src_sha256(root: str) -> str:
             with open(os.path.join(pkg, name), "rb") as fh:
                 digest.update(fh.read())
     return digest.hexdigest()
+
+
+def bare_start_s() -> float:
+    """Median wall time [s] of 5 bare ``python -c pass`` runs, one at a time."""
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 class RunFailed(RuntimeError):
@@ -158,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "dont_write_bytecode": sys.flags.dont_write_bytecode,
+        "bare_start_s": bare_start_s(),
     })
     with open(os.path.join(args.parent_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
