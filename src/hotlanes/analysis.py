@@ -34,25 +34,21 @@ class A1ViolationError(ValueError):
     """The demand pattern does not satisfy the overload assumptions."""
 
 
-def triangular_growth(
-    delta2_0: float,
-    p0: float,
-    e2_tilde: float,
-    w: float,
-    D: float,
-    rho_j: float,
-    L2: float,
-    t: float,
-) -> float:
+def triangular_growth(config, delta2_0: float, t: float) -> float:
     """Closed-form GP active trips at time t on the congested triangular branch.
 
-    Solves delta2' = e2_tilde (1 - p0) - (w / D)(rho_j L2 - delta2) from the
-    initial value ``delta2_0``; callers should cap the result at ``rho_j * L2``
-    since jam density is absorbing.
+    With e2, w, rho_j and L2 from the GP side of ``config`` and p0 =
+    :func:`equilibrium_share`, solves delta2' = e2 (1 - p0) - (w / D)(rho_j
+    L2 - delta2) from the initial value ``delta2_0``; callers should cap the
+    result at ``rho_j * L2`` since jam density is absorbing.  Raises as
+    :func:`equilibrium_share` does.
     """
-    drain = D * e2_tilde * (1.0 - p0) / w
-    coeff = delta2_0 + drain - rho_j * L2
-    return coeff * math.exp(w * t / D) - drain + rho_j * L2
+    p0 = equilibrium_share(config)
+    w, rho_j = config.fd_gp.w, config.fd_gp.rho_j
+    D = config.mean_trip_distance
+    jam = rho_j * config.gp_lanes * config.corridor_length
+    drain = D * config.demand.sov_rate * (1.0 - p0) / w
+    return (delta2_0 + drain - jam) * math.exp(w * t / D) - drain + jam
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,17 +209,19 @@ def max_outflow_cases(config, rho_tot: float) -> MaxOutflowAnalysis:
     )
 
 
-def loop_matrix(config, lam: float, xi: float, omega: float) -> LinearizedSystem:
+def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right") -> LinearizedSystem:
     """The linearized loop of a constant-demand config at state (lam, xi) and gap ``omega``.
 
     At density rho = rho_c + lam the state fixes the paying share
     p = (g1(rho) L1 / D - e1 - xi) / e2, and the toll that holds it is
     u = A(p) omega + B(p).  The share sees u / omega = A + B / omega, so
     with s = A'(p) + B'(p) / omega the sensitivities are H = -s / e2 and
-    J = s (L1 / D) g1'(rho) / e2, where g1' is the diagram's slope, the
-    right limit at a kink.  The gains are the effective ones,
-    K1 = k1 + k3 / omega and K2 = k2 + k4 / omega.  Raises ``ValueError``
-    for a negative density, a share outside the choice model's range or a
+    J = s (L1 / D) g1'(rho) / e2, where g1' is the diagram's slope; at a
+    kink ``side`` ("left" or "right") picks the branch, so at lam = 0 the
+    left matrix is the under-critical one (g1' = u_f) and the right one the
+    over-critical one.  The gains are the effective ones, K1 = k1 + k3 /
+    omega and K2 = k2 + k4 / omega.  Raises ``ValueError`` for an unknown
+    side, a negative density, a share outside the choice model's range or a
     gap that is not positive.
     """
     if not omega > 0.0:
@@ -240,7 +238,7 @@ def loop_matrix(config, lam: float, xi: float, omega: float) -> LinearizedSystem
     s = da + db / omega
     c = config.controller
     return linearized_matrix(
-        -s / e2, s * L1 / D * flow_slope(fd, rho) / e2,
+        -s / e2, s * L1 / D * flow_slope(fd, rho, side) / e2,
         c.k1 + c.k3 / omega, c.k2 + c.k4 / omega, L1,
     )
 

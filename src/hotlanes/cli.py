@@ -71,11 +71,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    at_time, phase_offset = args.at_time, args.phase_offset
+    at_time = args.at_time
     if not math.isfinite(at_time):
         raise ConfigError(f"--at-time must be finite, got {at_time}")
-    if not (math.isfinite(phase_offset) and phase_offset > 0):
-        raise ConfigError(f"--phase-offset must be positive and finite, got {phase_offset}")
     config = _resolve_config(args)
     rho_c = critical_density(config.fd_hot)
     cap = capacity(config.fd_hot)
@@ -103,16 +101,16 @@ def _cmd_analyze(args) -> int:
     omega = pred.omega0 * at_time + pred.omega1
     if not omega > 0.0:
         raise ConfigError(f"--at-time {at_time:g} gives gap {omega:g}; need a positive gap")
-    for label, lam in (("under-critical", -phase_offset), ("over-critical", phase_offset)):
-        try:
-            sysm = analysis.loop_matrix(config, lam, 0.0, omega)
-        except ValueError as exc:
-            raise ConfigError(
-                f"--phase-offset {phase_offset:g} gives no valid {label} state: {exc}"
-            ) from None
+    # at the equilibrium itself: lam = 0 is the diagram's kink, xi = 0 puts the share at p0
+    try:
+        sides = [(label, analysis.loop_matrix(config, 0.0, 0.0, omega, side))
+                 for label, side in (("under-critical", "left"), ("over-critical", "right"))]
+    except ValueError as exc:
+        raise ConfigError(f"no valid linearization at the equilibrium: {exc}") from None
+    for label, sysm in sides:
         eig = ", ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in sysm.eigenvalues)
         verdict = "stable" if sysm.stable else "unstable"
-        print(f"{label} (lam={lam:+.3g}): H={sysm.H:.6g}, J={sysm.J:.6g}, K1={sysm.K1:.6g}, "
+        print(f"{label} (lam=0, p=p0): H={sysm.H:.6g}, J={sysm.J:.6g}, K1={sysm.K1:.6g}, "
               f"K2={sysm.K2:.6g}, eigenvalues [{eig}] -> {verdict}")
     return EXIT_OK
 
@@ -193,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--at-time", type=float, default=2.0,
         help="evaluation time [h] for the gap-dependent sensitivities",
-    )
-    p_an.add_argument(
-        "--phase-offset", type=float, default=1.0,
-        help="excess density magnitude used for the per-phase sensitivities",
     )
     p_an.set_defaults(func=_cmd_analyze)
 

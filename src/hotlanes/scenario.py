@@ -334,7 +334,8 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     u = p = 0.0
     held_rates = config.demand.held_rates
     hold_until = -inf  # the demand rates e1t, e2t hold for t <= hold_until
-    next_tick = next_record = 0  # the step indices of the next controller tick and record
+    next_record = 0  # the step index of the next record; the last step is always one
+    next_tick = -1 if hov_mode else 0  # the step index of the next controller tick; HOV has none
 
     for i in range(n_steps):
         t = i * dt
@@ -344,37 +345,34 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         if not (0.0 <= rho1 < inf and 0.0 <= rho2 < inf):
             raise OverflowError(
                 f"trip counts overflowed at t={t:.4f} h (rho1={rho1}, rho2={rho2})")
-        # nfd.speed of each group: u_f when empty, else the wave branch raised to the floor c/rho
+        # nfd.speed of each group: u_f when empty, else the wave branch raised to the floor c/rho.
+        # Comparing c with w (rho_j - rho) before the one division picks the same float as
+        # comparing the quotients, since rounded division by rho > 0 is monotone; it is >= 0.
         if rho1 == 0.0:
             v1 = uf1
         else:
-            v1 = w1 * (rj1 - rho1) / rho1
-            if c1 > 0.0 and c1 / rho1 > v1:
-                v1 = c1 / rho1
-            if 0.0 > v1:
-                v1 = 0.0
-            elif v1 > uf1:
+            v1 = w1 * (rj1 - rho1)
+            v1 = (c1 if c1 > v1 else v1) / rho1
+            if v1 > uf1:
                 v1 = uf1
+            elif v1 <= 0.0:
+                raise HotGridlockError(
+                    f"managed lanes gridlocked at t={t:.4f} h (rho1={rho1:.3f})"
+                )
         if rho2 == 0.0:
             v2 = uf2
         else:
-            v2 = w2 * (rj2 - rho2) / rho2
-            if c2 > 0.0 and c2 / rho2 > v2:
-                v2 = c2 / rho2
-            if 0.0 > v2:
-                v2 = 0.0
-            elif v2 > uf2:
+            v2 = w2 * (rj2 - rho2)
+            v2 = (c2 if c2 > v2 else v2) / rho2
+            if v2 > uf2:
                 v2 = uf2
-        if v1 <= 0.0:
-            raise HotGridlockError(
-                f"managed lanes gridlocked at t={t:.4f} h (rho1={rho1:.3f})"
-            )
         omega = inf if v2 == 0.0 else 1.0 / v2 - 1.0 / v1
         # The choice models are defined for a non-negative gap; if the HOT
         # lanes are transiently slower than the GP lanes nobody pays.
         gap = 0.0 if 0.0 > omega else omega
+        tick = i == next_tick  # the toll is set from the gap now and the gains act after the step
         if not hov_mode:
-            if i == next_tick:
+            if tick:
                 u = ceiling if gap == inf else a * gap + b
                 if not u > 0.0:
                     u = 0.0
@@ -405,8 +403,8 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         lam = rho1 - rho_c1
         xi = g1 - in1
 
-        if i == next_record or i == last:
-            next_record += record_every
+        if i == next_record:
+            next_record = min(next_record + record_every, last)
             E1, E2 = d1 - d1_init + G1, d2 - d2_init + G2
             record = _new_tuple(SimulationRecord, (  # fields in CSV column order
                 t, d1, d2, rho1, rho2, v1, v2, omega, lam, xi, a, b, u, p,
@@ -414,8 +412,9 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
                 # nfd.classify_phase of each group
                 C if abs(rho1 - rho_c1) <= tol else SUC if rho1 < rho_c1 else SOC,
                 C if abs(rho2 - rho_c2) <= tol else SUC if rho2 < rho_c2 else SOC,
-                int(not hov_mode and gap < inf and a * gap + b < 0.0),
-                int(stats.hot_clamp_steps > hot_clamps0), int(stats.gp_clamp_steps > gp_clamps0),
+                1 if not hov_mode and gap < inf and a * gap + b < 0.0 else 0,
+                1 if stats.hot_clamp_steps > hot_clamps0 else 0,
+                1 if stats.gp_clamp_steps > gp_clamps0 else 0,
             ))
             # With finite densities every float but the gap is finite if these seven are: E
             # covers delta and G, and xi covers g1 and the HOT inflow.  Their sum is not finite
@@ -442,7 +441,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
             d2 = cap2
         G1 += dt * g1
         G2 += dt * g2
-        if not hov_mode and i == next_tick:
+        if tick:
             next_tick += decim
             a, b = a + dt_ctrl * (k1 * lam - k2 * xi), b + dt_ctrl * (k3 * lam - k4 * xi)
 

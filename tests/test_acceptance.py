@@ -290,7 +290,7 @@ def test_criterion_5_triangular_gridlock(criterion):
         rows = iter_run(plant)
         next(rows)  # the initial state
         for row in rows:
-            expected = triangular_growth(42.0, p0, 860.0, 20.0, 5.0, 140.0, 1.0, row.t)
+            expected = triangular_growth(base, 42.0, row.t)
             worst = max(worst, abs(row.delta2 - expected) / expected)
             if row.delta2 >= 135.0:
                 break

@@ -68,20 +68,39 @@ class TestEquilibriumShare:
             equilibrium_share(preset("trapezoid"))
 
 
+def gridlock_study():
+    """The triangular-gridlock preset on a 10 km corridor, 2000 HOV and 8600 SOV veh/h."""
+    return replace(preset("triangular-gridlock"), corridor_length=10.0,
+                   demand=DemandProfile(hov_rate=2000.0, sov_rate=8600.0))
+
+
 class TestTriangularGrowth:
     def test_initial_condition(self):
-        assert triangular_growth(500.0, 0.31, 8600.0, 20.0, 5.0, 140.0, 10.0, 0.0) == 500.0
+        assert triangular_growth(gridlock_study(), 500.0, 0.0) == 500.0
 
     def test_fixed_point_is_constant(self):
-        p0, e2, w, d, rho_j, L2 = 0.31, 8600.0, 20.0, 5.0, 140.0, 10.0
+        cfg = gridlock_study()
+        p0, e2, w, d, rho_j, L2 = equilibrium_share(cfg), 8600.0, 20.0, 5.0, 140.0, 10.0
         delta0 = rho_j * L2 - d * e2 * (1 - p0) / w
         for t in (0.1, 1.0, 3.0):
-            assert triangular_growth(delta0, p0, e2, w, d, rho_j, L2, t) == pytest.approx(delta0)
+            assert triangular_growth(cfg, delta0, t) == pytest.approx(delta0)
 
     def test_monotone_growth_above_fixed_point(self):
-        vals = [triangular_growth(500.0, 0.31, 8600.0, 20.0, 5.0, 140.0, 10.0, t)
-                for t in (0.0, 0.2, 0.4)]
+        vals = [triangular_growth(gridlock_study(), 500.0, t) for t in (0.0, 0.2, 0.4)]
         assert vals[0] < vals[1] < vals[2]
+
+    def test_reads_the_gp_side_of_the_config(self):
+        # two GP lanes of half the jam density hold the same jam trip count; the managed
+        # lanes' own diagram does not enter
+        cfg = gridlock_study()
+        half = replace(cfg.fd_gp, rho_j=70.0)
+        two_lanes = replace(cfg, fd_gp=half, gp_lanes=2.0)
+        assert triangular_growth(two_lanes, 500.0, 0.3) == pytest.approx(
+            triangular_growth(cfg, 500.0, 0.3), rel=1e-12)
+
+    def test_raises_as_equilibrium_share(self):
+        with pytest.raises(ValueError, match="constant demand"):
+            triangular_growth(preset("trapezoid"), 500.0, 0.1)
 
 
 class TestAtfdGrowthRates:
@@ -350,10 +369,12 @@ class TestChoiceSensitivity:
         assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_one_sided_derivatives_bracket_zero_at_critical(self, fd_floor):
-        # loop_matrix takes the right-hand slope at the kink; the left one is flow_slope's
+        # loop_matrix takes the right-hand slope at the kink by default, the left on request
         rho_c = critical_density(fd_floor)
-        left = 1.0 / 5.0 * flow_slope(fd_floor, rho_c, "left") / 860.0
+        m = loop_matrix(one_lane(fd_floor), 0.0, 0.0, 0.1, side="left")
+        left = -m.J / (m.H * 860.0)
         right = sensitivity(rho_c, fd_floor, "lam")
+        assert left == pytest.approx(1.0 / 5.0 * flow_slope(fd_floor, rho_c, "left") / 860.0)
         assert right == pytest.approx(1.0 / 5.0 * flow_slope(fd_floor, rho_c, "right") / 860.0)
         assert left > 0.0 > right
 
@@ -413,6 +434,36 @@ class TestLoopMatrix:
         L1 = cfg.hot_lanes * cfg.corridor_length
         K1, K2 = c.k1 + c.k3 / omega, c.k2 + c.k4 / omega
         assert sysm == linearized_matrix(sysm.H, sysm.J, K1, K2, L1)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_left_side_at_the_kink_has_the_free_flow_slope(self, name):
+        # at lam = 0 only g1' differs between the sides: u_f on the left, -w on the right
+        cfg = CONFIGS[name]
+        omega, fd, c = 0.25, cfg.fd_hot, cfg.controller
+        L1, D = cfg.hot_lanes * cfg.corridor_length, cfg.mean_trip_distance
+        left = loop_matrix(cfg, 0.0, 0.0, omega, side="left")
+        right = loop_matrix(cfg, 0.0, 0.0, omega, side="right")
+        K1, K2 = c.k1 + c.k3 / omega, c.k2 + c.k4 / omega
+        for sysm, slope in ((left, fd.u_f), (right, -fd.w)):
+            expected = linearized_matrix(right.H, -right.H * L1 / D * slope, K1, K2, L1)
+            for field in ("m11", "m12", "m21", "m22", "H", "J", "K1", "K2"):
+                assert getattr(sysm, field) == pytest.approx(getattr(expected, field), rel=1e-12)
+        assert left.H == right.H
+        assert left.stable and right.stable
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
+    def test_right_side_is_the_default(self, lam):
+        cfg = preset("constant")
+        assert loop_matrix(cfg, lam, 0.0, 0.25) == loop_matrix(cfg, lam, 0.0, 0.25, side="right")
+
+    @pytest.mark.parametrize("lam", [-1.0, 1.0, 5.0])
+    def test_sides_agree_off_the_kink(self, lam):
+        cfg = preset("constant")
+        assert loop_matrix(cfg, lam, 0.0, 0.25, side="left") == loop_matrix(cfg, lam, 0.0, 0.25)
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be"):
+            loop_matrix(preset("constant"), 0.0, 0.0, 0.25, side="up")
 
     def test_negative_density_rejected(self):
         cfg = preset("constant")

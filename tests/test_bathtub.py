@@ -122,16 +122,16 @@ class TestStep:
 
     def test_tracks_congested_closed_form(self, fd_triangular):
         # constant GP inflow, over-critical start: matches the exact solution
-        p0 = equilibrium_share(ScenarioConfig(
+        study = ScenarioConfig(
             fd_hot=fd_triangular, fd_gp=fd_triangular,
             demand=DemandProfile(hov_rate=2000.0, sov_rate=8600.0),
             corridor_length=10.0, mean_trip_distance=5.0,
-        ))
-        e2 = 8600.0 * (1.0 - p0)
+        )
+        e2 = 8600.0 * (1.0 - equilibrium_share(study))
         rows = plant_run(fd_triangular, d2=420.0, e2=e2, dt_s=0.01, steps=40_000)
         worst = 0.0
         for row in rows[1:]:
-            expected = triangular_growth(420.0, p0, 8600.0, 20.0, 5.0, 140.0, 10.0, row.t)
+            expected = triangular_growth(study, 420.0, row.t)
             worst = max(worst, abs(row.delta2 - expected) / expected)
         assert worst < 5e-3
 

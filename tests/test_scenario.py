@@ -924,13 +924,15 @@ class TestCli:
             (["estimate", "--records", "x.csv", "--model", "nope"], "argument --model: invalid"),
             (["analyze", "--preset", "constant", "--at-time", "abc"],
              "argument --at-time: invalid float value: 'abc'"),
+            (["analyze", "--preset", "constant", "--phase-offset", "1"],
+             "unrecognized arguments: --phase-offset 1"),
             (["estimate", "--records", "x.csv", "--model", "ue", "--bins", "2.5"],
              "argument --bins: invalid int value: '2.5'"),
             (["nope"], "argument command: invalid choice: 'nope'"),
             ([], "the following arguments are required: command"),
         ],
-        ids=["missing-out", "unknown-option", "unknown-model", "at-time-text", "bins-float",
-             "unknown-command", "no-command"],
+        ids=["missing-out", "unknown-option", "unknown-model", "at-time-text", "phase-offset",
+             "bins-float", "unknown-command", "no-command"],
     )
     def test_usage_error_is_a_config_error(self, argv, message, capsys):
         # exit 2 means a runtime abort; a bad command line is a config error with its usage
@@ -981,16 +983,6 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "preset_name, offset",
-        [("constant", x) for x in ("nan", "20", "23.4", "1e9", "-1", "0")]
-        + [("constant-logit", "20")],
-    )
-    def test_invalid_phase_offset_exits_1(self, preset_name, offset, capsys):
-        assert main(["analyze", "--preset", preset_name, "--phase-offset", offset]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --phase-offset")
-
     def test_estimate_of_out_of_range_record_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         args = ["--set", "simulation.horizon_h=0.01", "--out", str(out)]
@@ -1029,11 +1021,31 @@ class TestCli:
         assert main(["analyze", "--preset", "constant"]) == 0
         out = capsys.readouterr().out
         assert "p0 = 0.310078" in out
-        assert "stable" in out
-        # the effective gains at the gap omega(2 h) = 0.250714 h/km set the slow mode
-        assert out.count("K1=39.9088, K2=28.9316, eigenvalues") == 2
-        assert "eigenvalues [-1.219+0j, -161.5+0j] -> stable" in out
-        assert "eigenvalues [-1.431+0j, -146.6+0j] -> stable" in out
+        # both sides of the kink at the equilibrium, with the effective gains at the
+        # gap omega(2 h) = 0.250714 h/km; only the flow slope g1' differs between them
+        assert ("under-critical (lam=0, p=p0): H=0.1875, J=-3.75, K1=39.9088, K2=28.9316, "
+                "eigenvalues [-1.23+0j, -173.1+0j] -> stable\n") in out
+        assert ("over-critical (lam=0, p=p0): H=0.1875, J=0.75, K1=39.9088, K2=28.9316, "
+                "eigenvalues [-1.43+0j, -148.9+0j] -> stable\n") in out
+
+    @pytest.mark.parametrize("k2, right_real", [
+        (1.0, "-2.15"), (0.6, "-0.4899"), (0.4, "0.34"), (0.2, "1.17"), (0.1, "1.585"),
+    ])
+    def test_analyze_kink_sides_disagree_at_low_gains(self, k2, right_real, capsys):
+        # k1 = k3 = 8 and k4 = k2 / 2 at the gap omega(7.5 h): the over-critical side is a
+        # spiral whose real part turns positive below k2 = 0.6, while the under-critical
+        # side stays stable (ROADMAP item 3: -2.15, -0.49, +0.34, +1.17, +1.59 per h)
+        argv = ["analyze", "--preset", "constant", "--at-time", "7.5",
+                "--set", f"controller.k2={k2}", "--set", f"controller.k4={k2 / 2}"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        under, over = lines[-2], lines[-1]
+        assert over.startswith("over-critical (lam=0, p=p0)")
+        assert f"eigenvalues [{right_real}+" in over
+        assert over.endswith("-> stable" if right_real.startswith("-") else "-> unstable")
+        assert under.startswith("under-critical (lam=0, p=p0)")
+        real_parts = [complex(z).real for z in under.split("[")[1].split("]")[0].split(", ")]
+        assert max(real_parts) < 0.0 and under.endswith("-> stable")
 
     def test_analyze_checks_each_group_against_its_own_diagram(self, capsys):
         # GP capacity 60 * 35 = 2100 veh/h/lane, so e2*D = 2150 overloads the GP lanes;
