@@ -13,8 +13,6 @@ from .analysis import (
     LinearizedSystem,
     MaxOutflowAnalysis,
     constant_equilibrium,
-    equilibrium_share,
-    linearized_matrix,
     loop_matrix,
     max_outflow_cases,
     triangular_growth,

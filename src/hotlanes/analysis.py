@@ -22,10 +22,8 @@ __all__ = [
     "LinearizedSystem",
     "MaxOutflowAnalysis",
     "triangular_growth",
-    "linearized_matrix",
     "max_outflow_cases",
     "loop_matrix",
-    "equilibrium_share",
     "constant_equilibrium",
 ]
 
@@ -37,13 +35,13 @@ class A1ViolationError(ValueError):
 def triangular_growth(config, delta2_0: float, t: float) -> float:
     """Closed-form GP active trips at time t on the congested triangular branch.
 
-    With e2, w, rho_j and L2 from the GP side of ``config`` and p0 =
-    :func:`equilibrium_share`, solves delta2' = e2 (1 - p0) - (w / D)(rho_j
+    With e2, w, rho_j and L2 from the GP side of ``config`` and p0 from
+    :func:`constant_equilibrium`, solves delta2' = e2 (1 - p0) - (w / D)(rho_j
     L2 - delta2) from the initial value ``delta2_0``; callers should cap the
     result at ``rho_j * L2`` since jam density is absorbing.  Raises as
-    :func:`equilibrium_share` does.
+    :func:`constant_equilibrium` does.
     """
-    p0 = equilibrium_share(config)
+    p0 = constant_equilibrium(config).p0
     w, rho_j = config.fd_gp.w, config.fd_gp.rho_j
     D = config.mean_trip_distance
     jam = rho_j * config.gp_lanes * config.corridor_length
@@ -72,31 +70,34 @@ class LinearizedSystem:
     """Linearized (xi, lambda) dynamics around the operating point.
 
     The state is x = (residual service rate, excess density); the matrix is
-    [[(J - K2 L1)/(L1 H), K1 / H], [-1/L1, 0]].
+    [[(J - K2 L1)/(L1 H), K1 / H], [-1/L1, 0]].  Raises ``ValueError``
+    unless H > 0 and L1 > 0.
     """
 
-    m11: float
-    m12: float
-    m21: float
-    m22: float
     H: float
     J: float
     K1: float
     K2: float
+    L1: float
+
+    def __post_init__(self) -> None:
+        if self.H <= 0:
+            raise ValueError("the gap-price sensitivity H must be positive")
+        if self.L1 <= 0:
+            raise ValueError("lane length must be positive")
 
     @property
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
+    def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The 2x2 loop matrix, row by row."""
+        H, L1 = self.H, self.L1
+        return ((self.J - self.K2 * L1) / (L1 * H), self.K1 / H), (-1.0 / L1, 0.0)
 
     @property
     def eigenvalues(self) -> tuple[complex, complex]:
         """Both roots of the characteristic quadratic, the ``+`` root first."""
-        half_tr = self.trace / 2.0
-        root = cmath.sqrt(complex(half_tr * half_tr - self.det, 0.0))
+        (m11, m12), (m21, m22) = self.matrix
+        half_tr = (m11 + m22) / 2.0
+        root = cmath.sqrt(complex(half_tr * half_tr - (m11 * m22 - m12 * m21), 0.0))
         return half_tr + root, half_tr - root
 
     @property
@@ -107,24 +108,6 @@ class LinearizedSystem:
         is positive whenever the gains are.
         """
         return all(z.real < 0 for z in self.eigenvalues)
-
-
-def linearized_matrix(H: float, J: float, K1: float, K2: float, L1: float) -> LinearizedSystem:
-    """Build the linearized closed-loop matrix; requires H > 0."""
-    if H <= 0:
-        raise ValueError("the gap-price sensitivity H must be positive")
-    if L1 <= 0:
-        raise ValueError("lane length must be positive")
-    return LinearizedSystem(
-        m11=(J - K2 * L1) / (L1 * H),
-        m12=K1 / H,
-        m21=-1.0 / L1,
-        m22=0.0,
-        H=H,
-        J=J,
-        K1=K1,
-        K2=K2,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,18 +220,24 @@ def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right"
     _, _, da, db = config.choice.toll_line(p)
     s = da + db / omega
     c = config.controller
-    return linearized_matrix(
+    return LinearizedSystem(
         -s / e2, s * L1 / D * flow_slope(fd, rho, side) / e2,
         c.k1 + c.k3 / omega, c.k2 + c.k4 / omega, L1,
     )
 
 
-def equilibrium_share(config) -> float:
-    """Paying share that holds the managed lanes of a constant-demand config exactly at capacity.
+def constant_equilibrium(config) -> EquilibriumPrediction:
+    """The operating point of a constant-demand config, with its flow-floor queue and gap lines.
 
-    Raises ``ValueError`` if the demand is not constant, and
-    :class:`A1ViolationError`, listing the failed inequalities, if
-    ``config.a1_warnings()`` is not empty.
+    The paying share p0 holds the managed lanes exactly at capacity.  On
+    the floor each GP lane serves the per-lane floor c, so the GP trips grow
+    at delta2' = e2 (1 - p0) - c L2 / D and the GP speed is c L2 / delta2.
+    At the optimum the managed lanes run at critical density,
+    at their free-flow speed, so the gap is delta2 / (c L2) - 1 / u_f,HOT,
+    counted from the floor's entry density rho_j - c / w.  Without a floor
+    the regime is exponential and the lines are NaN.  Raises ``ValueError``
+    if the demand is not constant, and :class:`A1ViolationError`, listing the
+    failed inequalities, if ``config.a1_warnings()`` is not empty.
     """
     if config.demand.kind != "constant":
         raise ValueError("equilibrium predictions need a constant demand profile")
@@ -257,26 +246,12 @@ def equilibrium_share(config) -> float:
         raise A1ViolationError("; ".join(failures))
     L1 = config.hot_lanes * config.corridor_length
     D = config.mean_trip_distance
-    return (L1 * capacity(config.fd_hot) - config.demand.hov_rate * D) / (D * config.demand.sov_rate)
-
-
-def constant_equilibrium(config) -> EquilibriumPrediction:
-    """The operating point of a constant-demand config, with its flow-floor queue and gap lines.
-
-    On the floor each GP lane serves the per-lane floor c, so the GP trips
-    grow at delta2' = e2 (1 - p0) - c L2 / D and the GP speed is
-    c L2 / delta2.  At the optimum the managed lanes run at critical density,
-    at their free-flow speed, so the gap is delta2 / (c L2) - 1 / u_f,HOT,
-    counted from the floor's entry density rho_j - c / w.  Without a floor
-    the regime is exponential and the lines are NaN.  Raises as
-    :func:`equilibrium_share` does.
-    """
-    p0 = equilibrium_share(config)
+    p0 = (L1 * capacity(config.fd_hot) - config.demand.hov_rate * D) / (D * config.demand.sov_rate)
     fd = config.fd_gp
     if fd.c <= 0.0:
         return EquilibriumPrediction(p0, math.nan, math.nan, math.nan, "exponential")
     served = fd.c * config.gp_lanes * config.corridor_length  # c L2
-    rate = config.demand.sov_rate * (1.0 - p0) - served / config.mean_trip_distance
+    rate = config.demand.sov_rate * (1.0 - p0) - served / D
     return EquilibriumPrediction(
         p0=p0,
         omega0=rate / served,

@@ -78,17 +78,16 @@ def _cmd_analyze(args) -> int:
     rho_c = critical_density(config.fd_hot)
     cap = capacity(config.fd_hot)
     print(f"critical density: {rho_c:.6g} veh/km/lane, capacity: {cap:.6g} veh/h/lane")
-    warnings_ = config.a1_warnings()
-    for msg in warnings_:
+    failures = config.a1_warnings()
+    for msg in failures:
         print(f"warning: {msg}")
     if config.demand.kind != "constant":
         print("demand profile is time-varying; equilibrium analysis needs constant demand")
         return EXIT_OK
-    try:
-        pred = analysis.constant_equilibrium(config)
-    except analysis.A1ViolationError as exc:
-        print(f"no equilibrium: {exc}")
+    if failures:
+        print("no equilibrium: the overload (A1) conditions above fail")
         return EXIT_OK
+    pred = analysis.constant_equilibrium(config)
     print(f"equilibrium paying share p0 = {pred.p0:.6g}")
     if pred.regime != "linear":
         print("no flow floor: gp lanes gridlock in finite time under constant overload")
@@ -211,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
-    except (ConfigError, analysis.A1ViolationError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HotGridlockError, OverflowError) as exc:

@@ -6,7 +6,8 @@ distribution function; under the logit model each interior observation gives
 a point estimate of the common VOT.  Each estimator reads ``u``, ``omega``,
 ``e2_tilde`` and ``e21_tilde`` from one record, such as a
 :class:`~hotlanes.scenario.SimulationRecord`, and raises a plain
-``ValueError`` for a paying-SOV rate outside [0, SOV rate].
+``ValueError`` for a negative or non-finite toll and for a paying-SOV rate
+outside [0, SOV rate].
 """
 
 import math
@@ -23,9 +24,14 @@ class EstimationError(ValueError):
     """The record does not identify the requested quantity."""
 
 
-def _check_paying_rate(r) -> None:
+def _check_record(r) -> None:
+    """Raise ``ValueError`` for a record no run writes, :class:`EstimationError` without a gap."""
+    if not 0.0 <= r.u < math.inf:
+        raise ValueError(f"toll must be non-negative and finite, got {r.u}")
     if not 0.0 <= r.e21_tilde <= r.e2_tilde * (1 + 1e-12):
         raise ValueError("paying-SOV rate must lie in [0, SOV rate]")
+    if not 0.0 < r.omega < math.inf:
+        raise EstimationError("needs a positive, finite travel time gap")
 
 
 def estimate_cdf_point(r) -> tuple[float, float]:
@@ -33,12 +39,13 @@ def estimate_cdf_point(r) -> tuple[float, float]:
 
     The abscissa is the toll-to-gap ratio; the ordinate the non-paying share.
     """
-    _check_paying_rate(r)
-    if not (math.isfinite(r.omega) and r.omega > 0.0):
-        raise EstimationError("needs a positive, finite travel time gap")
+    _check_record(r)
     if r.e2_tilde <= 0.0:
         raise EstimationError("needs a positive SOV rate")
-    return r.u / r.omega, 1.0 - r.e21_tilde / r.e2_tilde
+    x = r.u / r.omega
+    if x == math.inf:
+        raise EstimationError("toll-to-gap ratio overflows")
+    return x, 1.0 - r.e21_tilde / r.e2_tilde
 
 
 def estimate_logit_vot(r, alpha_star: float = 1.0) -> float:
@@ -50,9 +57,7 @@ def estimate_logit_vot(r, alpha_star: float = 1.0) -> float:
     """
     if alpha_star <= 0:
         raise ValueError("scale parameter must be positive")
-    _check_paying_rate(r)
-    if not (math.isfinite(r.omega) and r.omega > 0.0):
-        raise EstimationError("needs a positive, finite travel time gap")
+    _check_record(r)
     if not 0.0 < r.e21_tilde < r.e2_tilde:
         raise EstimationError("share at 0 or 1 does not identify the VOT")
     vot = (r.u - math.log(r.e2_tilde / r.e21_tilde - 1.0) / alpha_star) / r.omega
@@ -76,10 +81,10 @@ def pool_cdf_points(
         return []
     xs = [x for x, _ in points]
     lo, hi = min(xs), max(xs)
-    if hi == lo:
+    width = (hi - lo) / num_bins
+    if width == 0.0:  # one abscissa, or a spread too small to split into bins
         mean = sum(f for _, f in points) / len(points)
         return [(lo, mean, len(points))]
-    width = (hi - lo) / num_bins
     last = num_bins - 1
     # only the occupied bins are held, so memory follows the points, not num_bins
     bins: dict[int, list] = {}

@@ -88,11 +88,6 @@ class DemandProfile:
             if min(self.hov_rates) < 0 or min(self.sov_rates) < 0:
                 raise ConfigError("demand rates cannot be negative")
 
-    def rates(self, t: float) -> tuple[float, float]:
-        """(HOV rate, SOV rate) at time t [veh/h]."""
-        hov, sov, _ = self.held_rates(t)
-        return hov, sov
-
     def held_rates(self, t: float) -> tuple[float, float, float]:
         """(HOV rate, SOV rate, t_end): the rates at t [veh/h], which hold unchanged on [t, t_end].
 
@@ -289,6 +284,11 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     b`` is clamped at 0, posts the ceiling at an unbounded gap, and is held
     between controller ticks (every ``control_decimation`` steps).
 
+    The record flags are loop state.  ``toll_clamped`` is 1 while the toll
+    the last tick computed, before its clamp, was negative; ``hot_clamped``
+    and ``gp_clamped`` read 1 in every record after the first step that
+    clamps that group's trip count.
+
     Both coefficients accumulate the same ``lam`` and ``xi``.  An unclamped
     plant step moves the HOT-lane trips ``delta1`` by exactly ``-dt * xi``,
     so ``k3*a - k1*b + (k1*k4 - k2*k3)*delta1`` is conserved for any gains,
@@ -296,8 +296,6 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     (``decimation = 1``) and ``delta1`` is not clamped.
     """
     stats = SaturationStats() if stats is None else stats
-    # a reused stats object carries earlier runs' counts; the flags mark this run's clamps
-    hot_clamps0, gp_clamps0 = stats.hot_clamp_steps, stats.gp_clamp_steps
     inf = math.inf
     dt = config.dt_s / 3600.0
     horizon_s = config.horizon_h * 3600.0
@@ -331,7 +329,8 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     d1_init = d1 = config.initial_hot_trips
     d2_init = d2 = config.initial_gp_trips
     G1 = G2 = 0.0
-    u = p = 0.0
+    u = p = posted = 0.0  # posted: the last tick's toll before its clamp
+    hot_clamped = gp_clamped = 0
     held_rates = config.demand.held_rates
     hold_until = -inf  # the demand rates e1t, e2t hold for t <= hold_until
     next_record = 0  # the step index of the next record; the last step is always one
@@ -373,9 +372,8 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         tick = i == next_tick  # the toll is set from the gap now and the gains act after the step
         if not hov_mode:
             if tick:
-                u = ceiling if gap == inf else a * gap + b
-                if not u > 0.0:
-                    u = 0.0
+                posted = ceiling if gap == inf else a * gap + b
+                u = posted if posted > 0.0 else 0.0  # NaN posts 0
             if omega < 0.0:
                 p = 0.0
             elif ue_exp:  # UeChoice.share, with ExponentialVot.tail
@@ -412,9 +410,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
                 # nfd.classify_phase of each group
                 C if abs(rho1 - rho_c1) <= tol else SUC if rho1 < rho_c1 else SOC,
                 C if abs(rho2 - rho_c2) <= tol else SUC if rho2 < rho_c2 else SOC,
-                1 if not hov_mode and gap < inf and a * gap + b < 0.0 else 0,
-                1 if stats.hot_clamp_steps > hot_clamps0 else 0,
-                1 if stats.gp_clamp_steps > gp_clamps0 else 0,
+                1 if posted < 0.0 else 0, hot_clamped, gp_clamped,
             ))
             # With finite densities every float but the gap is finite if these seven are: E
             # covers delta and G, and xi covers g1 and the HOT inflow.  Their sum is not finite
@@ -426,16 +422,20 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         d1 += dt * (in1 - g1)
         if d1 < 0.0:
             d1 = 0.0
+            hot_clamped = 1
             stats.hot_clamp_steps += 1
         elif d1 > cap1:
+            hot_clamped = 1
             stats.hot_clamp_steps += 1
             stats.hot_dropped += d1 - cap1
             d1 = cap1
         d2 += dt * (in2 - g2)
         if d2 < 0.0:
             d2 = 0.0
+            gp_clamped = 1
             stats.gp_clamp_steps += 1
         elif d2 > cap2:
+            gp_clamped = 1
             stats.gp_clamp_steps += 1
             stats.gp_dropped += d2 - cap2
             d2 = cap2

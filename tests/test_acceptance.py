@@ -15,8 +15,7 @@ import pytest
 from conftest import until_gp_jam
 
 from hotlanes.analysis import (
-    equilibrium_share,
-    linearized_matrix,
+    LinearizedSystem,
     loop_matrix,
     max_outflow_cases,
     triangular_growth,
@@ -253,10 +252,10 @@ def test_criterion_4_stability_verdicts(criterion):
         k1 = rng.uniform(0.1, 20.0)
         k2 = rng.uniform(0.1, 20.0)
         L1 = rng.uniform(0.5, 20.0)
-        verdict = linearized_matrix(h, j, k1, k2, L1).stable
+        verdict = LinearizedSystem(h, j, k1, k2, L1).stable
         if verdict != (j - k2 * L1 < 0.0):
             mismatches += 1
-    res = linearized_matrix(1.0, 0.0, 8.0, 5.0, 10.0)
+    res = LinearizedSystem(1.0, 0.0, 8.0, 5.0, 10.0)
     eigs = sorted(z.real for z in res.eigenvalues)
     worked_ok = abs(eigs[0] + 4.8345) <= 1e-4 and abs(eigs[1] + 0.1655) <= 1e-4
     ok = mismatches == 0 and worked_ok
@@ -280,7 +279,7 @@ def test_criterion_5_triangular_gridlock(criterion):
 
     # over-critical segment tracks the exponential closed form at dt = 0.01 s: in
     # HOV mode nobody pays, so the one GP lane of the 1 km corridor takes all of e2
-    p0 = equilibrium_share(base)
+    p0 = constant_equilibrium(base).p0
     e2 = 860.0 * (1.0 - p0)
     plant = replace(base, mode="hov", demand=DemandProfile(hov_rate=0.0, sov_rate=e2),
                     initial_gp_trips=42.0, dt_s=0.01, output_dt_s=0.01)

@@ -8,9 +8,8 @@ import pytest
 
 from hotlanes.analysis import (
     A1ViolationError,
+    LinearizedSystem,
     constant_equilibrium,
-    equilibrium_share,
-    linearized_matrix,
     loop_matrix,
     max_outflow_cases,
     triangular_growth,
@@ -31,33 +30,33 @@ def study(hov=2000.0, sov=8600.0):
 
 class TestEquilibriumShare:
     def test_study_parameters(self):
-        p0 = equilibrium_share(study())
+        p0 = constant_equilibrium(study()).p0
         assert p0 == pytest.approx(13333.0 / 43000.0, rel=1e-3)
         assert p0 == pytest.approx(0.3101, rel=1e-3)
 
     def test_share_in_unit_interval(self):
-        p0 = equilibrium_share(preset("constant"))
+        p0 = constant_equilibrium(preset("constant")).p0
         assert 0.0 < p0 < 1.0
 
     def test_doubling_sov_demand_halves_share(self):
-        p0 = equilibrium_share(study())
-        p0_double = equilibrium_share(study(sov=17200.0))
+        p0 = constant_equilibrium(study()).p0
+        p0_double = constant_equilibrium(study(sov=17200.0)).p0
         assert p0_double == pytest.approx(p0 / 2.0)
 
     def test_saturating_hov_demand_rejected(self):
         # numerator <= 0 sits on or beyond the overload boundary
         e1 = 10.0 * RHO_C * 100.0 / 5.0 * (1.0 + 1e-9)
         with pytest.raises(A1ViolationError, match="HOV demand"):
-            equilibrium_share(study(hov=e1))
+            constant_equilibrium(study(hov=e1))
 
     def test_share_vanishes_near_hov_saturation(self):
         e1 = 10.0 * RHO_C * 100.0 / 5.0
-        p0 = equilibrium_share(study(hov=e1 * (1 - 1e-9)))
+        p0 = constant_equilibrium(study(hov=e1 * (1 - 1e-9))).p0
         assert p0 == pytest.approx(0.0, abs=1e-9)
 
     def test_low_sov_demand_rejected(self):
         with pytest.raises(A1ViolationError, match="SOV demand"):
-            equilibrium_share(study(sov=3000.0))
+            constant_equilibrium(study(sov=3000.0))
 
     def test_check_a1_lists_all_failures(self):
         failures = study(hov=4700.0, sov=100.0).a1_warnings()
@@ -65,7 +64,7 @@ class TestEquilibriumShare:
 
     def test_time_varying_demand_rejected(self):
         with pytest.raises(ValueError, match="constant demand"):
-            equilibrium_share(preset("trapezoid"))
+            constant_equilibrium(preset("trapezoid"))
 
 
 def gridlock_study():
@@ -80,7 +79,7 @@ class TestTriangularGrowth:
 
     def test_fixed_point_is_constant(self):
         cfg = gridlock_study()
-        p0, e2, w, d, rho_j, L2 = equilibrium_share(cfg), 8600.0, 20.0, 5.0, 140.0, 10.0
+        p0, e2, w, d, rho_j, L2 = constant_equilibrium(cfg).p0, 8600.0, 20.0, 5.0, 140.0, 10.0
         delta0 = rho_j * L2 - d * e2 * (1 - p0) / w
         for t in (0.1, 1.0, 3.0):
             assert triangular_growth(cfg, delta0, t) == pytest.approx(delta0)
@@ -98,7 +97,7 @@ class TestTriangularGrowth:
         assert triangular_growth(two_lanes, 500.0, 0.3) == pytest.approx(
             triangular_growth(cfg, 500.0, 0.3), rel=1e-12)
 
-    def test_raises_as_equilibrium_share(self):
+    def test_raises_as_constant_equilibrium(self):
         with pytest.raises(ValueError, match="constant demand"):
             triangular_growth(preset("trapezoid"), 500.0, 0.1)
 
@@ -111,7 +110,7 @@ class TestAtfdGrowthRates:
         pred = constant_equilibrium(cfg)
         c = cfg.fd_gp.c
         assert c == pytest.approx(1866.67, rel=1e-5)
-        assert pred.p0 == pytest.approx(equilibrium_share(cfg))
+        assert pred.p0 == pytest.approx(constant_equilibrium(cfg).p0)
         assert pred.delta2_rate == pytest.approx(8600.0 * (1 - pred.p0) - c * 10.0 / 5.0, rel=1e-12)
         assert pred.delta2_rate == pytest.approx(2200.0, rel=1e-9)
         assert pred.omega0 == pytest.approx(pred.delta2_rate / (c * 10.0), rel=1e-12)
@@ -144,30 +143,30 @@ class TestAtfdGrowthRates:
 
 class TestLinearizedMatrix:
     def test_direct_substitution(self):
-        sys = linearized_matrix(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
-        assert sys.m11 == pytest.approx(-5.0)
-        assert sys.m12 == pytest.approx(8.0)
-        assert sys.m21 == pytest.approx(-0.1)
-        assert sys.m22 == 0.0
+        (m11, m12), (m21, m22) = LinearizedSystem(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=10.0).matrix
+        assert m11 == pytest.approx(-5.0)
+        assert m12 == pytest.approx(8.0)
+        assert m21 == pytest.approx(-0.1)
+        assert m22 == 0.0
 
     def test_zero_top_left_when_j_matches(self):
-        sys = linearized_matrix(H=2.0, J=50.0, K1=8.0, K2=5.0, L1=10.0)
-        assert sys.m11 == pytest.approx(0.0)
+        sys = LinearizedSystem(H=2.0, J=50.0, K1=8.0, K2=5.0, L1=10.0)
+        assert sys.matrix[0][0] == pytest.approx(0.0)
 
     def test_first_row_scales_inversely_with_h(self):
-        s1 = linearized_matrix(H=1.0, J=3.0, K1=8.0, K2=5.0, L1=10.0)
-        s2 = linearized_matrix(H=2.0, J=3.0, K1=8.0, K2=5.0, L1=10.0)
-        assert s2.m11 == pytest.approx(s1.m11 / 2.0)
-        assert s2.m12 == pytest.approx(s1.m12 / 2.0)
+        s1 = LinearizedSystem(H=1.0, J=3.0, K1=8.0, K2=5.0, L1=10.0).matrix
+        s2 = LinearizedSystem(H=2.0, J=3.0, K1=8.0, K2=5.0, L1=10.0).matrix
+        assert s2[0][0] == pytest.approx(s1[0][0] / 2.0)
+        assert s2[0][1] == pytest.approx(s1[0][1] / 2.0)
 
     def test_non_positive_h_rejected(self):
         with pytest.raises(ValueError):
-            linearized_matrix(H=0.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
+            LinearizedSystem(H=0.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
 
 
 class TestStability:
     def test_worked_eigenvalues(self):
-        res = linearized_matrix(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
+        res = LinearizedSystem(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
         eigs = sorted(z.real for z in res.eigenvalues)
         assert eigs[0] == pytest.approx(-4.8345, abs=1e-4)
         assert eigs[1] == pytest.approx(-0.1655, abs=1e-4)
@@ -176,7 +175,7 @@ class TestStability:
     def test_under_critical_always_stable(self):
         rng = random.Random(7)
         for _ in range(50):
-            sys = linearized_matrix(
+            sys = LinearizedSystem(
                 H=rng.uniform(0.01, 2.0), J=-rng.uniform(0.01, 50.0),
                 K1=rng.uniform(0.1, 20.0), K2=rng.uniform(0.1, 20.0),
                 L1=rng.uniform(0.5, 20.0),
@@ -184,14 +183,14 @@ class TestStability:
             assert sys.stable
 
     def test_over_critical_needs_large_k2(self):
-        unstable = linearized_matrix(H=1.0, J=100.0, K1=8.0, K2=5.0, L1=10.0)
+        unstable = LinearizedSystem(H=1.0, J=100.0, K1=8.0, K2=5.0, L1=10.0)
         assert not unstable.stable
-        stable = linearized_matrix(H=1.0, J=100.0, K1=8.0, K2=15.0, L1=10.0)
+        stable = LinearizedSystem(H=1.0, J=100.0, K1=8.0, K2=15.0, L1=10.0)
         assert stable.stable
 
     def test_complex_pair_classified_by_real_part(self):
         # small damping, large coupling: complex eigenvalues
-        res = linearized_matrix(H=1.0, J=-0.5, K1=100.0, K2=0.1, L1=1.0)
+        res = LinearizedSystem(H=1.0, J=-0.5, K1=100.0, K2=0.1, L1=1.0)
         assert res.eigenvalues[0].imag != 0.0
         assert res.stable
 
@@ -344,7 +343,7 @@ class TestChoiceSensitivity:
         # at lam = xi = 0 the UE toll slope is -mean / p, so H = mean / (p e2)
         h = loop_matrix(one_lane(fd_floor), 0.0, 0.0, 0.1).H
         p = 50.0 / (h * 860.0)
-        assert p == pytest.approx(equilibrium_share(preset("constant")), rel=1e-9)
+        assert p == pytest.approx(constant_equilibrium(preset("constant")).p0, rel=1e-9)
 
     def test_decreasing_in_residual_service(self, fd_floor):
         # at rho1 = 10 the share at xi = 0 is exactly 0 (g1 L1 / D = e1), where
@@ -433,7 +432,7 @@ class TestLoopMatrix:
         sysm = loop_matrix(cfg, 1.0, 0.0, omega)
         L1 = cfg.hot_lanes * cfg.corridor_length
         K1, K2 = c.k1 + c.k3 / omega, c.k2 + c.k4 / omega
-        assert sysm == linearized_matrix(sysm.H, sysm.J, K1, K2, L1)
+        assert sysm == LinearizedSystem(sysm.H, sysm.J, K1, K2, L1)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_left_side_at_the_kink_has_the_free_flow_slope(self, name):
@@ -445,9 +444,11 @@ class TestLoopMatrix:
         right = loop_matrix(cfg, 0.0, 0.0, omega, side="right")
         K1, K2 = c.k1 + c.k3 / omega, c.k2 + c.k4 / omega
         for sysm, slope in ((left, fd.u_f), (right, -fd.w)):
-            expected = linearized_matrix(right.H, -right.H * L1 / D * slope, K1, K2, L1)
-            for field in ("m11", "m12", "m21", "m22", "H", "J", "K1", "K2"):
+            expected = LinearizedSystem(right.H, -right.H * L1 / D * slope, K1, K2, L1)
+            for field in ("H", "J", "K1", "K2"):
                 assert getattr(sysm, field) == pytest.approx(getattr(expected, field), rel=1e-12)
+            for row, want in zip(sysm.matrix, expected.matrix):
+                assert row == pytest.approx(want, rel=1e-12)
         assert left.H == right.H
         assert left.stable and right.stable
 

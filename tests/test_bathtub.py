@@ -6,7 +6,7 @@ import warnings
 import pytest
 from conftest import until_gp_jam
 
-from hotlanes.analysis import equilibrium_share, triangular_growth
+from hotlanes.analysis import constant_equilibrium, triangular_growth
 from hotlanes.bathtub import (
     HotGridlockError,
     SaturationStats,
@@ -127,7 +127,7 @@ class TestStep:
             demand=DemandProfile(hov_rate=2000.0, sov_rate=8600.0),
             corridor_length=10.0, mean_trip_distance=5.0,
         )
-        e2 = 8600.0 * (1.0 - equilibrium_share(study))
+        e2 = 8600.0 * (1.0 - constant_equilibrium(study).p0)
         rows = plant_run(fd_triangular, d2=420.0, e2=e2, dt_s=0.01, steps=40_000)
         worst = 0.0
         for row in rows[1:]:

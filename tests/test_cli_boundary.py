@@ -16,6 +16,8 @@ from hotlanes.presets import _KNOWN_KEYS, PRESETS
 from hotlanes.scenario import CSV_COLUMNS, read_csv
 
 EDGE_VALUES = ("nan", "inf", "-1", "0", "1e300", "1e308", "", "abc")
+# a record cell also meets the far ends of the floats: overflowing ratios and subnormal gaps
+CELL_VALUES = EDGE_VALUES + ("-inf", "-1e308", "1.7e308", "5e-324", "1e-320")
 KEYS = sorted(f"{section}.{key}" for section, keys in _KNOWN_KEYS.items() for key in keys)
 # every float column but the gap, which is inf while the GP lanes are jammed
 FINITE_COLUMNS = [c for c in CSV_COLUMNS[: CSV_COLUMNS.index("phase1")] if c != "omega"]
@@ -86,6 +88,24 @@ def test_estimate_options_at_every_edge_value_exit_cleanly(model, tmp_path, caps
         _, failure = call(["estimate", "--records", str(records), "--model", model], capsys)
         if failure:
             failures.append(f"{base} defaults: {failure}")
+        # one cell edited in the first of 20 estimable rows; a toll no run writes is a
+        # config error
+        lines = records.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        row = next(i for i, r in enumerate(read_csv(str(records)), 1)
+                   if r.omega > 0.0 and 0.0 < r.e21_tilde < r.e2_tilde)
+        edited = tmp_path / "edited.csv"
+        for column in ("u", "omega", "e2_tilde", "e21_tilde"):
+            for value in CELL_VALUES:
+                cells = lines[row].split(",")
+                cells[header.index(column)] = value
+                rows = [lines[0], ",".join(cells), *lines[row + 1:row + 20]]
+                edited.write_text("\n".join(rows) + "\n", encoding="utf-8")
+                code, failure = call(["estimate", "--records", str(edited), "--model", model], capsys)
+                if not failure and column == "u" and value in ("nan", "inf", "-1", "-inf", "-1e308"):
+                    failure = None if code == 1 else f"exit {code} on a toll of {value}"
+                if failure:
+                    failures.append(f"{base} row {row} {column}={value!r}: {failure}")
     assert not failures, "\n".join(failures)
 
 

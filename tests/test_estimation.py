@@ -47,6 +47,11 @@ class TestCdfPoint:
         with pytest.raises(EstimationError):
             estimate_cdf_point(obs(u=1.0, omega=0.02, e2=0.0, e21=0.0))
 
+    @pytest.mark.parametrize("u, omega", [(1e308, 0.02), (1.0, 5e-324)])
+    def test_overflowing_ratio_not_estimable(self, u, omega):
+        with pytest.raises(EstimationError, match="overflows"):
+            estimate_cdf_point(obs(u=u, omega=omega))
+
 
 class TestLogitVot:
     def test_half_share_reads_off_ratio(self):
@@ -78,6 +83,10 @@ class TestLogitVot:
 class TestPooling:
     def test_empty_input(self):
         assert pool_cdf_points([]) == []
+
+    def test_spread_below_a_bin_width_collapses(self):
+        # (hi - lo) / num_bins underflows to 0: one bin at lo, not a division by zero
+        assert pool_cdf_points([(0.0, 0.2), (5e-324, 0.4)]) == [(0.0, pytest.approx(0.3), 2)]
 
     def test_single_abscissa_collapses(self):
         pooled = pool_cdf_points([(5.0, 0.2), (5.0, 0.4)])
@@ -135,4 +144,12 @@ class TestPayingRateValidation:
         for estimate in (estimate_cdf_point, estimate_logit_vot):
             with pytest.raises(ValueError, match=r"paying-SOV rate must lie in \[0, SOV rate\]") as info:
                 estimate(obs(u=1.0, omega=0.02, e2=100.0, e21=150.0))
+            assert not isinstance(info.value, EstimationError)
+
+    @pytest.mark.parametrize("u", [-1.0, -math.inf, math.inf, math.nan])
+    def test_toll_non_negative_and_finite(self, u):
+        # a toll no run posts makes the row bad for both models, as a paying rate out of range does
+        for estimate in (estimate_cdf_point, estimate_logit_vot):
+            with pytest.raises(ValueError, match="toll must be non-negative and finite") as info:
+                estimate(obs(u=u))
             assert not isinstance(info.value, EstimationError)

@@ -10,9 +10,11 @@ stop at GP jam density wrote for the same config at every-step cadence.  The
 taken from the loop that called one helper function per formula, before that
 arithmetic moved inline.  The ``constant/piecewise`` and
 ``trapezoid/every-step`` pins were taken from the loop that read the demand
-profile at every step, before it read it only where the rates change.  A
-change that alters the numerics or the bytes on purpose must say so and pin
-new digests.
+profile at every step, before it read it only where the rates change.  The
+``trapezoid/decimation7`` pin was re-taken when ``toll_clamped`` became the
+flag of the toll the last controller tick posted; it differs from the earlier
+pin only in that column.  A change that alters the numerics or the bytes on
+purpose must say so and pin new digests.
 """
 
 import csv
@@ -136,7 +138,7 @@ PINNED = {
         (0, 0, 0.0, 0.0),
     ),
     "trapezoid/decimation7": (
-        "9819aedc230cb563d91afbc4833dd53657072bc754573562e55e94fcf7fef601",
+        "a61c15267702836a6d1f08dbe8d177ed69c974bcbe7e039367afd41fccbcb5cd",
         (0, 0, 0.0, 0.0),
     ),
     "trapezoid/short-pulse": (

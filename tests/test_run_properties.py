@@ -119,7 +119,7 @@ def test_run_outcome_and_invariants(overrides):
         assert r.phase1 == classify_phase(config.fd_hot, r.rho1), r
         assert r.phase2 == classify_phase(config.fd_gp, r.rho2), r
         # the demand the loop holds between reads, and its inline share, equal their references
-        hov, sov = config.demand.rates(r.t)
+        hov, sov = config.demand.held_rates(r.t)[:2]
         assert identical(r.e1_tilde, hov) and identical(r.e2_tilde, sov), r
         if config.mode == "hot" and r.omega >= 0.0:
             assert identical(r.p, config.choice.share(r.u, r.omega)), r

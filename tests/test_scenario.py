@@ -59,17 +59,17 @@ def leaf_fields(obj, prefix=""):
 class TestDemandProfile:
     def test_constant(self):
         d = DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0)
-        assert d.rates(0.0) == (200.0, 860.0)
-        assert d.rates(99.0) == (200.0, 860.0)
+        assert d.held_rates(0.0)[:2] == (200.0, 860.0)
+        assert d.held_rates(99.0)[:2] == (200.0, 860.0)
 
     def test_trapezoid_shape(self):
         d = DemandProfile(kind="trapezoid", hov_rate=100.0, sov_rate=400.0,
                           t0=0.0, t1=1.0, t2=3.0, t3=4.0)
-        assert d.rates(0.0) == (0.0, 0.0)
-        assert d.rates(0.5) == (50.0, 200.0)
-        assert d.rates(2.0) == (100.0, 400.0)
-        assert d.rates(3.5) == (50.0, 200.0)
-        assert d.rates(5.0) == (0.0, 0.0)
+        assert d.held_rates(0.0)[:2] == (0.0, 0.0)
+        assert d.held_rates(0.5)[:2] == (50.0, 200.0)
+        assert d.held_rates(2.0)[:2] == (100.0, 400.0)
+        assert d.held_rates(3.5)[:2] == (50.0, 200.0)
+        assert d.held_rates(5.0)[:2] == (0.0, 0.0)
 
     def test_trapezoid_breakpoints_must_increase(self):
         with pytest.raises(ConfigError):
@@ -79,10 +79,10 @@ class TestDemandProfile:
     def test_piecewise_interpolation(self):
         d = DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0, 2.0),
                           hov_rates=(0.0, 100.0, 0.0), sov_rates=(0.0, 400.0, 100.0))
-        assert d.rates(0.5) == (50.0, 200.0)
-        assert d.rates(1.5) == (50.0, 250.0)
-        assert d.rates(-1.0) == (0.0, 0.0)
-        assert d.rates(5.0) == (0.0, 100.0)
+        assert d.held_rates(0.5)[:2] == (50.0, 200.0)
+        assert d.held_rates(1.5)[:2] == (50.0, 250.0)
+        assert d.held_rates(-1.0)[:2] == (0.0, 0.0)
+        assert d.held_rates(5.0)[:2] == (0.0, 100.0)
 
     def test_piecewise_validation(self):
         with pytest.raises(ConfigError):
@@ -125,13 +125,13 @@ class TestDemandProfile:
                        else [t + 1e-9, t + 1.0, t + 1e6])
             for s in (t, *between, t_end):
                 if s < math.inf:  # bit for bit: a -0.0 rate stays -0.0
-                    assert repr(demand.rates(s)) == repr((hov, sov)), (t, s)
+                    assert repr(demand.held_rates(s)[:2]) == repr((hov, sov)), (t, s)
 
 
 class TestConfig:
     def test_preset_constant_defaults(self):
         cfg = preset("constant")
-        assert cfg.demand.rates(1.0) == (200.0, 860.0)
+        assert cfg.demand.held_rates(1.0)[:2] == (200.0, 860.0)
         assert cfg.fd_hot.u_f == 100.0
         assert cfg.fd_gp.c == pytest.approx(0.8 * 7000.0 / 3.0)
         assert cfg.controller.k1 == 8.0 and cfg.controller.k4 == 6.0
@@ -189,7 +189,7 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.horizon_h == 0.5
         assert cfg.dt_s == 0.2
-        assert cfg.demand.rates(0.0) == (150.0, 700.0)
+        assert cfg.demand.held_rates(0.0)[:2] == (150.0, 700.0)
         assert cfg.controller.k1 == 9.0
         assert cfg.controller.a == 2.5
         assert cfg.fd_gp.c == pytest.approx(0.5 * 7000.0 / 3.0)
@@ -366,6 +366,25 @@ class TestRunner:
         for i in range(0, len(records) - 10, 10):
             window = records[i : i + 10]
             assert len({r.u for r in window}) == 1
+
+    @pytest.mark.parametrize("decimation", [7, 10])
+    def test_toll_clamped_flags_the_last_tick(self, decimation):
+        # toll_clamped is 1 exactly when the toll the last controller tick computed was
+        # negative before its clamp, and holds, as the toll does, until the next tick; the
+        # flag flips on the ramp up and settles at 1 as the pulse ends at 5 h
+        cfg = short(preset("trapezoid"), horizon_h=5.0, dt_s=0.5, control_decimation=decimation)
+        ceiling = cfg.controller.toll_ceiling
+        flagged = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i, r in enumerate(iter_run(cfg)):
+                if i % decimation == 0:  # a tick: record i holds the coefficients it uses
+                    gap = max(r.omega, 0.0)
+                    posted = ceiling if gap == math.inf else r.a * gap + r.b
+                assert r.u == max(posted, 0.0), r
+                assert r.toll_clamped == (1 if posted < 0.0 else 0), r
+                flagged.append(r.toll_clamped)
+        assert len(flagged) == 36000 and 0 < sum(flagged) < len(flagged)
 
     def test_hov_mode_forces_zero_share(self):
         cfg = short(preset("trapezoid"), horizon_h=0.05, dt_s=0.5)
@@ -1056,6 +1075,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SOV demand does not overload" not in out
         assert "warning: total demand below joint capacity: 3150 <= 4433.33\n" in out
+
+    def test_analyze_states_a_failed_a1_check_once(self, capsys):
+        # each failed inequality is a warning line; the verdict names them without repeating
+        assert main(["analyze", "--preset", "constant", "--set", "demand.sov_veh_h=100"]) == 0
+        assert capsys.readouterr().out == (
+            "critical density: 23.3333 veh/km/lane, capacity: 2333.33 veh/h/lane\n"
+            "warning: SOV demand does not overload the GP lanes: e2*D = 500 <= 2333.33\n"
+            "warning: total demand below joint capacity: 1500 <= 4666.67\n"
+            "no equilibrium: the overload (A1) conditions above fail\n")
 
     @pytest.mark.parametrize("model", ["ue", "logit"])
     def test_analyze_without_a_flow_floor_has_no_gap_line(self, model, capsys):
