@@ -192,6 +192,11 @@ def max_outflow_cases(config, rho_tot: float) -> MaxOutflowAnalysis:
     )
 
 
+def _require_constant_demand(config) -> None:
+    if config.demand.kind != "constant":
+        raise ValueError("equilibrium predictions need a constant demand profile")
+
+
 def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right") -> LinearizedSystem:
     """The linearized loop of a constant-demand config at state (lam, xi) and gap ``omega``.
 
@@ -203,10 +208,11 @@ def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right"
     kink ``side`` ("left" or "right") picks the branch, so at lam = 0 the
     left matrix is the under-critical one (g1' = u_f) and the right one the
     over-critical one.  The gains are the effective ones, K1 = k1 + k3 /
-    omega and K2 = k2 + k4 / omega.  Raises ``ValueError`` for an unknown
-    side, a negative density, a share outside the choice model's range or a
-    gap that is not positive.
+    omega and K2 = k2 + k4 / omega.  Raises ``ValueError`` for demand that
+    is not constant, an unknown side, a negative density, a share outside
+    the choice model's range or a gap that is not positive.
     """
+    _require_constant_demand(config)
     if not omega > 0.0:
         raise ValueError(f"the travel time gap must be positive, got {omega}")
     fd = config.fd_hot
@@ -239,8 +245,7 @@ def constant_equilibrium(config) -> EquilibriumPrediction:
     if the demand is not constant, and :class:`A1ViolationError`, listing the
     failed inequalities, if ``config.a1_warnings()`` is not empty.
     """
-    if config.demand.kind != "constant":
-        raise ValueError("equilibrium predictions need a constant demand profile")
+    _require_constant_demand(config)
     failures = config.a1_warnings()
     if failures:
         raise A1ViolationError("; ".join(failures))

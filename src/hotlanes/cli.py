@@ -9,6 +9,7 @@ import argparse
 import math
 import statistics
 import sys
+import warnings
 
 from . import analysis, estimation
 from .bathtub import HotGridlockError, SaturationStats
@@ -139,9 +140,10 @@ def _cmd_estimate(args) -> int:
         for x, f_hat, count in estimation.pool_cdf_points(found, num_bins=bins):
             print(f"{x:.9g},{f_hat:.9g},{count}")
         return EXIT_OK
-    mean = statistics.fmean(found)
-    spread = statistics.pstdev(found) if len(found) > 1 else 0.0
-    print(f"common VOT estimate: {mean:.6g} $/h over {len(found)} observations (sd {spread:.3g})")
+    n = len(found)
+    mean = math.fsum(v / n for v in found)  # finite votes give a finite mean, even near 1e308
+    spread = statistics.pstdev(found) if n > 1 else 0.0
+    print(f"common VOT estimate: {mean:.6g} $/h over {n} observations (sd {spread:.3g})")
     return EXIT_OK
 
 
@@ -206,16 +208,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-        return args.func(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (HotGridlockError, OverflowError) as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    # the filters in force still decide: an ignored warning prints nothing, and
+    # one turned into an error is a config error
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = _PARSER.parse_args(argv)
+            return args.func(args)
+        except (ConfigError, OSError, Warning) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (HotGridlockError, OverflowError) as exc:
+            print(f"runtime abort: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 _PARSER = build_parser()  # built once per process; main only parses with it

@@ -6,8 +6,8 @@ distribution function; under the logit model each interior observation gives
 a point estimate of the common VOT.  Each estimator reads ``u``, ``omega``,
 ``e2_tilde`` and ``e21_tilde`` from one record, such as a
 :class:`~hotlanes.scenario.SimulationRecord`, and raises a plain
-``ValueError`` for a negative or non-finite toll and for a paying-SOV rate
-outside [0, SOV rate].
+``ValueError`` for a negative or non-finite toll, a non-finite SOV rate and
+a paying-SOV rate outside [0, SOV rate].
 """
 
 import math
@@ -28,6 +28,8 @@ def _check_record(r) -> None:
     """Raise ``ValueError`` for a record no run writes, :class:`EstimationError` without a gap."""
     if not 0.0 <= r.u < math.inf:
         raise ValueError(f"toll must be non-negative and finite, got {r.u}")
+    if not math.isfinite(r.e2_tilde):
+        raise ValueError(f"SOV rate must be finite, got {r.e2_tilde}")
     if not 0.0 <= r.e21_tilde <= r.e2_tilde * (1 + 1e-12):
         raise ValueError("paying-SOV rate must lie in [0, SOV rate]")
     if not 0.0 < r.omega < math.inf:

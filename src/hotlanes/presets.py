@@ -1,6 +1,6 @@
 """Built-in scenario presets and the INI config loader.
 
-The presets pin the numerical study defaults: a triangular diagram with
+The study base pins the numerical study defaults: a triangular diagram with
 u_f = 100 km/h, w = 20 km/h, jam density 140 veh/km/lane and a flow floor at
 80% of capacity, integral gains (8, 5, 8, 6), an exponential VOT with mean
 $50/h, and a unit-length corridor with one lane per group.
@@ -9,7 +9,8 @@ The demand magnitudes are reconstructed, not published: 200 HOV and 860 SOV
 veh/h overload the corridor, leave the managed lanes under-used without
 pricing, and put the equilibrium paying share near 0.31.  The unit corridor
 keeps the gain magnitudes matched to the state magnitudes; demand scales
-with corridor length if you change the geometry.
+with corridor length if you change the geometry.  Each preset is a list of
+``section.key=value`` overrides, the ``--set`` syntax, applied to the base.
 """
 
 import configparser
@@ -23,74 +24,46 @@ from .scenario import ConfigError, DemandProfile, ScenarioConfig
 __all__ = ["PRESETS", "preset", "load_config", "apply_overrides", "section_help"]
 
 
-def _vi_fd(floor_fraction: float = 0.8) -> FdParams:
+def _vi_fd() -> FdParams:
     base = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.0)
-    return replace(base, c=floor_fraction * capacity(base))
+    return replace(base, c=0.8 * capacity(base))
 
 
-def constant_demand() -> ScenarioConfig:
-    """Constant overload demand on the flow-floor diagram, UE choice."""
-    return ScenarioConfig(
-        fd_hot=_vi_fd(),
-        fd_gp=_vi_fd(),
-        demand=DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0),
-        corridor_length=1.0,
-        mean_trip_distance=5.0,
-        choice=UeChoice(ExponentialVot(mean=50.0)),
-        controller=ControllerState(k1=8.0, k2=5.0, k3=8.0, k4=6.0),
-        dt_s=0.1,
-        horizon_h=5.0,
-    )
+# The study base: constant overload demand on the flow-floor diagram, UE choice.
+_BASE = ScenarioConfig(
+    fd_hot=_vi_fd(), fd_gp=_vi_fd(),
+    demand=DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0),
+    corridor_length=1.0, hot_lanes=1.0, gp_lanes=1.0, mean_trip_distance=5.0,
+    choice=UeChoice(ExponentialVot(mean=50.0)),
+    controller=ControllerState(k1=8.0, k2=5.0, k3=8.0, k4=6.0),
+    dt_s=0.1, horizon_h=5.0,
+)
 
-
-def constant_demand_logit() -> ScenarioConfig:
-    """Constant demand with the fixed-VOT logit choice model."""
-    return replace(constant_demand(), choice=LogitChoice(pi_star=50.0, alpha_star=1.0))
-
-
-def trapezoid_peak() -> ScenarioConfig:
-    """A peak-period demand pulse sized for the HOV-vs-HOT comparison.
-
-    The peak keeps total demand just below joint capacity so pricing can
-    actually protect the GP lanes; without pricing they hypercongest for the
-    whole peak.
-    """
-    return replace(
-        constant_demand(),
-        demand=DemandProfile(
-            kind="trapezoid",
-            hov_rate=200.0,
-            sov_rate=700.0,
-            t0=0.0,
-            t1=0.5,
-            t2=4.5,
-            t3=5.0,
-        ),
-        horizon_h=9.0,
-    )
-
-
-def triangular_gridlock() -> ScenarioConfig:
-    """Constant overload demand with no flow floor; gridlocks in finite time."""
-    fd = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.0)
-    return replace(constant_demand(), fd_hot=fd, fd_gp=fd, horizon_h=2.0)
-
-
+# Each preset is the base with its ``section.key=value`` overrides applied.
 PRESETS = {
-    "constant": constant_demand,
-    "constant-logit": constant_demand_logit,
-    "trapezoid": trapezoid_peak,
-    "triangular-gridlock": triangular_gridlock,
+    "constant": (),
+    "constant-logit": ("choice.model=logit", "choice.logit_vot=50", "choice.logit_scale=1"),
+    # A peak-period pulse for the HOV-vs-HOT comparison.  The peak keeps total
+    # demand just below joint capacity so pricing can actually protect the GP
+    # lanes; without pricing they hypercongest for the whole peak.
+    "trapezoid": ("demand.kind=trapezoid", "demand.hov_peak_veh_h=200",
+                  "demand.sov_peak_veh_h=700", "demand.ramp_up_start_h=0",
+                  "demand.ramp_up_end_h=0.5", "demand.ramp_down_start_h=4.5",
+                  "demand.ramp_down_end_h=5", "simulation.horizon_h=9"),
+    # No flow floor: constant overload gridlocks the GP lanes in finite time.
+    "triangular-gridlock": ("fd.flow_floor_veh_h=0", "simulation.horizon_h=2"),
 }
 
 
 def preset(name: str) -> ScenarioConfig:
+    """The study base with the named preset's overrides applied."""
     try:
-        return PRESETS[name]()
+        overrides = PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
+    return _build_from_parser(_parser(None, overrides), _BASE)
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -206,13 +179,16 @@ def _parse_choice(cp: configparser.ConfigParser, base):
     return chosen if model == "logit" else UeChoice(chosen)
 
 
-def _build_from_parser(cp: configparser.ConfigParser) -> ScenarioConfig:
+def _build_from_parser(cp: configparser.ConfigParser,
+                       config: ScenarioConfig | None = None) -> ScenarioConfig:
+    """``config`` with the parser's keys applied; it defaults to the preset [scenario] names."""
     if cp.defaults():
         raise ConfigError(f"section [DEFAULT] takes no keys, got {sorted(cp.defaults())}")
     for section in cp.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-    config = preset(_read(cp, "scenario").get("preset", "constant"))
+    if config is None:
+        config = preset(_read(cp, "scenario").get("preset", "constant"))
     updates = {}
     if cp.has_section("fd"):
         updates["fd_hot"] = updates["fd_gp"] = _parse_fd(_read(cp, "fd"), config.fd_hot)
@@ -247,25 +223,30 @@ def apply_overrides(config_or_none, preset_name: str | None, overrides: list[str
     """
     if preset_name:
         overrides = [f"scenario.preset={preset_name}", *overrides]
-    cp = configparser.ConfigParser()
     # Every constructor rejects a bad value with ValueError (ConfigError is
     # one), and so does the parser a bad section name, a bad '%' and a file
     # not in the locale's encoding; a file that is not INI and a missing
     # interpolation key raise configparser.Error.
     try:
-        if config_or_none is not None and not cp.read(config_or_none):
-            raise ConfigError(f"cannot read config file {config_or_none!r}")
-        for item in overrides:
-            if "=" not in item or "." not in item.split("=", 1)[0]:
-                raise ConfigError(f"override {item!r} is not of the form section.key=value")
-            dotted, value = item.split("=", 1)
-            section, key = dotted.rsplit(".", 1)
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, key.strip(), value.strip())
-        return _build_from_parser(cp)
+        return _build_from_parser(_parser(config_or_none, overrides))
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _parser(path: str | None, overrides) -> configparser.ConfigParser:
+    """The INI file at ``path``, if any, with the ``section.key=value`` overrides set on top."""
+    cp = configparser.ConfigParser()
+    if path is not None and not cp.read(path):
+        raise ConfigError(f"cannot read config file {path!r}")
+    for item in overrides:
+        if "=" not in item or "." not in item.split("=", 1)[0]:
+            raise ConfigError(f"override {item!r} is not of the form section.key=value")
+        dotted, value = item.split("=", 1)
+        section, key = dotted.rsplit(".", 1)
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key.strip(), value.strip())
+    return cp
 
 
 def section_help() -> str:

@@ -484,6 +484,15 @@ class TestLoopMatrix:
         with pytest.raises(ValueError, match="gap must be positive"):
             loop_matrix(preset("constant"), 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("demand", [
+        preset("trapezoid").demand,  # the peak rates are not an operating point
+        DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),  # the constant rates are 0
+                      hov_rates=(200.0, 200.0), sov_rates=(860.0, 860.0)),
+    ], ids=["trapezoid", "piecewise"])
+    def test_time_varying_demand_rejected(self, demand):
+        with pytest.raises(ValueError, match="constant demand"):
+            loop_matrix(replace(preset("constant"), demand=demand), 0.0, 0.0, 0.25)
+
 
 CHOICES = {
     "exponential-ue": UeChoice(ExponentialVot(50.0)),

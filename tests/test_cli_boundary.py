@@ -5,14 +5,17 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+import hotlanes
 from hotlanes.cli import main
-from hotlanes.presets import _KNOWN_KEYS, PRESETS
+from hotlanes.presets import _KNOWN_KEYS, PRESETS, preset
 from hotlanes.scenario import CSV_COLUMNS, read_csv
 
 EDGE_VALUES = ("nan", "inf", "-1", "0", "1e300", "1e308", "", "abc")
@@ -29,7 +32,7 @@ def non_finite_cells(path):
                    if not math.isfinite(getattr(r, c))})
 
 
-def call(argv, capsys):
+def call(argv, capsys, nan_fails=False):
     """(exit code or None, failure text or None) of one in-process call."""
     try:
         with warnings.catch_warnings():
@@ -38,12 +41,20 @@ def call(argv, capsys):
     except (Exception, SystemExit) as exc:
         capsys.readouterr()
         return None, f"raised {exc!r}"
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if code not in (0, 1, 2, 3):
         return code, f"exit {code}"
     if code == 1 and not err.startswith("config error:"):
         return code, f"exit 1 without a config error line: {err!r}"
+    if nan_fails and re.search(r"\bnan\b", out, re.IGNORECASE):
+        return code, f"printed a NaN: {out!r}"
     return code, None
+
+
+def call_estimate(records, model, capsys):
+    """``call`` of ``estimate`` on ``records``, where a NaN printed and a runtime abort also fail."""
+    code, failure = call(["estimate", "--records", str(records), "--model", model], capsys, True)
+    return code, failure or (f"exit {code}" if code == 2 else None)
 
 
 @pytest.mark.parametrize("command", ["run", "analyze", "compare"])
@@ -95,17 +106,27 @@ def test_estimate_options_at_every_edge_value_exit_cleanly(model, tmp_path, caps
         row = next(i for i, r in enumerate(read_csv(str(records)), 1)
                    if r.omega > 0.0 and 0.0 < r.e21_tilde < r.e2_tilde)
         edited = tmp_path / "edited.csv"
-        for column in ("u", "omega", "e2_tilde", "e21_tilde"):
+        # the two rates are also edited together, where inf / inf would print a NaN CDF cell
+        for columns in ("u", "omega", "e2_tilde", "e21_tilde", "e2_tilde e21_tilde"):
             for value in CELL_VALUES:
                 cells = lines[row].split(",")
-                cells[header.index(column)] = value
+                for column in columns.split():
+                    cells[header.index(column)] = value
                 rows = [lines[0], ",".join(cells), *lines[row + 1:row + 20]]
                 edited.write_text("\n".join(rows) + "\n", encoding="utf-8")
-                code, failure = call(["estimate", "--records", str(edited), "--model", model], capsys)
-                if not failure and column == "u" and value in ("nan", "inf", "-1", "-inf", "-1e308"):
+                code, failure = call_estimate(edited, model, capsys)
+                if not failure and columns == "u" and value in ("nan", "inf", "-1", "-inf", "-1e308"):
                     failure = None if code == 1 else f"exit {code} on a toll of {value}"
                 if failure:
-                    failures.append(f"{base} row {row} {column}={value!r}: {failure}")
+                    failures.append(f"{base} row {row} {columns}={value!r}: {failure}")
+        # every row with a finite toll near the float ceiling: finite votes, so a finite mean
+        cells = [line.split(",") for line in lines[1:]]
+        for c in cells:
+            c[header.index("u")], c[header.index("omega")] = "1e308", "1"
+        edited.write_text("\n".join([lines[0], *map(",".join, cells)]) + "\n", encoding="utf-8")
+        code, failure = call_estimate(edited, model, capsys)
+        if failure or code != 0:
+            failures.append(f"{base} every u=1e308, omega=1: {failure or f'exit {code}'}")
     assert not failures, "\n".join(failures)
 
 
@@ -138,6 +159,39 @@ def test_state_overflow_at_full_horizon_is_a_runtime_abort(command, overrides, t
     if command == "run":  # the rows before the abort stay, and they are finite
         assert read_csv(str(out))
         assert not non_finite_cells(out)
+
+
+def hotlanes_process(argv, tmp_path, warning_filter):
+    """(exit code, stdout, stderr) of ``python -m hotlanes`` under a warning filter."""
+    env = {**os.environ, "PYTHONWARNINGS": warning_filter,
+           "PYTHONPATH": str(Path(hotlanes.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "hotlanes", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def a1_argv(command):
+    """A short ``run`` or ``compare`` of the trapezoid preset, whose peak breaks A1."""
+    out = ["--out", "run.csv"] if command == "run" else []
+    return [command, "--preset", "trapezoid", "--set", "simulation.horizon_h=0.01", *out]
+
+
+@pytest.mark.parametrize("warning_filter", ["default", "ignore"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a1_warning_is_one_plain_line(command, warning_filter, tmp_path):
+    code, _, err = hotlanes_process(a1_argv(command), tmp_path, warning_filter)
+    assert code == 0
+    shown = [] if warning_filter == "ignore" else preset("trapezoid").a1_warnings()
+    assert err.splitlines() == [f"warning: demand assumption violated at peak: {msg}" for msg in shown]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a1_warning_made_an_error_is_a_config_error(command, tmp_path):
+    code, out, err = hotlanes_process(a1_argv(command), tmp_path, "error")
+    assert code == 1 and out == ""
+    assert err == f"config error: demand assumption violated at peak: " \
+                  f"{preset('trapezoid').a1_warnings()[0]}\n"
+    assert not (tmp_path / "run.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "estimate"])

@@ -153,3 +153,11 @@ class TestPayingRateValidation:
             with pytest.raises(ValueError, match="toll must be non-negative and finite") as info:
                 estimate(obs(u=u))
             assert not isinstance(info.value, EstimationError)
+
+    @pytest.mark.parametrize("e2", [math.inf, math.nan])
+    def test_sov_rate_finite(self, e2):
+        # no run writes a non-finite SOV rate; inf for both rates would give F = inf / inf
+        for estimate in (estimate_cdf_point, estimate_logit_vot):
+            with pytest.raises(ValueError, match="SOV rate must be finite") as info:
+                estimate(obs(e2=e2, e21=math.inf))
+            assert not isinstance(info.value, EstimationError)

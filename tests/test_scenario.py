@@ -15,9 +15,9 @@ from hotlanes import cli
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.cli import main
 from hotlanes.controller import ControllerState
-from hotlanes.lane_choice import LogitChoice, UeChoice, UniformVot
-from hotlanes.nfd import FdParams
-from hotlanes.presets import _KNOWN_KEYS, apply_overrides, load_config, preset
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from hotlanes.nfd import FdParams, capacity
+from hotlanes.presets import _KNOWN_KEYS, PRESETS, apply_overrides, load_config, preset
 from hotlanes.scenario import (
     ConfigError,
     DemandProfile,
@@ -128,7 +128,41 @@ class TestDemandProfile:
                     assert repr(demand.held_rates(s)[:2]) == repr((hov, sov)), (t, s)
 
 
+def study(fd, demand, choice, horizon_h):
+    """A config as the preset factories built one, with the values the study pins."""
+    return ScenarioConfig(
+        fd_hot=fd, fd_gp=fd, demand=demand, corridor_length=1.0, mean_trip_distance=5.0,
+        choice=choice, controller=ControllerState(k1=8.0, k2=5.0, k3=8.0, k4=6.0),
+        dt_s=0.1, horizon_h=horizon_h,
+    )
+
+
+_TRIANGULAR = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.0)
+_FLOOR = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.8 * capacity(_TRIANGULAR))
+_OVERLOAD = DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0)
+_UE = UeChoice(ExponentialVot(mean=50.0))
+# the configs the deleted preset factories returned, the reference for the override lists
+FACTORY_PRESETS = {
+    "constant": study(_FLOOR, _OVERLOAD, _UE, 5.0),
+    "constant-logit": study(_FLOOR, _OVERLOAD, LogitChoice(pi_star=50.0, alpha_star=1.0), 5.0),
+    "trapezoid": study(_FLOOR, DemandProfile(kind="trapezoid", hov_rate=200.0, sov_rate=700.0,
+                                             t0=0.0, t1=0.5, t2=4.5, t3=5.0), _UE, 9.0),
+    "triangular-gridlock": study(_TRIANGULAR, _OVERLOAD, _UE, 2.0),
+}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("name", sorted(FACTORY_PRESETS))
+    def test_preset_matches_the_factory_it_replaces(self, name):
+        assert preset(name) == FACTORY_PRESETS[name]
+        assert repr(preset(name)) == repr(FACTORY_PRESETS[name])
+
+    def test_every_preset_is_an_override_list(self):
+        assert sorted(PRESETS) == sorted(FACTORY_PRESETS)
+        for name, overrides in PRESETS.items():
+            assert isinstance(overrides, tuple)
+            assert apply_overrides(None, "constant", list(overrides)) == preset(name)
+
     def test_preset_constant_defaults(self):
         cfg = preset("constant")
         assert cfg.demand.held_rates(1.0)[:2] == (200.0, 860.0)
@@ -139,7 +173,8 @@ class TestConfig:
         assert not cfg.a1_warnings()
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
+        available = "available: constant, constant-logit, trapezoid, triangular-gridlock"
+        with pytest.raises(ConfigError, match=f"^unknown preset 'nope'; {available}$"):
             preset("nope")
 
     def test_trapezoid_preset_warns_at_peak(self):
@@ -1029,7 +1064,10 @@ class TestCli:
             "--out", str(out),
         ])
         assert code == 2
-        assert capsys.readouterr().err.startswith("runtime abort: managed lanes gridlocked")
+        # no SOV demand breaks A1, and the CLI prints each warning as a line before the abort
+        *warned, abort = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: demand assumption violated") for line in warned)
+        assert abort.startswith("runtime abort: managed lanes gridlocked")
         # the CSV holds every record streamed before the abort, one per second
         records = read_csv(str(out))
         assert [round(r.t * 3600.0) for r in records] == list(range(len(records)))
