@@ -25,7 +25,7 @@ from .estimation import (
     estimate_logit_vot,
     pool_cdf_points,
 )
-from .lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from .lane_choice import ExponentialVot, LogitChoice, UniformVot
 from .nfd import (
     FdParams,
     capacity,

@@ -9,7 +9,6 @@ brute-force-checkable characterization of the split of vehicles that
 maximizes corridor outflow.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,7 +70,8 @@ class LinearizedSystem:
 
     The state is x = (residual service rate, excess density); the matrix is
     [[(J - K2 L1)/(L1 H), K1 / H], [-1/L1, 0]].  Raises ``ValueError``
-    unless H > 0 and L1 > 0.
+    unless H > 0 and L1 > 0, and unless the inputs and the matrix's trace
+    and determinant are finite; then so are the eigenvalues.
     """
 
     H: float
@@ -85,6 +85,10 @@ class LinearizedSystem:
             raise ValueError("the gap-price sensitivity H must be positive")
         if self.L1 <= 0:
             raise ValueError("lane length must be positive")
+        tr, det = self._trace_det()
+        if not all(map(math.isfinite, (self.H, self.J, self.K1, self.K2, self.L1, tr, det))):
+            raise ValueError(f"the loop of H={self.H}, J={self.J}, K1={self.K1}, K2={self.K2}, "
+                             f"L1={self.L1} has trace {tr} and determinant {det}; all must be finite")
 
     @property
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -92,22 +96,39 @@ class LinearizedSystem:
         H, L1 = self.H, self.L1
         return ((self.J - self.K2 * L1) / (L1 * H), self.K1 / H), (-1.0 / L1, 0.0)
 
+    def _trace_det(self) -> tuple[float, float]:
+        (m11, m12), (m21, m22) = self.matrix
+        return m11 + m22, m11 * m22 - m12 * m21
+
     @property
     def eigenvalues(self) -> tuple[complex, complex]:
-        """Both roots of the characteristic quadratic, the ``+`` root first."""
-        (m11, m12), (m21, m22) = self.matrix
-        half_tr = (m11 + m22) / 2.0
-        root = cmath.sqrt(complex(half_tr * half_tr - (m11 * m22 - m12 * m21), 0.0))
-        return half_tr + root, half_tr - root
+        """Both roots of the characteristic quadratic, the ``+`` root first.
+
+        The discriminant half_tr**2 - det is formed in units of a power of
+        two, so half_tr**2 cannot overflow.  A real pair takes the root of
+        larger magnitude from the quadratic formula and the other as det
+        divided by it, so a root near zero does not cancel.
+        """
+        tr, det = self._trace_det()
+        half = tr / 2.0
+        e = max(math.frexp(half)[1], 0)
+        h = math.ldexp(half, -e)
+        disc = h * h - math.ldexp(det, -2 * e)
+        root = math.ldexp(math.sqrt(abs(disc)), e)
+        if disc < 0.0:
+            return complex(half, root), complex(half, -root)
+        big = half + math.copysign(root, half)
+        small = det / big if big else 0.0
+        return complex(max(big, small), 0.0), complex(min(big, small), 0.0)
 
     @property
     def stable(self) -> bool:
-        """Asymptotic stability: both real parts negative.
+        """Asymptotic stability by the 2x2 Routh-Hurwitz test: trace < 0 and det > 0.
 
-        For this matrix that reduces to trace < 0, since the determinant
-        is positive whenever the gains are.
+        It reads no root, so a root that rounds to 0 cannot flip it.
         """
-        return all(z.real < 0 for z in self.eigenvalues)
+        tr, det = self._trace_det()
+        return tr < 0.0 and det > 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,11 +231,12 @@ def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right"
     over-critical one.  The gains are the effective ones, K1 = k1 + k3 /
     omega and K2 = k2 + k4 / omega.  Raises ``ValueError`` for demand that
     is not constant, an unknown side, a negative density, a share outside
-    the choice model's range or a gap that is not positive.
+    the choice model's range, a gap that is not positive and finite, and a
+    system :class:`LinearizedSystem` rejects.
     """
     _require_constant_demand(config)
-    if not omega > 0.0:
-        raise ValueError(f"the travel time gap must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"the travel time gap must be positive and finite, got {omega}")
     fd = config.fd_hot
     rho = lam + critical_density(fd)
     if rho < 0:

@@ -64,9 +64,9 @@ def _cmd_run(args) -> int:
     print(f"max gap {m.max_omega:.6g} h/km, revenue ${m.revenue:.2f}")
     if stats.any_clamped:
         print(
-            f"jam clamp engaged: managed {stats.hot_clamp_steps} steps "
-            f"({stats.hot_dropped:.1f} veh dropped), gp {stats.gp_clamp_steps} steps "
-            f"({stats.gp_dropped:.1f} veh dropped)"
+            f"trip count clamped at 0 or the jam cap: managed {stats.hot_clamp_steps} steps, "
+            f"gp {stats.gp_clamp_steps} steps; dropped at the jam cap: managed "
+            f"{stats.hot_dropped:.1f} veh, gp {stats.gp_dropped:.1f} veh"
         )
     return EXIT_OK
 
@@ -94,6 +94,8 @@ def _cmd_analyze(args) -> int:
         print("no flow floor: gp lanes gridlock in finite time under constant overload")
         print("no gap line to linearize on: the stability analysis needs a flow floor")
         return EXIT_OK
+    if not all(map(math.isfinite, (pred.delta2_rate, pred.omega0, pred.omega1))):
+        raise ConfigError("no valid linearization at the equilibrium: the gap line is not finite")
     print(
         f"gp queue growth {pred.delta2_rate:.6g} veh/h on the flow floor; "
         f"gap line omega(t) = {pred.omega0:.6g} t + {pred.omega1:.6g}"

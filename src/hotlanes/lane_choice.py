@@ -1,25 +1,25 @@
 """Lane choice models: which share of entering SOVs pays for the HOT lanes.
 
-Two models are provided.  Under the deterministic user-equilibrium model,
-drivers with a value of time above ``u / omega`` pay, so the paying share is
-the upper tail of the VOT distribution.  Under the fixed-VOT logit model the
-share follows a logistic curve in the toll.  Both are invertible in the toll,
-which is what the estimation module exploits.  A model answers ``share(u,
-omega)`` and ``toll_line(p)``.  The toll that yields share ``p`` is affine in
-the gap, ``u = A * omega + B``; ``toll_line`` returns ``(A, B, dA/dp,
-dB/dp)``, which is all the loop linearization needs.
+Three models are provided.  Under the deterministic user-equilibrium (UE)
+models, ``ExponentialVot`` and ``UniformVot``, drivers with a value of time
+above ``u / omega`` pay, so the paying share is the upper tail of the VOT
+distribution.  Under the fixed-VOT logit model, ``LogitChoice``, the share
+follows a logistic curve in the toll.  All are invertible in the toll, which
+is what the estimation module exploits.  A model answers ``share(u, omega)``
+and ``toll_line(p)``.  The toll that yields share ``p`` is affine in the gap,
+``u = A * omega + B``; ``toll_line`` returns ``(A, B, dA/dp, dB/dp)``, which
+is all the loop linearization needs.
 
-The scenario step loop specializes the two built-in models: it computes the
-share of ``UeChoice`` with an ``ExponentialVot`` and of ``LogitChoice``
-inline, with the expressions of their ``share``.  ``share`` stays the
-reference for those, which the tests and the analysis use, and it is the
-path for any other model.
+The scenario step loop specializes ``ExponentialVot`` and ``LogitChoice``: it
+computes their share inline, with the expressions of their ``share``.
+``share`` stays the reference for those, which the tests and the analysis
+use, and it is the path for any other model.
 """
 
 import math
 from dataclasses import dataclass
 
-__all__ = ["ExponentialVot", "UniformVot", "UeChoice", "LogitChoice"]
+__all__ = ["ExponentialVot", "UniformVot", "LogitChoice"]
 
 _INF = float("inf")
 
@@ -41,9 +41,30 @@ def _check_toll_gap(u: float, omega: float) -> None:
         raise ValueError(f"travel time gap must be non-negative, got {omega}")
 
 
+def _vot_threshold(u: float, omega: float) -> float:
+    """The VOT ``u / omega`` above which a driver pays, at the limits of the gap.
+
+    An unbounded gap means the GP lanes are unusable, so the threshold is 0
+    and everyone pays.  At zero gap a positive toll deters everyone (an
+    infinite threshold); a zero toll leaves the threshold at 0 by continuity.
+    """
+    if not (u >= 0.0 and omega >= 0.0):
+        _check_toll_gap(u, omega)
+    if omega == _INF:
+        return 0.0
+    if omega == 0.0:
+        return _INF if u > 0.0 else 0.0
+    return u / omega
+
+
+def _check_target(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError("target share must be in (0, 1]; p = 0 needs an unbounded toll")
+
+
 @dataclass(frozen=True, slots=True)
 class ExponentialVot:
-    """Negative exponential VOT with the given mean [$/h]."""
+    """User-equilibrium choice over a negative exponential VOT with the given mean [$/h]."""
 
     mean: float = 50.0
 
@@ -52,24 +73,23 @@ class ExponentialVot:
         if self.mean <= 0:
             raise ValueError("mean VOT must be positive")
 
-    def tail(self, pi: float) -> float:
-        """P(VOT > pi)."""
-        if pi <= 0:
-            return 1.0
-        return math.exp(-pi / self.mean)
+    def share(self, u: float, omega: float) -> float:
+        """Paying share P(VOT > u / omega) = exp(-u / (omega * mean))."""
+        return math.exp(-_vot_threshold(u, omega) / self.mean)
 
-    def tail_value(self, p: float) -> float:
-        """Value z with upper-tail probability p in (0, 1]."""
-        return -self.mean * math.log(p)
+    def toll_line(self, p: float) -> tuple[float, float, float, float]:
+        """``(A, B, dA/dp, dB/dp)`` of the toll ``A * omega + B`` that yields share ``p``.
 
-    def tail_value_slope(self, p: float) -> float:
-        """dz/dp of :meth:`tail_value`."""
-        return -self.mean / p
+        The toll is omega times the VOT with upper tail ``p``, so
+        A = -mean ln p and B = 0.
+        """
+        _check_target(p)
+        return -self.mean * math.log(p), 0.0, -self.mean / p, 0.0
 
 
 @dataclass(frozen=True, slots=True)
 class UniformVot:
-    """Uniform VOT on [low, high] [$/h]; mainly for testing."""
+    """User-equilibrium choice over a uniform VOT on [low, high] [$/h]; mainly for testing."""
 
     low: float = 0.0
     high: float = 100.0
@@ -79,52 +99,23 @@ class UniformVot:
         if not 0.0 <= self.low < self.high:
             raise ValueError("need 0 <= low < high")
 
-    def tail(self, pi: float) -> float:
-        """P(VOT > pi)."""
+    def share(self, u: float, omega: float) -> float:
+        """Paying share P(VOT > u / omega)."""
+        pi = _vot_threshold(u, omega)
         if pi <= self.low:
             return 1.0
         if pi >= self.high:
             return 0.0
         return 1.0 - (pi - self.low) / (self.high - self.low)
 
-    def tail_value(self, p: float) -> float:
-        """Value z with upper-tail probability p in (0, 1]."""
-        return self.low + (1.0 - p) * (self.high - self.low)
-
-    def tail_value_slope(self, p: float) -> float:
-        """dz/dp of :meth:`tail_value`."""
-        return self.low - self.high
-
-
-@dataclass(frozen=True, slots=True)
-class UeChoice:
-    """User-equilibrium choice: drivers whose VOT exceeds u / omega pay."""
-
-    dist: ExponentialVot | UniformVot = ExponentialVot()
-
-    def share(self, u: float, omega: float) -> float:
-        """Paying share 1 - F(u / omega).
-
-        An unbounded gap means the GP lanes are unusable, so everyone pays.
-        At zero gap a positive toll deters everyone; a zero toll leaves the
-        share at 1 - F(0) by continuity.
-        """
-        if not (u >= 0.0 and omega >= 0.0):
-            _check_toll_gap(u, omega)
-        if omega == _INF:
-            return 1.0
-        if omega == 0.0:
-            return 0.0 if u > 0.0 else self.dist.tail(0.0)
-        return self.dist.tail(u / omega)
-
     def toll_line(self, p: float) -> tuple[float, float, float, float]:
         """``(A, B, dA/dp, dB/dp)`` of the toll ``A * omega + B`` that yields share ``p``.
 
-        The toll is omega * z(p), so A = z(p) and B = 0.
+        The toll is omega times the VOT with upper tail ``p``, so
+        A = low + (1 - p)(high - low) and B = 0.
         """
-        if not 0.0 < p <= 1.0:
-            raise ValueError("target share must be in (0, 1]; p = 0 needs an unbounded toll")
-        return self.dist.tail_value(p), 0.0, self.dist.tail_value_slope(p), 0.0
+        _check_target(p)
+        return self.low + (1.0 - p) * (self.high - self.low), 0.0, self.low - self.high, 0.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ import configparser
 from dataclasses import replace
 
 from .controller import ControllerState
-from .lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from .lane_choice import ExponentialVot, LogitChoice, UniformVot
 from .nfd import FdParams, capacity
 from .scenario import ConfigError, DemandProfile, ScenarioConfig
 
@@ -34,7 +34,7 @@ _BASE = ScenarioConfig(
     fd_hot=_vi_fd(), fd_gp=_vi_fd(),
     demand=DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0),
     corridor_length=1.0, hot_lanes=1.0, gp_lanes=1.0, mean_trip_distance=5.0,
-    choice=UeChoice(ExponentialVot(mean=50.0)),
+    choice=ExponentialVot(mean=50.0),
     controller=ControllerState(k1=8.0, k2=5.0, k3=8.0, k4=6.0),
     dt_s=0.1, horizon_h=5.0,
 )
@@ -166,17 +166,15 @@ def _parse_choice(cp: configparser.ConfigParser, base):
     A switch of model or VOT family starts from the new class's defaults.
     """
     model = cp.get("choice", "model", fallback="logit" if isinstance(base, LogitChoice) else "ue")
-    current = base.dist if isinstance(base, UeChoice) else base
     family = cp.get("choice", "vot_family",
-                    fallback="uniform" if isinstance(current, UniformVot) else "exponential")
+                    fallback="uniform" if isinstance(base, UniformVot) else "exponential")
     variant = (model, family) if model == "ue" else (model,)
     if variant not in _CHOICE:
         raise ConfigError(f"unknown VOT family {family!r}" if model == "ue"
                           else f"unknown choice model {model!r}")
     cls, what, table = _CHOICE[variant]
-    start = current if isinstance(current, cls) else cls()
-    chosen = replace(start, **_read(cp, "choice", table, _SWITCHES["choice"][:len(variant)], what))
-    return chosen if model == "logit" else UeChoice(chosen)
+    start = base if isinstance(base, cls) else cls()
+    return replace(start, **_read(cp, "choice", table, _SWITCHES["choice"][:len(variant)], what))
 
 
 def _build_from_parser(cp: configparser.ConfigParser,
@@ -213,7 +211,7 @@ def load_config(path: str) -> ScenarioConfig:
     return apply_overrides(path, None, [])
 
 
-def apply_overrides(config_or_none, preset_name: str | None, overrides: list[str]) -> ScenarioConfig:
+def apply_overrides(path: str | None, preset_name: str | None, overrides: list[str]) -> ScenarioConfig:
     """Resolve a config from an optional file, preset name and key=value overrides.
 
     Overrides use ``section.key=value`` with the same keys as the INI format.
@@ -228,7 +226,7 @@ def apply_overrides(config_or_none, preset_name: str | None, overrides: list[str
     # not in the locale's encoding; a file that is not INI and a missing
     # interpolation key raise configparser.Error.
     try:
-        return _build_from_parser(_parser(config_or_none, overrides))
+        return _build_from_parser(_parser(path, overrides))
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from None
 

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .analysis import constant_equilibrium  # noqa: F401  the name scenario.constant_equilibrium
 from .bathtub import HotGridlockError, SaturationStats, jam_trip_cap
 from .controller import ControllerState
-from .lane_choice import ExponentialVot, LogitChoice, UeChoice
+from .lane_choice import ExponentialVot, LogitChoice, UniformVot
 from .nfd import PHASE_TOLERANCE, FdParams, capacity, critical_density
 
 __all__ = [
@@ -141,7 +141,7 @@ class ScenarioConfig:
     hot_lanes: float = 1.0
     gp_lanes: float = 1.0
     mean_trip_distance: float = 5.0
-    choice: UeChoice | LogitChoice = UeChoice()  # the paying-share model
+    choice: ExponentialVot | UniformVot | LogitChoice = ExponentialVot()  # the paying-share model
     controller: ControllerState = ControllerState()
     control_decimation: int = 1
     dt_s: float = 0.1
@@ -182,6 +182,7 @@ class ScenarioConfig:
         overloads the GP lanes, and total demand exceeds the joint capacity.
         Demand counts as rate times trip length, and each group's capacity as
         its lanes times the corridor length times its own diagram's capacity.
+        A product or sum past the float range reads "overflow" in the text.
         """
         e1, e2 = self.demand.peak_rates()
         D = self.mean_trip_distance
@@ -189,15 +190,19 @@ class ScenarioConfig:
         cap2 = self.gp_lanes * self.corridor_length * capacity(self.fd_gp)
         failures = []
         if not e1 * D < cap1:
-            failures.append(
-                f"HOV demand saturates the managed lanes: e1*D = {e1 * D:.6g} >= {cap1:.6g}")
+            failures.append(f"HOV demand saturates the managed lanes: "
+                            f"e1*D = {_show(e1 * D)} >= {_show(cap1)}")
         if not e2 * D > cap2:
-            failures.append(
-                f"SOV demand does not overload the GP lanes: e2*D = {e2 * D:.6g} <= {cap2:.6g}")
+            failures.append(f"SOV demand does not overload the GP lanes: "
+                            f"e2*D = {_show(e2 * D)} <= {_show(cap2)}")
         if not (e1 + e2) * D > cap1 + cap2:
-            failures.append(
-                f"total demand below joint capacity: {(e1 + e2) * D:.6g} <= {cap1 + cap2:.6g}")
+            failures.append(f"total demand below joint capacity: "
+                            f"{_show((e1 + e2) * D)} <= {_show(cap1 + cap2)}")
         return failures
+
+
+def _show(x: float) -> str:
+    return f"{x:.6g}" if math.isfinite(x) else "overflow"
 
 
 class SimulationRecord(NamedTuple):
@@ -274,15 +279,15 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     This is the one place that does the per-step arithmetic.  The speeds are
     ``nfd.speed``'s and the phase labels ``nfd.classify_phase``'s, computed
     inline; the gap ``1/v2 - 1/v1`` is inf at a GP jam.  The paying share of
-    ``UeChoice`` with an exponential VOT and of ``LogitChoice`` is their
-    ``share``'s, computed inline; any other model's ``share`` is called.  The
-    demand is read from ``DemandProfile.held_rates`` only when a step passes
-    the end of the interval the last rates hold on, so a constant profile is
-    read once.  The plant completes ``delta / D * v`` trips per hour (0 from
-    an empty group) and keeps each trip count in [0, cap]; a count over its
-    jam cap drops the excess, counted in ``stats``.  The toll ``a * omega +
-    b`` is clamped at 0, posts the ceiling at an unbounded gap, and is held
-    between controller ticks (every ``control_decimation`` steps).
+    ``ExponentialVot`` and of ``LogitChoice`` is their ``share``'s, computed
+    inline; any other model's ``share`` is called.  The demand is read from
+    ``DemandProfile.held_rates`` only when a step passes the end of the
+    interval the last rates hold on, so a constant profile is read once.
+    The plant completes ``delta / D * v`` trips per hour (0 from an empty
+    group) and keeps each trip count in [0, cap]; a count over its jam cap
+    drops the excess, counted in ``stats``.  The toll ``a * omega + b`` is
+    clamped at 0, posts the ceiling at an unbounded gap, and is held between
+    controller ticks (every ``control_decimation`` steps).
 
     The record flags are loop state.  ``toll_clamped`` is 1 while the toll
     the last tick computed, before its clamp, was negative; ``hot_clamped``
@@ -306,9 +311,9 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     choice = config.choice
     share = choice.share
     # the built-in models computed inline, with their parameters bound once per run
-    ue_exp = type(choice) is UeChoice and type(choice.dist) is ExponentialVot
+    ue_exp = type(choice) is ExponentialVot
     logit = type(choice) is LogitChoice
-    vot_mean = choice.dist.mean if ue_exp else 0.0
+    vot_mean = choice.mean if ue_exp else 0.0
     alpha, pi_star = (choice.alpha_star, choice.pi_star) if logit else (0.0, 0.0)
     exp = math.exp
     hov_mode = config.mode == "hov"
@@ -376,7 +381,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
                 u = posted if posted > 0.0 else 0.0  # NaN posts 0
             if omega < 0.0:
                 p = 0.0
-            elif ue_exp:  # UeChoice.share, with ExponentialVot.tail
+            elif ue_exp:  # ExponentialVot.share
                 if gap == inf:
                     p = 1.0
                 elif gap == 0.0:

@@ -27,7 +27,7 @@ from hotlanes.estimation import (
     estimate_logit_vot,
     pool_cdf_points,
 )
-from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice
+from hotlanes.lane_choice import ExponentialVot, LogitChoice
 from hotlanes.nfd import capacity, critical_density
 from hotlanes.presets import preset
 from hotlanes.scenario import (
@@ -41,7 +41,7 @@ from hotlanes.scenario import (
 )
 
 RHO_C = 70.0 / 3.0
-UE50 = UeChoice(ExponentialVot(50.0))
+UE50 = ExponentialVot(50.0)
 LOGIT50 = LogitChoice(pi_star=50.0, alpha_star=1.0)
 
 # Criterion 2 follows the constant preset on to this horizon.  The leading-order

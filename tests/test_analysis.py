@@ -14,7 +14,7 @@ from hotlanes.analysis import (
     max_outflow_cases,
     triangular_growth,
 )
-from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity, critical_density, flow, flow_slope
 from hotlanes.presets import preset
 from hotlanes.scenario import DemandProfile, ScenarioConfig
@@ -194,6 +194,41 @@ class TestStability:
         assert res.eigenvalues[0].imag != 0.0
         assert res.stable
 
+    def test_root_near_zero_does_not_cancel(self):
+        # trace -20, det 4e-299: the roots are -2e-300 and -20, both negative
+        res = LinearizedSystem(H=1e300, J=-2e301, K1=40.0, K2=0.0, L1=1.0)
+        assert res.eigenvalues == (complex(-2e-300, 0.0), complex(-20.0, 0.0))
+        assert res.stable
+
+    def test_squared_half_trace_past_the_float_range(self):
+        # trace -1e250 squares past the floats; the roots are -8e-50 and -1e250
+        res = LinearizedSystem(H=1e-200, J=0.0, K1=8.0, K2=1e50, L1=1.0)
+        small, big = res.eigenvalues
+        assert (small.imag, big.imag) == (0.0, 0.0)
+        assert small.real == pytest.approx(-8e-50, rel=1e-15)
+        assert big.real == pytest.approx(-1e250, rel=1e-15)
+        assert res.stable
+
+    def test_saddle_is_unstable(self):
+        res = LinearizedSystem(H=1.0, J=0.0, K1=-8.0, K2=5.0, L1=10.0)
+        hi, lo = res.eigenvalues
+        assert lo.real < 0.0 < hi.real
+        assert not res.stable
+
+    @pytest.mark.parametrize("kwargs", [
+        {"H": math.inf}, {"J": math.nan}, {"K1": math.inf}, {"K2": -math.inf},
+        {"L1": math.nan}, {"H": 1e-300, "K1": 1e10}, {"H": 1e-300, "K2": 1e10},
+    ], ids=["H", "J", "K1", "K2", "L1", "det-overflows", "trace-overflows"])
+    def test_non_finite_inputs_trace_or_determinant_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            LinearizedSystem(**{"H": 1.0, "J": 0.0, "K1": 8.0, "K2": 5.0, "L1": 10.0, **kwargs})
+
+    def test_extreme_finite_trace_and_determinant_give_finite_roots(self):
+        # trace 1.7e308 and det -1e290: the roots are about 1.7e308 and -5.9e-19
+        hi, lo = LinearizedSystem(H=1e-300, J=1.7e8, K1=-1e-10, K2=0.0, L1=1.0).eigenvalues
+        assert hi.real == pytest.approx(1.7e308, rel=1e-15)
+        assert lo.real == pytest.approx(-1e290 / 1.7e308, rel=1e-15)
+
 
 def two_groups(fd, lanes=1.0):
     """Both lane groups on ``fd`` with ``lanes`` lanes each on a 10 km corridor, D = 5 km."""
@@ -311,7 +346,7 @@ def ref_gap_sensitivities(config, lam, xi, omega, step=1e-6):
     return slope(0.0, step), slope(step, 0.0)
 
 
-def one_lane(fd, choice=UeChoice(ExponentialVot(50.0))):
+def one_lane(fd, choice=ExponentialVot(50.0)):
     """One HOT lane on a 1 km corridor, D = 5 km, 200 HOV and 860 SOV veh/h."""
     return ScenarioConfig(
         fd_hot=fd, fd_gp=fd, demand=DemandProfile("constant", 200.0, 860.0),
@@ -387,14 +422,14 @@ class TestChoiceSensitivity:
 
 class TestGapSensitivities:
     def test_h_positive_for_both_models(self, fd_floor):
-        ue = UeChoice(ExponentialVot(50.0))
+        ue = ExponentialVot(50.0)
         logit = LogitChoice(50.0, 1.0)
         for choice in (ue, logit):
             h = loop_matrix(one_lane(fd_floor, choice), -1.0, 0.0, 0.1).H
             assert h > 0.0
 
     def test_j_sign_tracks_phase_for_ue(self, fd_floor):
-        ue = one_lane(fd_floor, UeChoice(ExponentialVot(50.0)))
+        ue = one_lane(fd_floor, ExponentialVot(50.0))
         j_suc = loop_matrix(ue, -1.0, 0.0, 0.1).J
         j_soc = loop_matrix(ue, 5.0, 0.0, 0.1).J
         assert j_suc < 0.0 < j_soc
@@ -411,7 +446,7 @@ class TestGapSensitivities:
 CONFIGS = {
     "constant": preset("constant"),
     "constant-logit": preset("constant-logit"),
-    "uniform-ue": replace(preset("constant"), choice=UeChoice(UniformVot(0.0, 100.0))),
+    "uniform-ue": replace(preset("constant"), choice=UniformVot(0.0, 100.0)),
 }
 
 
@@ -484,6 +519,11 @@ class TestLoopMatrix:
         with pytest.raises(ValueError, match="gap must be positive"):
             loop_matrix(preset("constant"), 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_gap_that_is_not_finite_rejected(self, omega):
+        with pytest.raises(ValueError, match="gap must be positive and finite"):
+            loop_matrix(preset("constant"), 1.0, 0.0, omega)
+
     @pytest.mark.parametrize("demand", [
         preset("trapezoid").demand,  # the peak rates are not an operating point
         DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),  # the constant rates are 0
@@ -495,8 +535,8 @@ class TestLoopMatrix:
 
 
 CHOICES = {
-    "exponential-ue": UeChoice(ExponentialVot(50.0)),
-    "uniform-ue": UeChoice(UniformVot(10.0, 90.0)),
+    "exponential-ue": ExponentialVot(50.0),
+    "uniform-ue": UniformVot(10.0, 90.0),
     "logit": LogitChoice(50.0, 1.0),
 }
 

@@ -12,14 +12,14 @@ from hotlanes.bathtub import (
     SaturationStats,
     jam_trip_cap,
 )
-from hotlanes.lane_choice import UeChoice
+from hotlanes.lane_choice import ExponentialVot
 from hotlanes.scenario import ConfigError, DemandProfile, ScenarioConfig, run
 
 RHO_C = 70.0 / 3.0
 
 
 def plant_run(fd, d1=0.0, d2=0.0, e1=0.0, e2=0.0, dt_s=3.6, steps=1, stats=None,
-              to_gp_jam=False, mode="hov", choice=UeChoice()):
+              to_gp_jam=False, mode="hov", choice=ExponentialVot()):
     """One record per step of a 10 km corridor, one lane per group, D = 5 km.
 
     HOV mode holds the paying share at 0, so the HOT inflow is ``e1`` and the

@@ -24,6 +24,9 @@ CELL_VALUES = EDGE_VALUES + ("-inf", "-1e308", "1.7e308", "5e-324", "1e-320")
 KEYS = sorted(f"{section}.{key}" for section, keys in _KNOWN_KEYS.items() for key in keys)
 # every float column but the gap, which is inf while the GP lanes are jammed
 FINITE_COLUMNS = [c for c in CSV_COLUMNS[: CSV_COLUMNS.index("phase1")] if c != "omega"]
+NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+# a float, or a part of a complex number, that is not finite: nan, inf, nanj, infj
+NON_FINITE = re.compile(r"\b(?:nan|inf)j?\b", re.IGNORECASE)
 
 
 def non_finite_cells(path):
@@ -32,8 +35,11 @@ def non_finite_cells(path):
                    if not math.isfinite(getattr(r, c))})
 
 
-def call(argv, capsys, nan_fails=False):
-    """(exit code or None, failure text or None) of one in-process call."""
+def call(argv, capsys, forbidden=None):
+    """(exit code or None, failure text or None) of one in-process call.
+
+    Stdout that matches the ``forbidden`` pattern is a failure too.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # A1 warnings are expected here
@@ -46,14 +52,14 @@ def call(argv, capsys, nan_fails=False):
         return code, f"exit {code}"
     if code == 1 and not err.startswith("config error:"):
         return code, f"exit 1 without a config error line: {err!r}"
-    if nan_fails and re.search(r"\bnan\b", out, re.IGNORECASE):
-        return code, f"printed a NaN: {out!r}"
+    if forbidden and forbidden.search(out):
+        return code, f"printed {forbidden.search(out).group()!r}: {out!r}"
     return code, None
 
 
 def call_estimate(records, model, capsys):
     """``call`` of ``estimate`` on ``records``, where a NaN printed and a runtime abort also fail."""
-    code, failure = call(["estimate", "--records", str(records), "--model", model], capsys, True)
+    code, failure = call(["estimate", "--records", str(records), "--model", model], capsys, NAN)
     return code, failure or (f"exit {code}" if code == 2 else None)
 
 
@@ -70,7 +76,8 @@ def test_every_key_at_every_edge_value_exits_cleanly(command, tmp_path, capsys):
                     "--set", f"{key}={value}"]
             if command == "run":
                 argv += ["--out", str(out)]
-            code, failure = call(argv, capsys)
+            # analyze prints only finite numbers, or exits 1
+            code, failure = call(argv, capsys, NON_FINITE if command == "analyze" else None)
             if failure:
                 failures.append(f"{key}={value!r}: {failure}")
             if code == 1 and out.exists():
@@ -133,7 +140,8 @@ def test_estimate_options_at_every_edge_value_exit_cleanly(model, tmp_path, caps
 def test_analyze_options_at_every_edge_value_exit_cleanly(capsys):
     failures = []
     for value in EDGE_VALUES:
-        _, failure = call(["analyze", "--preset", "constant", f"--at-time={value}"], capsys)
+        _, failure = call(["analyze", "--preset", "constant", f"--at-time={value}"], capsys,
+                          NON_FINITE)
         if failure:
             failures.append(f"--at-time={value!r}: {failure}")
     assert not failures, "\n".join(failures)
@@ -378,6 +386,8 @@ def test_fuzzed_argv_exits_cleanly(parts, fuzz_dir):
     err = stderr.getvalue()
     event(f"{argv[0]}: exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err)
+    if argv[0] == "analyze":
+        assert not NON_FINITE.search(stdout.getvalue()), (argv, stdout.getvalue())
     if code == 1:
         assert err.startswith("config error:"), (argv, err)
         assert not out.exists(), argv

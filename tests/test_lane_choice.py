@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hotlanes.controller import ControllerState
-from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.presets import preset
 from hotlanes.scenario import DemandProfile, run
 
-EXP50 = ExponentialVot(mean=50.0)
-UE = UeChoice(EXP50)
+UE = ExponentialVot(mean=50.0)
+UNIFORM = UniformVot(10.0, 90.0)
+UE_MODELS = pytest.mark.parametrize("model", [UE, UNIFORM], ids=["exponential", "uniform"])
 LOGIT = LogitChoice(pi_star=50.0, alpha_star=1.0)
 
 
@@ -28,15 +29,26 @@ class TestUeShare:
         assert UE.share(0.5, 0.01) == pytest.approx(math.exp(-1.0))
         assert UE.share(0.5, 0.01) == pytest.approx(0.36788, rel=1e-4)
 
-    def test_free_toll_everyone_pays(self):
-        assert UE.share(0.0, 0.02) == 1.0
+    @UE_MODELS
+    def test_free_toll_everyone_pays(self, model):
+        assert model.share(0.0, 0.02) == 1.0
 
-    def test_unbounded_gap_everyone_pays(self):
-        assert UE.share(3.0, math.inf) == 1.0
+    @UE_MODELS
+    def test_unbounded_gap_everyone_pays(self, model):
+        assert model.share(3.0, math.inf) == 1.0
 
-    def test_zero_gap(self):
-        assert UE.share(0.1, 0.0) == 0.0
-        assert UE.share(0.0, 0.0) == 1.0  # 1 - F(0)
+    @UE_MODELS
+    def test_zero_gap(self, model):
+        assert model.share(0.1, 0.0) == 0.0
+        assert model.share(0.0, 0.0) == 1.0  # 1 - F(0)
+
+    def test_uniform_threshold_at_and_below_low_everyone_pays(self):
+        assert UNIFORM.share(0.1, 0.01) == 1.0  # threshold 10 = low
+        assert UNIFORM.share(0.05, 0.01) == 1.0
+
+    def test_uniform_threshold_at_and_above_high_nobody_pays(self):
+        assert UNIFORM.share(0.9, 0.01) == 0.0  # threshold 90 = high
+        assert UNIFORM.share(2.0, 0.01) == 0.0
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -47,7 +59,7 @@ class TestUeShare:
     @pytest.mark.parametrize("u, omega", [(0.1, -math.inf), (0.1, math.nan), (math.nan, 0.01),
                                           (-math.inf, 0.01)])
     def test_nan_and_negative_infinite_inputs_rejected(self, u, omega):
-        for model in (UE, UeChoice(UniformVot(10.0, 90.0))):
+        for model in (UE, UNIFORM):
             with pytest.raises(ValueError, match="non-negative"):
                 model.share(u, omega)
 
@@ -67,6 +79,36 @@ class TestUeInverseToll:
     def test_zero_share_unbounded(self):
         with pytest.raises(ValueError):
             toll(UE, 0.0, 0.01)
+
+
+# The UE models' share and toll line at the limits, the bounds and inside,
+# as the UE choice wrapper over these distributions answered them, float for float.
+SHARE_POINTS = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.02), (3.0, math.inf), (0.5, 0.01), (0.1, 0.01),
+                (0.05, 0.01), (0.6, 0.01), (0.09, 0.001), (2.0, 0.01), (1.2, 0.02), (1e-300, 0.5)]
+TARGETS = (0.1, 0.31, 1.0)
+REFERENCE = {
+    "exponential": (UE, [
+        1.0, 0.0, 1.0, 1.0, 0.36787944117144233, 0.8187307530779818, 0.9048374180359595,
+        0.30119421191220214, 0.16529888822158653, 0.01831563888873418, 0.30119421191220214, 1.0,
+    ], [
+        (115.12925464970228, 0.0, -500.0, 0.0), (58.55914907514725, 0.0, -161.29032258064515, 0.0),
+        (-0.0, 0.0, -50.0, 0.0),
+    ]),
+    "uniform": (UNIFORM, [
+        1.0, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.375, 0.0, 0.0, 0.375, 1.0,
+    ], [
+        (82.0, 0.0, -80.0, 0.0), (65.19999999999999, 0.0, -80.0, 0.0), (10.0, 0.0, -80.0, 0.0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("model, shares, lines", REFERENCE.values(), ids=REFERENCE)
+def test_ue_share_and_toll_line_match_the_reference_bit_for_bit(model, shares, lines):
+    got_shares = [model.share(u, omega) for u, omega in SHARE_POINTS]
+    got_lines = [model.toll_line(p) for p in TARGETS]
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    assert list(map(repr, got_shares)) == list(map(repr, shares))
+    assert list(map(repr, got_lines)) == list(map(repr, lines))
 
 
 class TestLogitShare:
@@ -163,7 +205,7 @@ class TestRoundTrips:
 
     @given(p=shares, omega=gaps)
     def test_uniform_vot_round_trip(self, p, omega):
-        choice = UeChoice(UniformVot(0.0, 80.0))
+        choice = UniformVot(0.0, 80.0)
         u = toll(choice, p, omega)
         assert choice.share(u, omega) == pytest.approx(p, rel=1e-9)
 
@@ -204,8 +246,7 @@ class TestBehavioralPrinciples:
 class TestDistributions:
     def test_exponential_cdf_tail_consistency(self):
         for p in (0.9, 0.5, 0.1):
-            z = EXP50.tail_value(p)
-            assert EXP50.tail(z) == pytest.approx(p, rel=1e-12)
+            assert UE.share(toll(UE, p, 1.0), 1.0) == pytest.approx(p, rel=1e-12)
 
     def test_uniform_validation(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ import pytest
 from conftest import until_gp_jam
 
 from hotlanes.bathtub import HotGridlockError, SaturationStats
-from hotlanes.lane_choice import UeChoice, UniformVot
+from hotlanes.lane_choice import UniformVot
 from hotlanes.presets import preset
 from hotlanes.scenario import CSV_COLUMNS, DemandProfile, SimulationRecord, run, write_csv
 
@@ -57,7 +57,7 @@ def case_config(case: str):
     elif variant == "hov":
         cfg = replace(cfg, mode="hov")
     elif variant == "uniform-vot":
-        cfg = replace(cfg, choice=UeChoice(UniformVot(10.0, 90.0)))
+        cfg = replace(cfg, choice=UniformVot(10.0, 90.0))
     elif variant == "initial-trips":
         cfg = replace(cfg, initial_hot_trips=30.0, initial_gp_trips=60.0)
     elif variant == "short-pulse":

@@ -8,7 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from hotlanes.bathtub import HotGridlockError
 from hotlanes.controller import ControllerState
-from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity, classify_phase, speed
 from hotlanes.presets import preset
 from hotlanes.scenario import CSV_COLUMNS, ConfigError, DemandProfile, run
@@ -26,7 +26,7 @@ def choice_of(model, family):
     """The choice model with its default parameters; the family applies under UE only."""
     if model == "logit":
         return LogitChoice()
-    return UeChoice(ExponentialVot() if family == "exponential" else UniformVot())
+    return ExponentialVot() if family == "exponential" else UniformVot()
 
 
 def demand_times(draw, count, dt_s, horizon_h):

@@ -15,7 +15,7 @@ from hotlanes import cli
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.cli import main
 from hotlanes.controller import ControllerState
-from hotlanes.lane_choice import ExponentialVot, LogitChoice, UeChoice, UniformVot
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity
 from hotlanes.presets import _KNOWN_KEYS, PRESETS, apply_overrides, load_config, preset
 from hotlanes.scenario import (
@@ -140,7 +140,7 @@ def study(fd, demand, choice, horizon_h):
 _TRIANGULAR = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.0)
 _FLOOR = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.8 * capacity(_TRIANGULAR))
 _OVERLOAD = DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0)
-_UE = UeChoice(ExponentialVot(mean=50.0))
+_UE = ExponentialVot(mean=50.0)
 # the configs the deleted preset factories returned, the reference for the override lists
 FACTORY_PRESETS = {
     "constant": study(_FLOOR, _OVERLOAD, _UE, 5.0),
@@ -247,7 +247,7 @@ class TestConfig:
         cfg = apply_overrides(None, "constant-logit", ["choice.logit_vot=40"])
         assert cfg.choice == LogitChoice(pi_star=40.0, alpha_star=1.0)
         cfg = apply_overrides(None, "constant", ["choice.vot_family=uniform", "choice.vot_high=80"])
-        assert cfg.choice == UeChoice(UniformVot(0.0, 80.0))
+        assert cfg.choice == UniformVot(0.0, 80.0)
 
     def test_partial_demand_keeps_the_other_rate(self):
         cfg = apply_overrides(None, "constant", ["demand.sov_veh_h=900"])
@@ -286,11 +286,11 @@ class TestConfig:
             "geometry.hot_lanes": ("2", {"hot_lanes"}, []),
             "geometry.gp_lanes": ("3", {"gp_lanes"}, []),
             "geometry.mean_trip_km": ("4", {"mean_trip_distance"}, []),
-            "choice.expected_vot": ("40", {"choice.dist.mean"}, []),
+            "choice.expected_vot": ("40", {"choice.mean"}, []),
             "choice.logit_vot": ("40", {"choice.pi_star"}, logit),
             "choice.logit_scale": ("2", {"choice.alpha_star"}, logit),
-            "choice.vot_low": ("10", {"choice.dist.low"}, uniform),
-            "choice.vot_high": ("90", {"choice.dist.high"}, uniform),
+            "choice.vot_low": ("10", {"choice.low"}, uniform),
+            "choice.vot_high": ("90", {"choice.high"}, uniform),
             "simulation.dt_s": ("0.5", {"dt_s"}, []),
             "simulation.horizon_h": ("2", {"horizon_h"}, []),
             "simulation.output_dt_s": ("2", {"output_dt_s"}, []),
@@ -1122,6 +1122,49 @@ class TestCli:
             "warning: SOV demand does not overload the GP lanes: e2*D = 500 <= 2333.33\n"
             "warning: total demand below joint capacity: 1500 <= 4666.67\n"
             "no equilibrium: the overload (A1) conditions above fail\n")
+
+    @pytest.mark.parametrize("overrides", [
+        ["choice.expected_vot=1e308"], ["controller.k2=1e308"], ["demand.sov_veh_h=1e308"],
+        ["controller.k1=1e308"], ["fd.flow_floor_veh_h=1e-310"],
+    ], ids=["expected-vot", "k2", "sov-demand", "k1", "subnormal-floor"])
+    def test_analyze_past_the_float_range_is_a_config_error(self, overrides, capsys):
+        # each overflows H, J, the trace, the determinant or the gap line
+        argv = ["analyze", "--preset", "constant"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: no valid linearization at the equilibrium:")
+        assert "nan" not in captured.out and "inf" not in captured.out
+
+    def test_analyze_verdict_does_not_read_a_root_that_rounds_to_zero(self, capsys):
+        # H ~ 2.2e298: the left side's trace is -20 and its determinant ~1.8e-297 > 0,
+        # so both roots are negative; the right side's trace is +4
+        argv = ["analyze", "--preset", "constant", "--set", "choice.model=logit",
+                "--set", "choice.logit_scale=1e-300"]
+        assert main(argv) == 0
+        under, over = capsys.readouterr().out.splitlines()[-2:]
+        assert under.endswith("eigenvalues [-9.204e-299+0j, -20+0j] -> stable")
+        assert over.endswith("eigenvalues [4+0j, 4.602e-298+0j] -> unstable")
+
+    @pytest.mark.parametrize("preset_name, overrides, dropped", [
+        # an Euler overshoot takes the GP count below 0; the floor makes the jam cap infinite
+        ("constant", ["simulation.dt_s=300", "simulation.output_dt_s=300",
+                      "simulation.initial_hot_trips=10", "simulation.initial_gp_trips=10"], 0.0),
+        # no floor: the GP count reaches the jam cap rho_j * L2 = 140
+        ("triangular-gridlock", ["simulation.horizon_h=0.35"], 0.004459805088771418),
+    ], ids=["zero", "jam-cap"])
+    def test_run_names_both_clamp_bounds(self, preset_name, overrides, dropped, tmp_path, capsys):
+        argv = ["run", "--preset", preset_name, "--out", str(tmp_path / "run.csv")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "trip count clamped at 0 or the jam cap: managed 0 steps, gp 1 steps; "
+            "dropped at the jam cap: managed 0.0 veh, gp 0.0 veh")
+        stats = SaturationStats()
+        quiet_run(apply_overrides(None, preset_name, overrides), stats=stats)
+        assert stats == SaturationStats(gp_clamp_steps=1, gp_dropped=dropped)
 
     @pytest.mark.parametrize("model", ["ue", "logit"])
     def test_analyze_without_a_flow_floor_has_no_gap_line(self, model, capsys):

@@ -72,7 +72,7 @@ def reprice(config, m):
     if isinstance(choice, LogitChoice):
         choice = replace(choice, pi_star=choice.pi_star * m, alpha_star=choice.alpha_star / m)
     else:  # UE over the exponential VOT
-        choice = replace(choice, dist=replace(choice.dist, mean=choice.dist.mean * m))
+        choice = replace(choice, mean=choice.mean * m)
     return replace(
         config, choice=choice,
         controller=replace(c, a=c.a * m, b=c.b * m, k1=c.k1 * m, k2=c.k2 * m, k3=c.k3 * m,
