@@ -21,7 +21,7 @@ from .lane_choice import ExponentialVot, LogitChoice, UniformVot
 from .nfd import FdParams, capacity
 from .scenario import ConfigError, DemandProfile, ScenarioConfig
 
-__all__ = ["PRESETS", "preset", "load_config", "apply_overrides", "section_help"]
+__all__ = ["PRESETS", "preset", "apply_overrides", "section_help"]
 
 
 def _vi_fd() -> FdParams:
@@ -86,7 +86,7 @@ _FIXED = {
     "controller": {"k1": ("k1", float), "k2": ("k2", float), "k3": ("k3", float),
                    "k4": ("k4", float), "a0": ("a", float), "b0": ("b", float),
                    "toll_ceiling": ("toll_ceiling", float),
-                   "decimation": ("control_decimation", int)},
+                   "decimation": ("decimation", int)},
 }
 # A variant section takes the table its switch keys pick, and those keys: [demand] one
 # per ``kind``; [choice] one per ``model``, and under ``model = ue`` one per ``vot_family``.
@@ -177,16 +177,8 @@ def _parse_choice(cp: configparser.ConfigParser, base):
     return replace(start, **_read(cp, "choice", table, _SWITCHES["choice"][:len(variant)], what))
 
 
-def _build_from_parser(cp: configparser.ConfigParser,
-                       config: ScenarioConfig | None = None) -> ScenarioConfig:
-    """``config`` with the parser's keys applied; it defaults to the preset [scenario] names."""
-    if cp.defaults():
-        raise ConfigError(f"section [DEFAULT] takes no keys, got {sorted(cp.defaults())}")
-    for section in cp.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-    if config is None:
-        config = preset(_read(cp, "scenario").get("preset", "constant"))
+def _build_from_parser(cp: configparser.ConfigParser, config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` with the parser's keys applied."""
     updates = {}
     if cp.has_section("fd"):
         updates["fd_hot"] = updates["fd_gp"] = _parse_fd(_read(cp, "fd"), config.fd_hot)
@@ -199,16 +191,9 @@ def _build_from_parser(cp: configparser.ConfigParser,
         updates["choice"] = _parse_choice(cp, config.choice)
     updates.update(_read(cp, "geometry"), **_read(cp, "simulation"))
     controller = _read(cp, "controller")
-    if "control_decimation" in controller:
-        updates["control_decimation"] = controller.pop("control_decimation")
     if controller:
         updates["controller"] = replace(config.controller, **controller)
     return replace(config, **updates)
-
-
-def load_config(path: str) -> ScenarioConfig:
-    """Load a scenario from an INI file; unknown keys are rejected."""
-    return apply_overrides(path, None, [])
 
 
 def apply_overrides(path: str | None, preset_name: str | None, overrides: list[str]) -> ScenarioConfig:
@@ -226,13 +211,18 @@ def apply_overrides(path: str | None, preset_name: str | None, overrides: list[s
     # not in the locale's encoding; a file that is not INI and a missing
     # interpolation key raise configparser.Error.
     try:
-        return _build_from_parser(_parser(path, overrides))
+        cp = _parser(path, overrides)
+        return _build_from_parser(cp, preset(_read(cp, "scenario").get("preset", "constant")))
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _parser(path: str | None, overrides) -> configparser.ConfigParser:
-    """The INI file at ``path``, if any, with the ``section.key=value`` overrides set on top."""
+    """The INI file at ``path``, if any, with the ``section.key=value`` overrides set on top.
+
+    A key in [DEFAULT], which the parser would copy into every section, and an
+    unknown section are rejected.
+    """
     cp = configparser.ConfigParser()
     if path is not None and not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
@@ -244,6 +234,11 @@ def _parser(path: str | None, overrides) -> configparser.ConfigParser:
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, key.strip(), value.strip())
+    if cp.defaults():
+        raise ConfigError(f"section [DEFAULT] takes no keys, got {sorted(cp.defaults())}")
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
     return cp
 
 

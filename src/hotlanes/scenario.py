@@ -143,7 +143,6 @@ class ScenarioConfig:
     mean_trip_distance: float = 5.0
     choice: ExponentialVot | UniformVot | LogitChoice = ExponentialVot()  # the paying-share model
     controller: ControllerState = ControllerState()
-    control_decimation: int = 1
     dt_s: float = 0.1
     horizon_h: float = 5.0
     output_dt_s: float = 1.0
@@ -165,9 +164,6 @@ class ScenarioConfig:
             raise ConfigError(f"horizon_h * 3600 / dt_s exceeds {self.MAX_STEPS:.0e} steps")
         if self.output_dt_s < self.dt_s:
             raise ConfigError("output cadence cannot be finer than dt")
-        if not (isinstance(self.control_decimation, int) and self.control_decimation >= 1):
-            raise ConfigError(
-                f"control decimation must be an integer >= 1, got {self.control_decimation!r}")
         if min(self.corridor_length, self.mean_trip_distance) <= 0:
             raise ConfigError("geometry values must be positive")
         if min(self.hot_lanes, self.gp_lanes) < 1:
@@ -287,7 +283,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     group) and keeps each trip count in [0, cap]; a count over its jam cap
     drops the excess, counted in ``stats``.  The toll ``a * omega + b`` is
     clamped at 0, posts the ceiling at an unbounded gap, and is held between
-    controller ticks (every ``control_decimation`` steps).
+    controller ticks (every ``config.controller.decimation`` steps).
 
     The record flags are loop state.  ``toll_clamped`` is 1 while the toll
     the last tick computed, before its clamp, was negative; ``hot_clamped``
@@ -320,7 +316,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     ctrl = config.controller
     a, b = ctrl.a, ctrl.b
     k1, k2, k3, k4, ceiling = ctrl.k1, ctrl.k2, ctrl.k3, ctrl.k4, ctrl.toll_ceiling
-    decim = config.control_decimation
+    decim = ctrl.decimation
     dt_ctrl = dt * decim
     fd_hot, fd_gp = config.fd_hot, config.fd_gp
     uf1, w1, rj1, c1 = fd_hot.u_f, fd_hot.w, fd_hot.rho_j, fd_hot.c
@@ -478,7 +474,10 @@ def metrics(records: Iterable[SimulationRecord], mean_trip_distance: float) -> M
     """Aggregate a record stream, in one pass, into per-lane-group and corridor metrics.
 
     Delay is the area between the cumulative entry and exit curves; revenue
-    weights the toll by the paying flux and the mean trip distance.
+    weights the toll by the paying flux and the mean trip distance.  Raises
+    ``OverflowError``, naming the sum, when the revenue, a lane group's delay or
+    the total delay is not finite, which finite records near the float ceiling
+    can give.
     """
     rows = iter(records)
     first = last = next(rows, None)
@@ -496,6 +495,10 @@ def metrics(records: Iterable[SimulationRecord], mean_trip_distance: float) -> M
         revenue += 0.5 * (yr + pr) * (t - pt)
         max_omega = max(max_omega, last.omega)
         pt, p1, p2, pr = t, y1, y2, yr
+    for name, total in (("revenue", revenue), ("managed-lane delay", delay1),
+                        ("GP delay", delay2), ("total delay", delay1 + delay2)):
+        if not math.isfinite(total):
+            raise OverflowError(f"{name} over {n} records is not finite ({total})")
     served1, served2 = last.G1 - first.G1, last.G2 - first.G2
     return Metrics(
         hot=LaneMetrics(delay1, served1, last.E1 - first.E1, delay1 / served1 if served1 > 0 else 0.0),
@@ -521,9 +524,15 @@ class ComparisonResult:
 
     @property
     def peak_gap_ratio(self) -> float:
-        if self.hot.max_omega <= 0.0:
-            return math.inf
-        return self.hov.max_omega / self.hot.max_omega
+        """HOV peak gap over HOT peak gap.
+
+        Equal peaks, inf ones included, and two peaks that are not positive give
+        1.0; a positive HOV peak beside a HOT peak that is not gives inf.
+        """
+        hov, hot = self.hov.max_omega, self.hot.max_omega
+        if hov == hot or (hov <= 0.0 and hot <= 0.0):
+            return 1.0
+        return math.inf if hot <= 0.0 else hov / hot
 
 
 def compare_hov_hot(config: ScenarioConfig) -> ComparisonResult:

@@ -1,6 +1,7 @@
 """Feedback toll law: the posted toll and the integral updates, read from ``run`` records."""
 
 import math
+import re
 import warnings
 
 import pytest
@@ -127,6 +128,12 @@ class TestValidation:
     def test_ceiling_positive(self):
         with pytest.raises(ValueError):
             ControllerState(toll_ceiling=0.0)
+
+    @pytest.mark.parametrize("value", [0, 1.5, math.nan, 2.0])
+    def test_decimation_must_be_a_positive_integer(self, value):
+        message = f"control decimation must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ControllerState(decimation=value)
 
     @pytest.mark.parametrize("field", ["a", "b", "k1", "k2", "k3", "k4", "toll_ceiling"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

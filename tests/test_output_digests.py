@@ -50,10 +50,10 @@ def case_config(case: str):
         cfg = replace(cfg, dt_s=300.0, output_dt_s=300.0,
                       initial_hot_trips=10.0, initial_gp_trips=10.0)
     elif variant == "decimation10":
-        cfg = replace(cfg, control_decimation=10)
+        cfg = replace(cfg, controller=replace(cfg.controller, decimation=10))
     elif variant == "decimation7":
         # the controller ticks out of step with the 10-step record cadence
-        cfg = replace(cfg, control_decimation=7)
+        cfg = replace(cfg, controller=replace(cfg.controller, decimation=7))
     elif variant == "hov":
         cfg = replace(cfg, mode="hov")
     elif variant == "uniform-vot":

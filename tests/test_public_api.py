@@ -1,4 +1,7 @@
-"""Every exported name resolves, so a deleted function cannot linger in an export list."""
+"""Every exported name resolves, so a deleted function cannot linger in an export list.
+
+The package exports each module's ``__all__`` and nothing keeps a second list.
+"""
 
 import ast
 import importlib
@@ -9,6 +12,7 @@ import pytest
 
 import hotlanes
 
+ROOT = Path(__file__).parents[1]
 # __main__ runs the CLI on import, and cli defines no __all__.
 MODULES = sorted(
     m.name for m in pkgutil.iter_modules(hotlanes.__path__) if m.name not in ("__main__", "cli")
@@ -20,6 +24,14 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"hotlanes.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"hotlanes.{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_exports_each_module_all(name):
+    module = importlib.import_module(f"hotlanes.{name}")
+    differ = [attr for attr in module.__all__
+              if getattr(hotlanes, attr, None) is not getattr(module, attr)]
+    assert not differ, f"hotlanes does not export hotlanes.{name}'s {differ}"
 
 
 def test_package_star_import():
@@ -41,7 +53,7 @@ def test_no_module_imports_inside_a_function():
 
 def test_names_the_benchmark_calls_resolve():
     """Every hotlanes attribute the benchmark's workloads read exists, so a deletion fails here."""
-    path = Path(__file__).parents[1] / "benchmark" / "workloads.py"
+    path = ROOT / "benchmark" / "workloads.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "hotlanes"
@@ -54,3 +66,12 @@ def test_names_the_benchmark_calls_resolve():
                      if not hasattr(importlib.import_module(f"hotlanes.{module}"), attr))
     assert read and not missing, f"benchmark/workloads.py reads undefined {missing}"
     assert callable(hotlanes.ScenarioConfig.a1_warnings)
+
+
+SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tools").rglob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_sources_parse_under_the_oldest_supported_python(path):
+    """pyproject.toml declares requires-python >= 3.10, so no module may use newer syntax."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -3,6 +3,7 @@
 import csv
 import gc
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -17,8 +18,9 @@ from hotlanes.cli import main
 from hotlanes.controller import ControllerState
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity
-from hotlanes.presets import _KNOWN_KEYS, PRESETS, apply_overrides, load_config, preset
+from hotlanes.presets import _KNOWN_KEYS, PRESETS, apply_overrides, preset
 from hotlanes.scenario import (
+    ComparisonResult,
     ConfigError,
     DemandProfile,
     LaneMetrics,
@@ -40,6 +42,20 @@ def quiet_run(config, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run(config, **kwargs)
+
+
+# The GP lanes jam without a flow floor and the toll posts its ceiling: every record is
+# finite, but the revenue rate u * e21 * D is not.
+JAM_AT_HUGE_CEILING = ["fd.gp.flow_floor_veh_h=0", "controller.toll_ceiling=1e308",
+                       "simulation.horizon_h=0.5"]
+# Both groups drain from 5e304 trips and stay empty for 3000 h, so each delay is near -1.5e308
+# and their sum is not finite; gains of 1e-300 keep the toll coefficients finite.
+DRAIN_FROM_HUGE_COUNTS = [
+    "fd.jam_veh_km=1e305", "fd.flow_floor_veh_h=0", "demand.hov_veh_h=0", "demand.sov_veh_h=0",
+    "simulation.initial_hot_trips=5e304", "simulation.initial_gp_trips=5e304",
+    "simulation.horizon_h=3000", "simulation.dt_s=360", "simulation.output_dt_s=3600",
+    *(f"controller.k{i}=1e-300" for i in range(1, 5)),
+]
 
 
 def short(config, horizon_h=0.02, dt_s=0.5, **kwargs):
@@ -195,10 +211,6 @@ class TestConfig:
             {"corridor_length": math.inf}, {"mean_trip_distance": math.nan},
             {"initial_hot_trips": math.nan}, {"initial_gp_trips": math.inf},
             {"hot_lanes": 0.5}, {"gp_lanes": math.nan},
-            # the loop ticks when the step index equals the next tick, so a fractional
-            # decimation ticks once and freezes the coefficients; NaN passes "< 1"
-            {"control_decimation": 0}, {"control_decimation": 1.5},
-            {"control_decimation": math.nan}, {"control_decimation": 2.0},
         ):
             with pytest.raises(ConfigError):
                 replace(cfg, **bad)
@@ -221,7 +233,7 @@ class TestConfig:
             "[controller]\nk1 = 9\na0 = 2.5\n"
             "[fd]\nflow_floor_fraction = 0.5\n"
         )
-        cfg = load_config(str(path))
+        cfg = apply_overrides(str(path), None, [])
         assert cfg.horizon_h == 0.5
         assert cfg.dt_s == 0.2
         assert cfg.demand.held_rates(0.0)[:2] == (150.0, 700.0)
@@ -233,10 +245,10 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[simulation]\nhorizonn_h = 1\n")
         with pytest.raises(ConfigError):
-            load_config(str(path))
+            apply_overrides(str(path), None, [])
         path.write_text("[nonsense]\nx = 1\n")
         with pytest.raises(ConfigError):
-            load_config(str(path))
+            apply_overrides(str(path), None, [])
 
     def test_overrides(self):
         cfg = apply_overrides(None, "constant", ["simulation.horizon_h=1.5", "choice.model=logit"])
@@ -303,7 +315,7 @@ class TestConfig:
             "controller.a0": ("1.5", {"controller.a"}, []),
             "controller.b0": ("0.5", {"controller.b"}, []),
             "controller.toll_ceiling": ("20", {"controller.toll_ceiling"}, []),
-            "controller.decimation": ("10", {"control_decimation"}, []),
+            "controller.decimation": ("10", {"controller.decimation"}, []),
         }
         fd_cases = {"free_flow_kmh": ("120", "u_f"), "wave_kmh": ("25", "w"),
                     "jam_veh_km": ("150", "rho_j"), "flow_floor_fraction": ("0.5", "c"),
@@ -348,7 +360,7 @@ class TestConfig:
             "[scenario]\npreset = constant\n"
             "[fd.gp]\nflow_floor_fraction = 0.2\n"
         )
-        cfg = load_config(str(path))
+        cfg = apply_overrides(str(path), None, [])
         assert cfg.fd_gp.c == pytest.approx(0.2 * 7000.0 / 3.0)
         assert cfg.fd_hot.c == pytest.approx(0.8 * 7000.0 / 3.0)
 
@@ -395,8 +407,9 @@ class TestRunner:
         assert records == quiet_run(replace(cfg, output_dt_s=36.0))
 
     def test_control_decimation_holds_toll(self):
-        cfg = short(preset("constant"), horizon_h=0.01, dt_s=0.1,
-                    initial_gp_trips=46.67, control_decimation=10)
+        cfg = preset("constant")
+        cfg = short(cfg, horizon_h=0.01, dt_s=0.1, initial_gp_trips=46.67,
+                    controller=replace(cfg.controller, decimation=10))
         records = quiet_run(cfg)
         for i in range(0, len(records) - 10, 10):
             window = records[i : i + 10]
@@ -407,7 +420,9 @@ class TestRunner:
         # toll_clamped is 1 exactly when the toll the last controller tick computed was
         # negative before its clamp, and holds, as the toll does, until the next tick; the
         # flag flips on the ramp up and settles at 1 as the pulse ends at 5 h
-        cfg = short(preset("trapezoid"), horizon_h=5.0, dt_s=0.5, control_decimation=decimation)
+        cfg = preset("trapezoid")
+        cfg = short(cfg, horizon_h=5.0, dt_s=0.5,
+                    controller=replace(cfg.controller, decimation=decimation))
         ceiling = cfg.controller.toll_ceiling
         flagged = []
         with warnings.catch_warnings():
@@ -584,6 +599,27 @@ class TestMetrics:
             result = compare_hov_hot(cfg)
         assert isinstance(result.hov, Metrics) and isinstance(result.hot, Metrics)
         assert isinstance(result.hov.hot, LaneMetrics)
+
+    @pytest.mark.parametrize("hov, hot, ratio", [
+        (math.inf, math.inf, 1.0), (0.0, 0.0, 1.0), (-0.01, 0.0, 1.0), (0.0, -0.02, 1.0),
+        (0.3, 0.3, 1.0), (0.3, 0.1, 3.0), (0.1, 0.0, math.inf), (math.inf, 0.5, math.inf),
+        (0.0, 0.2, 0.0),
+    ])
+    def test_peak_gap_ratio(self, hov, hot, ratio):
+        # equal peaks and two peaks that are not positive compare as 1, never as nan or inf
+        lane = LaneMetrics(0.0, 0.0, 0.0, 0.0)
+        result = ComparisonResult(hov=Metrics(lane, lane, hov, 0.0, 1),
+                                  hot=Metrics(lane, lane, hot, 0.0, 1))
+        assert result.peak_gap_ratio == pytest.approx(ratio)
+
+    def test_compare_revenue_overflow_raises(self):
+        # the GP lanes jam, the toll posts the ceiling 1e308 and u * e21 * D overflows the sum
+        cfg = apply_overrides(None, "constant", JAM_AT_HUGE_CEILING)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert all(math.isfinite(r.u) for r in run(cfg))
+            with pytest.raises(OverflowError, match="^revenue over 1801 records is not finite"):
+                compare_hov_hot(cfg)
 
     def test_compare_warns_a1_once_at_the_caller(self):
         cfg = short(preset("trapezoid"), horizon_h=0.1, dt_s=1.0)
@@ -1186,3 +1222,34 @@ class TestCli:
         ])
         assert code == 0
         assert "peak gap ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("overrides", [
+        ["fd.gp.flow_floor_veh_h=0", "simulation.horizon_h=0.5"],  # both runs jam: inf / inf
+        ["simulation.horizon_h=0.01"],  # neither run has a positive gap: 0 / 0
+    ], ids=["both-jam", "no-gap"])
+    def test_compare_equal_peaks_print_ratio_one(self, overrides, capsys):
+        argv = ["compare", "--preset", "constant"]
+        for item in overrides:
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(" peak gap ratio (HOV/HOT) 1\n")
+
+    @pytest.mark.parametrize("overrides, line", [
+        (JAM_AT_HUGE_CEILING, "revenue over 1801 records is not finite (inf)"),
+        (DRAIN_FROM_HUGE_COUNTS, "total delay over 3001 records is not finite (-inf)"),
+    ], ids=["revenue", "total-delay"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_summary_overflow_is_a_runtime_abort(self, command, overrides, line, tmp_path, capsys):
+        argv = [command, "--preset", "constant"]
+        for item in overrides:
+            argv += ["--set", item]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "run.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not re.search(r"\b(?:nan|inf)\b", out), out
+        assert err == f"runtime abort: {line}\n"
