@@ -11,7 +11,7 @@ maximizes corridor outflow.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .nfd import capacity, critical_density, flow, flow_slope
 
@@ -48,8 +48,7 @@ def triangular_growth(config, delta2_0: float, t: float) -> float:
     return (delta2_0 + drain - jam) * math.exp(w * t / D) - drain + jam
 
 
-@dataclass(frozen=True, slots=True)
-class EquilibriumPrediction:
+class EquilibriumPrediction(NamedTuple):
     """Operating point under constant overload demand.
 
     ``omega0``/``omega1`` describe the travel-time-gap line omega(t) =
@@ -131,8 +130,7 @@ class LinearizedSystem:
         return tr < 0.0 and det > 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class MaxOutflowAnalysis:
+class MaxOutflowAnalysis(NamedTuple):
     """Corridor outflow as a function of the HOT-side density split.
 
     Valid for the plain triangular diagram with equal lane counts.  ``g_c``

@@ -52,21 +52,25 @@ def _resolve_config(args):
     return apply_overrides(args.config, args.preset, args.overrides)
 
 
+def _num(x: float, decimals: int) -> str:
+    return f"{x:.{decimals}f}" if abs(x) < 1e15 else f"{x:.6g}"  # fixed point prints every digit
+
+
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
     stats = SaturationStats()
     m = metrics(csv_rows(iter_run(config, stats), args.out), config.mean_trip_distance)
     print(f"wrote {m.records} records to {args.out}")
     print(
-        f"served: managed {m.hot.served:.1f} veh, gp {m.gp.served:.1f} veh; "
-        f"delay: managed {m.hot.total_delay:.2f} veh h, gp {m.gp.total_delay:.2f} veh h"
+        f"served: managed {_num(m.hot.served, 1)} veh, gp {_num(m.gp.served, 1)} veh; "
+        f"delay: managed {_num(m.hot.total_delay, 2)} veh h, gp {_num(m.gp.total_delay, 2)} veh h"
     )
-    print(f"max gap {m.max_omega:.6g} h/km, revenue ${m.revenue:.2f}")
+    print(f"max gap {m.max_omega:.6g} h/km, revenue ${_num(m.revenue, 2)}")
     if stats.any_clamped:
         print(
             f"trip count clamped at 0 or the jam cap: managed {stats.hot_clamp_steps} steps, "
             f"gp {stats.gp_clamp_steps} steps; dropped at the jam cap: managed "
-            f"{stats.hot_dropped:.1f} veh, gp {stats.gp_dropped:.1f} veh"
+            f"{_num(stats.hot_dropped, 1)} veh, gp {_num(stats.gp_dropped, 1)} veh"
         )
     return EXIT_OK
 
@@ -154,16 +158,14 @@ def _cmd_compare(args) -> int:
     result = compare_hov_hot(config)
     for label, m in (("HOV (no pricing)", result.hov), ("HOT (priced)", result.hot)):
         print(
-            f"{label}: total delay {m.total_delay:.2f} veh h, managed served "
-            f"{m.hot.served:.1f} veh, gp served {m.gp.served:.1f} veh, "
-            f"max gap {m.max_omega:.6g} h/km, revenue ${m.revenue:.2f}"
+            f"{label}: total delay {_num(m.total_delay, 2)} veh h, managed served "
+            f"{_num(m.hot.served, 1)} veh, gp served {_num(m.gp.served, 1)} veh, "
+            f"max gap {m.max_omega:.6g} h/km, revenue ${_num(m.revenue, 2)}"
         )
-    ratio = result.peak_gap_ratio
-    ratio_s = "inf" if math.isinf(ratio) else f"{ratio:.3g}"
     print(
-        f"pricing saves {result.delay_saved:.2f} veh h of delay, serves "
-        f"{result.managed_lane_served_gain:.1f} more trips in the managed lanes, "
-        f"peak gap ratio (HOV/HOT) {ratio_s}"
+        f"pricing saves {_num(result.delay_saved, 2)} veh h of delay, serves "
+        f"{_num(result.managed_lane_served_gain, 1)} more trips in the managed lanes, "
+        f"peak gap ratio (HOV/HOT) {result.peak_gap_ratio:.3g}"
     )
     return EXIT_OK
 

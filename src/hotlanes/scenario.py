@@ -422,6 +422,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
             yield record
         d1 += dt * (in1 - g1)
         if d1 < 0.0:
+            G1 += d1  # the overshoot: a step clamped at 0 serves only the trips there were
             d1 = 0.0
             hot_clamped = 1
             stats.hot_clamp_steps += 1
@@ -432,6 +433,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
             d1 = cap1
         d2 += dt * (in2 - g2)
         if d2 < 0.0:
+            G2 += d2
             d2 = 0.0
             gp_clamped = 1
             stats.gp_clamp_steps += 1
@@ -447,8 +449,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
             a, b = a + dt_ctrl * (k1 * lam - k2 * xi), b + dt_ctrl * (k3 * lam - k4 * xi)
 
 
-@dataclass(frozen=True, slots=True)
-class LaneMetrics:
+class LaneMetrics(NamedTuple):
     """Aggregates for one lane group over the evaluated window."""
 
     total_delay: float  # area between cumulative curves [veh h]
@@ -457,8 +458,7 @@ class LaneMetrics:
     mean_travel_time: float  # [h]
 
 
-@dataclass(frozen=True, slots=True)
-class Metrics:
+class Metrics(NamedTuple):
     hot: LaneMetrics
     gp: LaneMetrics
     max_omega: float  # [h/length]
@@ -509,8 +509,7 @@ def metrics(records: Iterable[SimulationRecord], mean_trip_distance: float) -> M
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     hov: Metrics
     hot: Metrics
 

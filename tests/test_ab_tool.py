@@ -203,6 +203,22 @@ def test_regression_none_within_the_bound():
     assert "regression" not in ab.summarise(series([1.0], [2.0]), BETTER)["run_s"]
 
 
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_past_the_parent_iqr():
+    parent = [2.0, 2.1, 2.2, 2.3, 2.4] * 2  # quartiles 2.1 and 2.3
+
+    def shown(change):
+        return ab.summarise(series(parent, change), BETTER)["run_s"]["gain_shown"]
+
+    assert shown([1.0] * 10)
+    # a tie counts for neither side: 9 wins in 10 pairs still meet the rule, 8 do not
+    assert shown([1.0] * 9 + [parent[9]])
+    assert not shown([1.0] * 8 + [3.0] * 2)
+    # every pair won, but the medians differ by 0.1, inside the parent's IQR of 0.2
+    assert not shown([p - 0.1 for p in parent])
+    # sim_h_per_s ties in every pair
+    assert not ab.summarise(series(parent, [1.0] * 10), BETTER)["sim_h_per_s"]["gain_shown"]
+
+
 def test_main_reads_the_bounds_next_to_better(tmp_path, monkeypatch):
     dirs = checkouts(tmp_path)
     (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(

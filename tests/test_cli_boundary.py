@@ -27,8 +27,9 @@ FINITE_COLUMNS = [c for c in CSV_COLUMNS[: CSV_COLUMNS.index("phase1")] if c != 
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 # a float, or a part of a complex number, that is not finite: nan, inf, nanj, infj
 NON_FINITE = re.compile(r"\b(?:nan|inf)j?\b", re.IGNORECASE)
-# run and compare print no NaN, and inf only as the gap of a jammed GP lane group
-SUMMARY_NON_FINITE = re.compile(r"\bnan\b|(?<!max gap )\binf\b", re.IGNORECASE)
+# run and compare print no NaN, inf only as the gap of a jammed GP lane group, and no
+# number of more than 20 digits
+SUMMARY_MISPRINTS = re.compile(r"\bnan\b|(?<!max gap )\binf\b|\d(?:\.?\d){20}", re.IGNORECASE)
 # the --set overrides of the edge-value test: each key at each edge value, and a jam whose
 # toll ceiling near the float limit leaves every record finite but overflows the revenue
 EDGE_CASES = [*([f"{key}={value}"] for key in KEYS for value in EDGE_VALUES),
@@ -84,7 +85,7 @@ def test_every_key_at_every_edge_value_exits_cleanly(command, tmp_path, capsys):
             argv += ["--out", str(out)]
         # analyze prints only finite numbers, or exits 1
         code, failure = call(argv, capsys,
-                             NON_FINITE if command == "analyze" else SUMMARY_NON_FINITE)
+                             NON_FINITE if command == "analyze" else SUMMARY_MISPRINTS)
         case = " ".join(map(repr, overrides))
         if failure:
             failures.append(f"{case}: {failure}")
@@ -175,6 +176,37 @@ def test_state_overflow_at_full_horizon_is_a_runtime_abort(command, overrides, t
     if command == "run":  # the rows before the abort stay, and they are finite
         assert read_csv(str(out))
         assert not non_finite_cells(out)
+
+
+# case -> (command line, the start of a line its stdout holds)
+SUMMARY_LINES = {
+    # 10 + 10 initial trips and no demand: a coarse step clamped at 0 serves only those
+    "zero clamp": (["run", "--preset", "constant", "--set", "demand.hov_veh_h=0",
+                    "--set", "demand.sov_veh_h=0", "--set", "simulation.initial_hot_trips=10",
+                    "--set", "simulation.initial_gp_trips=10", "--set", "simulation.dt_s=360",
+                    "--set", "simulation.output_dt_s=360", "--set", "simulation.horizon_h=1"],
+                   "served: managed 10.0 veh, gp 10.0 veh;"),
+    # a finite delay sum of about 300 digits in fixed point
+    "huge sum": (["compare", "--preset", "constant", "--set", "simulation.horizon_h=0.01",
+                  "--set", "demand.hov_veh_h=1e300"],
+                 "HOT (priced): total delay 4.97226e+295 veh h, managed served 3.7 veh, "
+                 "gp served 0.8 veh, max gap 0 h/km, revenue $0.00"),
+}
+
+
+@pytest.mark.parametrize("argv, line", SUMMARY_LINES.values(), ids=SUMMARY_LINES)
+def test_summary_lines(argv, line, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # A1 warnings are expected here
+        assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert any(shown.startswith(line) for shown in stdout.splitlines()), stdout
+    assert not SUMMARY_MISPRINTS.search(stdout), stdout
+    if argv[0] == "run":  # no trip was initiated
+        assert all(r.E1 == 0.0 and r.E2 == 0.0 for r in read_csv(str(out)))
 
 
 def hotlanes_process(argv, tmp_path, warning_filter):
@@ -397,7 +429,7 @@ def test_fuzzed_argv_exits_cleanly(parts, fuzz_dir):
     if argv[0] == "analyze":
         assert not NON_FINITE.search(stdout.getvalue()), (argv, stdout.getvalue())
     if argv[0] in ("run", "compare"):
-        assert not SUMMARY_NON_FINITE.search(stdout.getvalue()), (argv, stdout.getvalue())
+        assert not SUMMARY_MISPRINTS.search(stdout.getvalue()), (argv, stdout.getvalue())
     if code == 1:
         assert err.startswith("config error:"), (argv, err)
         assert not out.exists(), argv

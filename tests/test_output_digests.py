@@ -13,8 +13,10 @@ arithmetic moved inline.  The ``constant/piecewise`` and
 profile at every step, before it read it only where the rates change.  The
 ``trapezoid/decimation7`` pin was re-taken when ``toll_clamped`` became the
 flag of the toll the last controller tick posted; it differs from the earlier
-pin only in that column.  A change that alters the numerics or the bytes on
-purpose must say so and pin new digests.
+pin only in that column.  The ``constant/coarse-step`` pin was re-taken when
+a step clamped at 0 began to serve only the trips that existed; it differs
+from the earlier pin only in the E and G columns.  A change that alters the
+numerics or the bytes on purpose must say so and pin new digests.
 """
 
 import csv
@@ -110,7 +112,7 @@ PINNED = {
         (0, 1, 0.0, 0.004459805088771418),
     ),
     "constant/coarse-step": (
-        "d00c8c02c23b8d3e54adf924317978a6fb9c7a69db69ab8c5c87ab3713004711",
+        "2410baaa02e10c5ef66a46e59277ee28c36c0b5ad6970468c282ec84a7ace82e",
         (0, 1, 0.0, 0.0),
     ),
     "constant-logit/every-step": (

@@ -75,3 +75,39 @@ SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tools").rglob("*.py")
 def test_sources_parse_under_the_oldest_supported_python(path):
     """pyproject.toml declares requires-python >= 3.10, so no module may use newer syntax."""
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+# Results that check nothing are NamedTuples, like SimulationRecord; a type that checks its
+# fields is a dataclass.
+RESULT_FIELDS = {
+    "EquilibriumPrediction": ("p0", "omega0", "omega1", "delta2_rate", "regime"),
+    "MaxOutflowAnalysis": ("rho_tot", "g_c", "max_outflow", "argmax_lo", "argmax_hi",
+                           "feasible_lo", "feasible_hi", "a1_applicable", "outflow", "g_a", "g_b"),
+    "LaneMetrics": ("total_delay", "served", "initiated", "mean_travel_time"),
+    "Metrics": ("hot", "gp", "max_omega", "revenue", "records"),
+    "ComparisonResult": ("hov", "hot"),
+}
+# the repr of compare_hov_hot(preset("constant")), as the frozen dataclasses printed it
+CONSTANT_COMPARISON_REPR = (
+    "ComparisonResult(hov=Metrics(hot=LaneMetrics(total_delay=49.49985983761024,"
+    " served=989.9944444461912, initiated=999.9944444461896,"
+    " mean_travel_time=0.05000013900613428), gp=LaneMetrics(total_delay=6092.035797803164,"
+    " served=1864.9266468749247, initiated=4299.976111115581,"
+    " mean_travel_time=3.2666356116534914), max_omega=1.2944907844146376, revenue=0.0,"
+    " records=18001), hot=Metrics(hot=LaneMetrics(total_delay=103.17113356568292,"
+    " served=2045.2382117695188, initiated=2069.0051681204322,"
+    " mean_travel_time=0.0504445560287182), gp=LaneMetrics(total_delay=3899.486901821477,"
+    " served=1864.9162765045544, initiated=3230.9653874327773,"
+    " mean_travel_time=2.09097156314725), max_omega=0.7215881856338551,"
+    " revenue=154444.73890629777, records=18001))"
+)
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
+def test_results_are_named_tuples(name):
+    cls = getattr(hotlanes, name)
+    assert issubclass(cls, tuple) and cls._fields == RESULT_FIELDS[name]
+
+
+def test_comparison_repr_is_unchanged():
+    assert repr(hotlanes.compare_hov_hot(hotlanes.preset("constant"))) == CONSTANT_COMPARISON_REPR

@@ -13,11 +13,15 @@ the host writes bytecode (``PYTHONDONTWRITEBYTECODE`` and
 ``sys.flags.dont_write_bytecode``; without it every fresh interpreter
 compiles ``src/`` again, which ``setup_s`` carries), the median wall time of
 5 bare ``python -c pass`` starts, every run, and per (workload, seed) and
-metric the medians, quartiles and the number of pairs the change won.  A metric with a ``bound`` in the parent's
-``BENCHMARK.json`` also gets a no-regression verdict: ``worse`` when the
-change's median is worse than the parent's by more than bound x the parent
-median; else ``unresolved`` when the parent's quartiles lie further apart than
-that, unless every change run beats every parent run; else ``none``.
+metric the medians, quartiles, the number of pairs the change won and
+``gain_shown``, the rule a claimed gain must meet: the change wins at least
+9 of 10 pairs, ties counting for neither side, and its median beats the
+parent's by more than the parent's interquartile range.  A metric with a
+``bound`` in the parent's ``BENCHMARK.json`` also gets a no-regression
+verdict: ``worse`` when the change's median is worse than the parent's by
+more than bound x the parent median; else ``unresolved`` when the parent's
+quartiles lie further apart than that, unless every change run beats every
+parent run; else ``none``.
 
 When ``--out`` exists its runs of other workloads or seeds are kept, and runs
 of the same workload and seed are replaced once every pair has run, so one
@@ -113,8 +117,8 @@ def regression(parent: list[float], change: list[float], way: str, bound: float)
 
 def summarise(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
-    """Per metric: both sides' quartiles, the change's wins, the median ratio and,
-    for a metric in ``bounds``, the no-regression verdict."""
+    """Per metric: both sides' quartiles, the change's wins, the median ratio, whether
+    a gain is shown and, for a metric in ``bounds``, the no-regression verdict."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
@@ -128,12 +132,14 @@ def summarise(runs: list[dict], better: dict[str, str],
         wins = sum((c > q) if way == "higher" else (c < q) for q, c in zip(parent, change))
         p_stats, c_stats = quartiles(parent), quartiles(change)
         iqr = p_stats["q3"] - p_stats["q1"]
+        gap = c_stats["median"] - p_stats["median"]
         out[name] = {
             "unit": unit, "better": way, "parent": p_stats, "change": c_stats,
             "change_wins": wins, "pairs": len(pairs),
             "change_over_parent_median": c_stats["median"] / p_stats["median"],
-            "median_gap_over_parent_iqr":
-                abs(c_stats["median"] - p_stats["median"]) / iqr if iqr else None,
+            "median_gap_over_parent_iqr": abs(gap) / iqr if iqr else None,
+            "gain_shown": 10 * wins >= 9 * len(pairs)
+                          and (gap if way == "higher" else -gap) > iqr,
         }
         if bounds and name in bounds:
             out[name]["regression"] = regression(parent, change, way, bounds[name])
