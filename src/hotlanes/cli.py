@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 configuration error (a bad command line is one),
 2 runtime abort (managed-lane gridlock, or a state that overflows the
-floats), 3 estimation infeasible.
+floats), 3 estimation infeasible, 141 (128 + SIGPIPE) when the reader of
+stdout has closed it, with nothing printed.
 """
 
 import argparse
 import math
+import os
 import statistics
 import sys
 import warnings
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_ESTIMATION = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
@@ -223,7 +226,13 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             args = _PARSER.parse_args(argv)
-            return args.func(args)
+            status = args.func(args)
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter shutdown
+            return status
+        except BrokenPipeError:  # fd 1 on devnull, so the flush at shutdown cannot fail again
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
         except (ConfigError, OSError, Warning) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

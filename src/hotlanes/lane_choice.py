@@ -10,10 +10,9 @@ and ``toll_line(p)``.  The toll that yields share ``p`` is affine in the gap,
 ``u = A * omega + B``; ``toll_line`` returns ``(A, B, dA/dp, dB/dp)``, which
 is all the loop linearization needs.
 
-The scenario step loop specializes ``ExponentialVot`` and ``LogitChoice``: it
-computes their share inline, with the expressions of their ``share``.
-``share`` stays the reference for those, which the tests and the analysis
-use, and it is the path for any other model.
+The scenario step loop computes every model's share inline, with the
+expressions of its ``share``, and accepts no other model.  ``share`` is the
+reference, which the tests and the analysis use.
 """
 
 import math
@@ -30,11 +29,7 @@ def _check_finite(*values: float) -> None:
 
 
 def _check_toll_gap(u: float, omega: float) -> None:
-    """Raise unless the toll and the gap are non-negative numbers (the gap may be inf).
-
-    ``share`` calls this only when the check is about to fail, so the step
-    loop's valid inputs pay for two comparisons and no call.
-    """
+    """Raise unless the toll and the gap are non-negative numbers (the gap may be inf)."""
     if not u >= 0:
         raise ValueError(f"toll must be non-negative, got {u}")
     if not omega >= 0:
@@ -48,8 +43,7 @@ def _vot_threshold(u: float, omega: float) -> float:
     and everyone pays.  At zero gap a positive toll deters everyone (an
     infinite threshold); a zero toll leaves the threshold at 0 by continuity.
     """
-    if not (u >= 0.0 and omega >= 0.0):
-        _check_toll_gap(u, omega)
+    _check_toll_gap(u, omega)
     if omega == _INF:
         return 0.0
     if omega == 0.0:
@@ -134,8 +128,7 @@ class LogitChoice:
 
     def share(self, u: float, omega: float) -> float:
         """Paying share 1 / (1 + exp(alpha * (u - pi * omega)))."""
-        if not (u >= 0.0 and omega >= 0.0):
-            _check_toll_gap(u, omega)
+        _check_toll_gap(u, omega)
         if omega == _INF:
             return 1.0
         x = self.alpha_star * (u - self.pi_star * omega)

@@ -170,6 +170,9 @@ class ScenarioConfig:
             raise ConfigError("each lane group needs at least one lane")
         if self.initial_hot_trips < 0 or self.initial_gp_trips < 0:
             raise ConfigError("initial trip counts cannot be negative")
+        # the step loop computes these models' shares inline, so a subclass is not one of them
+        if type(self.choice) not in (ExponentialVot, UniformVot, LogitChoice):
+            raise ConfigError(f"unknown choice model {type(self.choice).__name__!r}")
 
     def a1_warnings(self) -> list[str]:
         """The violated overload (A1) conditions at peak demand; empty when all hold.
@@ -274,9 +277,9 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
 
     This is the one place that does the per-step arithmetic.  The speeds are
     ``nfd.speed``'s and the phase labels ``nfd.classify_phase``'s, computed
-    inline; the gap ``1/v2 - 1/v1`` is inf at a GP jam.  The paying share of
-    ``ExponentialVot`` and of ``LogitChoice`` is their ``share``'s, computed
-    inline; any other model's ``share`` is called.  The demand is read from
+    inline; the gap ``1/v2 - 1/v1`` is inf at a GP jam.  The paying share is
+    the choice model's ``share``, computed inline for each of the three
+    models :class:`ScenarioConfig` accepts.  The demand is read from
     ``DemandProfile.held_rates`` only when a step passes the end of the
     interval the last rates hold on, so a constant profile is read once.
     The plant completes ``delta / D * v`` trips per hour (0 from an empty
@@ -305,12 +308,12 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     # an interval past the horizon records the first and the last step; capped, it cannot overflow
     record_every = max(1, round(min(config.output_dt_s, horizon_s) / config.dt_s))
     choice = config.choice
-    share = choice.share
-    # the built-in models computed inline, with their parameters bound once per run
-    ue_exp = type(choice) is ExponentialVot
+    # each model's share computed inline, with its parameters bound once per run
     logit = type(choice) is LogitChoice
-    vot_mean = choice.mean if ue_exp else 0.0
+    uniform = type(choice) is UniformVot
     alpha, pi_star = (choice.alpha_star, choice.pi_star) if logit else (0.0, 0.0)
+    low, high = (choice.low, choice.high) if uniform else (0.0, 0.0)
+    vot_mean = choice.mean if type(choice) is ExponentialVot else 0.0
     exp = math.exp
     hov_mode = config.mode == "hov"
     ctrl = config.controller
@@ -377,24 +380,18 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
                 u = posted if posted > 0.0 else 0.0  # NaN posts 0
             if omega < 0.0:
                 p = 0.0
-            elif ue_exp:  # ExponentialVot.share
-                if gap == inf:
-                    p = 1.0
-                elif gap == 0.0:
-                    p = 0.0 if u > 0.0 else 1.0
-                else:
-                    x = u / gap
-                    p = 1.0 if x <= 0.0 else exp(-x / vot_mean)
             elif logit:  # LogitChoice.share
                 if gap == inf:
                     p = 1.0
                 else:
                     x = alpha * (u - pi_star * gap)
                     p = 0.0 if x > 700.0 else 1.0 / (1.0 + exp(x))
-            else:
-                p = share(u, gap)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"paying share {p} outside [0, 1]")
+            else:  # the UE models: lane_choice._vot_threshold, then the model's share
+                x = 0.0 if gap == inf else (inf if u > 0.0 else 0.0) if gap == 0.0 else u / gap
+                if uniform:  # UniformVot.share
+                    p = 1.0 if x <= low else 0.0 if x >= high else 1.0 - (x - low) / (high - low)
+                else:  # ExponentialVot.share
+                    p = 1.0 if x <= 0.0 else exp(-x / vot_mean)
         e21 = p * e2t
         in1, in2 = e1t + e21, e2t - e21
         g1 = 0.0 if d1 == 0.0 else d1 / D * v1

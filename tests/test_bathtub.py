@@ -12,7 +12,7 @@ from hotlanes.bathtub import (
     SaturationStats,
     jam_trip_cap,
 )
-from hotlanes.lane_choice import ExponentialVot
+from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.scenario import ConfigError, DemandProfile, ScenarioConfig, run
 
 RHO_C = 70.0 / 3.0
@@ -178,10 +178,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             plant_run(fd_triangular, d1=-1.0)
 
-    def test_paying_rate_capped_by_sov_rate(self, fd_triangular):
+    def test_only_the_three_choice_models_are_accepted(self, fd_triangular):
+        # the loop computes each model's share inline, so a subclass would get its base's formula
         class Overpaying:
             def share(self, u, omega):
                 return 1.5  # 150 paying of 100 SOV veh/h
 
-        with pytest.raises(ValueError, match="paying share"):
-            plant_run(fd_triangular, e2=100.0, mode="hot", choice=Overpaying())
+        subclasses = [type(f"My{model.__name__}", (model,), {})()
+                      for model in (ExponentialVot, UniformVot, LogitChoice)]
+        for choice in (Overpaying(), *subclasses):
+            with pytest.raises(ConfigError, match=f"^unknown choice model '{type(choice).__name__}'$"):
+                plant_run(fd_triangular, e2=100.0, mode="hot", choice=choice)

@@ -242,6 +242,19 @@ def test_a1_warning_made_an_error_is_a_config_error(command, tmp_path):
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_closed_stdout_exits_141_silently(tmp_path):
+    # the reader closes the pipe before the child starts, so every write to stdout fails
+    env = {**os.environ, "PYTHONPATH": str(Path(hotlanes.__file__).parents[1])}
+    argv = ["run", "--preset", "constant", "--set", "simulation.horizon_h=0.01", "--out", "x.csv"]
+    child = subprocess.Popen([sys.executable, "-m", "hotlanes", *argv], cwd=tmp_path, env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141 and err == b""
+    assert len(read_csv(str(tmp_path / "x.csv"))) == 37  # the record every 1 s of 36 s, and the last
+
+
 @pytest.mark.parametrize("command", ["run", "estimate"])
 def test_directory_path_is_a_config_error(command, tmp_path, capsys):
     # run cannot write its CSV to a directory, and estimate cannot read one

@@ -4,7 +4,7 @@ import math
 import warnings
 from dataclasses import replace
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from hotlanes.bathtub import HotGridlockError, jam_trip_cap
 from hotlanes.controller import ControllerState
@@ -22,11 +22,20 @@ gains = st.floats(0.1, 50.0)
 floors = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
 
-def choice_of(model, family):
-    """The choice model with its default parameters; the family applies under UE only."""
+# UniformVot bounds: the defaults, a pair with low + (high - low) != high, and random ones
+uniform_bounds = st.one_of(
+    st.just((0.0, 100.0)), st.just((10.0, 90.0)), st.just((0.6003328378632581, 1.6014561504779194)),
+    st.tuples(st.floats(0.0, 200.0), st.floats(1e-3, 200.0)).map(lambda t: (t[0], t[0] + t[1])))
+
+
+def choice_of(model, family, bounds):
+    """The choice model, with default parameters but for UniformVot's ``bounds``.
+
+    The family applies under UE only.
+    """
     if model == "logit":
         return LogitChoice()
-    return ExponentialVot() if family == "exponential" else UniformVot()
+    return ExponentialVot() if family == "exponential" else UniformVot(*bounds)
 
 
 def demand_times(draw, count, dt_s, horizon_h):
@@ -75,7 +84,7 @@ def short_configs(draw):
         "initial_hot_trips": draw(trips),
         "initial_gp_trips": draw(trips),
         "choice": choice_of(draw(st.sampled_from(("ue", "logit"))),
-                            draw(st.sampled_from(("exponential", "uniform")))),
+                            draw(st.sampled_from(("exponential", "uniform"))), draw(uniform_bounds)),
         "mode": draw(st.sampled_from(("hot", "hov"))),
         "fd_hot": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
         "fd_gp": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
@@ -96,6 +105,11 @@ def close(got, want, *running):
     return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12 * max(map(abs, running)))
 
 
+# over-critical starts post a toll that sweeps each UniformVot's thresholds through [low, high]
+@example({"horizon_h": 0.05, "output_dt_s": 0.1, "initial_hot_trips": 50.0,
+          "initial_gp_trips": 50.0, "choice": UniformVot(10.0, 90.0)})
+@example({"horizon_h": 0.05, "output_dt_s": 0.1, "initial_hot_trips": 100.0,
+          "initial_gp_trips": 100.0, "choice": UniformVot(0.6003328378632581, 1.6014561504779194)})
 @settings(derandomize=True, deadline=None, max_examples=375)
 @given(short_configs())
 def test_run_outcome_and_invariants(overrides):

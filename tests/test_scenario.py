@@ -524,9 +524,11 @@ class TestRunner:
 
 
 class TestStepLoopCalls:
-    @pytest.mark.parametrize("name", ["constant", "constant-logit"])
-    def test_at_most_a_quarter_python_call_per_step(self, name):
-        """A run of a built-in choice model on constant demand makes no call per step.
+    @pytest.mark.parametrize("name, choice", [("constant", None), ("constant-logit", None),
+                                              ("constant", UniformVot(10.0, 90.0))],
+                             ids=["constant", "constant-logit", "constant-uniform"])
+    def test_at_most_a_quarter_python_call_per_step(self, name, choice):
+        """A run of each choice model on constant demand makes no call per step.
 
         Counted are the profiler's ``call`` events over the whole ``iter_run``,
         set-up and generator resumptions included; the count does not depend
@@ -534,6 +536,8 @@ class TestStepLoopCalls:
         makes more than two calls a step.
         """
         config = replace(preset(name), horizon_h=0.05)
+        if choice is not None:
+            config = replace(config, choice=choice)
         steps = round(config.horizon_h * 3600.0 / config.dt_s)
         calls = 0
 
