@@ -25,7 +25,7 @@ __all__ = [
 
 
 class HotGridlockError(RuntimeError):
-    """Raised when the managed lanes reach zero speed; pricing cannot operate."""
+    """The managed lanes' speed is 0 or has no finite reciprocal; pricing cannot operate."""
 
 
 @dataclass(slots=True)

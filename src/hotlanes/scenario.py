@@ -9,6 +9,7 @@ CSV for external tooling.
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -170,6 +171,10 @@ class ScenarioConfig:
             raise ConfigError("each lane group needs at least one lane")
         if self.initial_hot_trips < 0 or self.initial_gp_trips < 0:
             raise ConfigError("initial trip counts cannot be negative")
+        for name, trips, fd, lanes in (("hot", self.initial_hot_trips, self.fd_hot, self.hot_lanes),
+                                       ("gp", self.initial_gp_trips, self.fd_gp, self.gp_lanes)):
+            if trips > (cap := jam_trip_cap(fd, lanes * self.corridor_length)):
+                raise ConfigError(f"initial_{name}_trips = {trips:g} exceeds the jam cap {cap:g}")
         # the step loop computes these models' shares inline, so a subclass is not one of them
         if type(self.choice) not in (ExponentialVot, UniformVot, LogitChoice):
             raise ConfigError(f"unknown choice model {type(self.choice).__name__!r}")
@@ -240,7 +245,6 @@ class SimulationRecord(NamedTuple):
 CSV_COLUMNS = SimulationRecord._fields
 
 _FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
-_FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("phase2") + 1:]
 # the record fields that must stay finite: every float but the gap, which is inf at a GP jam
 _CHECKED_FLOATS = itemgetter(*(i for i, c in enumerate(_FLOAT_COLUMNS) if c != "omega"))
 # Builds a record from a tuple of every field in order, without the Python-level
@@ -277,9 +281,9 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
 
     This is the one place that does the per-step arithmetic.  The speeds are
     ``nfd.speed``'s and the phase labels ``nfd.classify_phase``'s, computed
-    inline; the gap ``1/v2 - 1/v1`` is inf at a GP jam.  The paying share is
-    the choice model's ``share``, computed inline for each of the three
-    models :class:`ScenarioConfig` accepts.  The demand is read from
+    inline; the gap ``1/v2 - 1/v1`` is inf where ``1/v2`` overflows, a GP jam
+    included; a HOT speed with no finite reciprocal is a gridlock.  The paying
+    share is each accepted model's ``share``, inline.  The demand is read from
     ``DemandProfile.held_rates`` only when a step passes the end of the
     interval the last rates hold on, so a constant profile is read once.
     The plant completes ``delta / D * v`` trips per hour (0 from an empty
@@ -326,6 +330,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     uf2, w2, rj2, c2 = fd_gp.u_f, fd_gp.w, fd_gp.rho_j, fd_gp.c
     rho_c1, rho_c2 = critical_density(fd_hot), critical_density(fd_gp)
     SUC, C, SOC, tol = "SUC", "C", "SOC", PHASE_TOLERANCE
+    v1_least = math.nextafter(1.0 / sys.float_info.max, inf)  # the least v whose 1/v is finite
     D = config.mean_trip_distance
     L1 = config.hot_lanes * config.corridor_length
     L2 = config.gp_lanes * config.corridor_length
@@ -358,7 +363,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
             v1 = (c1 if c1 > v1 else v1) / rho1
             if v1 > uf1:
                 v1 = uf1
-            elif v1 <= 0.0:
+            elif v1 < v1_least:
                 raise HotGridlockError(
                     f"managed lanes gridlocked at t={t:.4f} h (rho1={rho1:.3f})"
                 )
@@ -567,26 +572,20 @@ def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
 
 
 def iter_csv(path: str) -> Iterator[SimulationRecord]:
-    """Stream the records of a :func:`write_csv` file, in any line ending and column order.
+    """Stream the records of a :func:`write_csv` file, in any line ending; blank lines are skipped.
 
-    Extra columns and blank lines are skipped; a missing column, a ragged row, a bad cell or
-    a line holding a quote or NUL (cells are plain) is a :class:`ConfigError` naming the line.
+    Another header than write_csv's (its first differing column named), a ragged row, a bad cell
+    or a row holding a quote or NUL (cells are plain) is a :class:`ConfigError` naming the line.
     """
+    n, width = len(_FLOAT_COLUMNS), len(CSV_COLUMNS)
     with open(path, encoding="utf-8") as fh:
         num, lines = 0, enumerate(fh, 1)
         try:
             num, line = next(lines, (0, ""))
-            if '"' in line or "\0" in line:
-                raise ConfigError("a quote or NUL byte in a plain-cell record file")
-            header = line.rstrip("\n").split(",")
-            index = {name: i for i, name in enumerate(header)}
-            missing = set(CSV_COLUMNS) - set(index)
-            if missing:
-                raise ConfigError(f"record file lacks columns: {sorted(missing)}")
-            width = len(header)
-            floats = itemgetter(*(index[c] for c in _FLOAT_COLUMNS))
-            phases = itemgetter(index["phase1"], index["phase2"])
-            flags = itemgetter(*(index[c] for c in _FLAG_COLUMNS))
+            if line.rstrip("\n") != _HEADER[:-2]:
+                pairs = zip([*line.rstrip("\n").split(","), None], (*CSV_COLUMNS, None))
+                i, (got, want) = next(x for x in enumerate(pairs, 1) if x[1][0] != x[1][1])
+                raise ConfigError(f"header column {i} is {got!r} where write_csv writes {want!r}")
             for num, line in lines:
                 row = line.rstrip("\n").split(",")
                 if len(row) != width:
@@ -596,7 +595,7 @@ def iter_csv(path: str) -> Iterator[SimulationRecord]:
                 if '"' in line or "\0" in line:
                     raise ConfigError("a quote or NUL byte in a plain-cell record file")
                 yield _new_tuple(SimulationRecord, (
-                    *map(float, floats(row)), *phases(row), *map(int, flags(row))))
+                    *map(float, row[:n]), row[n], row[n + 1], *map(int, row[n + 2:])))
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"{path}, line {num}: {exc}") from None
 

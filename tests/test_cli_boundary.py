@@ -22,25 +22,29 @@ EDGE_VALUES = ("nan", "inf", "-1", "0", "1e300", "1e308", "", "abc")
 # a record cell also meets the far ends of the floats: overflowing ratios and subnormal gaps
 CELL_VALUES = EDGE_VALUES + ("-inf", "-1e308", "1.7e308", "5e-324", "1e-320")
 KEYS = sorted(f"{section}.{key}" for section, keys in _KNOWN_KEYS.items() for key in keys)
-# every float column but the gap, which is inf while the GP lanes are jammed
-FINITE_COLUMNS = [c for c in CSV_COLUMNS[: CSV_COLUMNS.index("phase1")] if c != "omega"]
+FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 # a float, or a part of a complex number, that is not finite: nan, inf, nanj, infj
 NON_FINITE = re.compile(r"\b(?:nan|inf)j?\b", re.IGNORECASE)
 # run and compare print no NaN, inf only as the gap of a jammed GP lane group, and no
 # number of more than 20 digits
 SUMMARY_MISPRINTS = re.compile(r"\bnan\b|(?<!max gap )\binf\b|\d(?:\.?\d){20}", re.IGNORECASE)
-# the --set overrides of the edge-value test: each key at each edge value, and a jam whose
-# toll ceiling near the float limit leaves every record finite but overflows the revenue
+# the --set overrides of the edge-value test: each key at each edge value, a jam whose
+# toll ceiling near the float limit leaves every record finite but overflows the revenue,
+# and a HOT speed at a subnormal flow floor, too small for a finite reciprocal
 EDGE_CASES = [*([f"{key}={value}"] for key in KEYS for value in EDGE_VALUES),
               ["fd.gp.flow_floor_veh_h=0", "controller.toll_ceiling=1e308",
-               "simulation.horizon_h=0.5"]]
+               "simulation.horizon_h=0.5"],
+              ["fd.hot.flow_floor_veh_h=1e-320", "simulation.initial_hot_trips=140"]]
 
 
 def non_finite_cells(path):
-    """The float columns, gap excepted, that hold a NaN or inf in the record CSV at ``path``."""
-    return sorted({c for r in read_csv(str(path)) for c in FINITE_COLUMNS
-                   if not math.isfinite(getattr(r, c))})
+    """The float columns that hold a NaN or inf in the record CSV at ``path``.
+
+    The gap may be +inf, which it is while the GP lanes are jammed.
+    """
+    return sorted({c for r in read_csv(str(path)) for c in FLOAT_COLUMNS
+                   if not (math.isfinite(getattr(r, c)) or (c == "omega" and r.omega == math.inf))})
 
 
 def call(argv, capsys, forbidden=None):

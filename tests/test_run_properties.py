@@ -105,6 +105,11 @@ def close(got, want, *running):
     return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12 * max(map(abs, running)))
 
 
+# a positive HOT speed too small for a finite reciprocal is a gridlock, not a gap of -inf
+@example({"fd_hot": replace(preset("constant").fd_hot, c=1e-320), "initial_hot_trips": 140.0,
+          "horizon_h": 0.01})
+# a start just under the GP jam cap, without a flow floor, reaches the cap at t = 0.0016 h
+@example({"fd_gp": BASE_FD, "initial_gp_trips": 139.9, "horizon_h": 0.01, "output_dt_s": 0.1})
 # over-critical starts post a toll that sweeps each UniformVot's thresholds through [low, high]
 @example({"horizon_h": 0.05, "output_dt_s": 0.1, "initial_hot_trips": 50.0,
           "initial_gp_trips": 50.0, "choice": UniformVot(10.0, 90.0)})

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import itertools
 import math
 import re
 import sys
@@ -214,6 +215,20 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError):
                 replace(cfg, **bad)
+
+    def test_initial_trips_within_the_jam_cap(self, tmp_path, capsys):
+        cfg = preset("triangular-gridlock")  # no flow floor: a group holds at most rho_j * L trips
+        for field in ("initial_hot_trips", "initial_gp_trips"):
+            assert replace(cfg, **{field: 140.0})  # exactly at the cap
+            with pytest.raises(ConfigError, match=f"^{field} = 1000 exceeds the jam cap 140$"):
+                replace(cfg, **{field: 1000.0})
+            assert replace(preset("constant"), **{field: 1e300})  # a flow floor: no cap
+        out = tmp_path / "over.csv"
+        assert main(["run", "--preset", "triangular-gridlock",
+                     "--set", "simulation.initial_gp_trips=1000", "--set", "simulation.horizon_h=0.001",
+                     "--set", "simulation.output_dt_s=0.1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: initial_gp_trips = 1000 exceeds")
+        assert not out.exists()
 
     def test_step_ceiling(self):
         cfg = replace(preset("constant"), dt_s=1.0, output_dt_s=1.0)
@@ -687,24 +702,24 @@ class TestMetrics:
 def csv_module_read(path):
     """The records the csv-module reader gives for ``path``, or its error message.
 
-    This is the reader ``read_csv`` was before it split lines itself; the
-    parity tests hold the two to the same records and the same messages.
+    This is the reader ``read_csv`` was before it split lines itself, held to
+    the header ``write_csv`` writes; the parity tests hold the two to the same
+    records and the same messages.
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, [])
-            index = {name: i for i, name in enumerate(header)}
-            missing = set(CSV_COLUMNS) - set(index)
-            if missing:
-                raise ConfigError(f"record file lacks columns: {sorted(missing)}")
+            header = next(reader, None) or [""]  # a line without cells is one empty cell
+            for i, (got, want) in enumerate(itertools.zip_longest(header, CSV_COLUMNS), 1):
+                if got != want:
+                    raise ConfigError(f"header column {i} is {got!r} where write_csv writes {want!r}")
             kinds = [str if c in ("phase1", "phase2") else int if c.endswith("_clamped") else float
                      for c in CSV_COLUMNS]
             for row in filter(None, reader):
                 if len(row) != len(header):
                     raise ConfigError(f"{len(row)} cells under a {len(header)}-column header")
-                out.append(SimulationRecord(*(k(row[index[c]]) for k, c in zip(kinds, CSV_COLUMNS))))
+                out.append(SimulationRecord(*(k(cell) for k, cell in zip(kinds, row))))
         except (ValueError, csv.Error) as exc:
             return f"{path}, line {reader.line_num}: {exc}"
     return out
@@ -771,16 +786,6 @@ class TestCsv:
         with pytest.raises(ConfigError, match="line 3: .*'abc'"):
             read_csv(str(path))
 
-    def test_reordered_and_extra_columns_round_trip(self, tmp_path):
-        path, lines = self.written_lines(tmp_path)
-        rows = [line.split(",") for line in lines]
-        order = list(reversed(range(len(CSV_COLUMNS))))
-        shuffled = [["note"] + [r[i] for i in order] for r in rows[:1]]
-        shuffled += [["x"] + [r[i] for i in order] for r in rows[1:]]
-        other = tmp_path / "shuffled.csv"
-        other.write_text("".join(",".join(r) + "\n" for r in shuffled))
-        assert read_csv(str(other)) == read_csv(str(path))
-
     def test_trailing_blank_line_skipped(self, tmp_path):
         path, lines = self.written_lines(tmp_path)
         want = read_csv(str(path))
@@ -835,15 +840,26 @@ class TestCsv:
         path.write_text(ending.join(lines) + (ending if final else ""), encoding="utf-8", newline="")
         assert len(self.same_as_csv_module(path)) == len(lines) - 1
 
-    def test_reordered_and_extra_columns(self, written):
+    # columns each row takes, and the first header column that differs: (number, cell, column)
+    OTHER_LAYOUTS = {
+        "reordered": ([*range(len(CSV_COLUMNS) - 1, 12, -1), *range(13)], (1, "gp_clamped", "t")),
+        "extra-leading": ([None, *range(len(CSV_COLUMNS))], (1, "note", "t")),
+        "missing": ([i for i, c in enumerate(CSV_COLUMNS) if c != "omega"], (8, "lam", "omega")),
+        "extra-trailing": ([*range(len(CSV_COLUMNS)), None], (29, "note", None)),
+    }
+
+    @pytest.mark.parametrize("case", OTHER_LAYOUTS)
+    def test_only_the_written_layout_is_read(self, written, case):
         path, text = written
+        order, (number, cell, column) = self.OTHER_LAYOUTS[case]
         rows = [line.split(",") for line in text.split("\r\n")[:-1]]
-        order = [*range(len(CSV_COLUMNS) - 1, 12, -1), *range(13)]
-        lines = [",".join(["note", *(rows[0][i] for i in order), "more"])]
-        lines += [",".join(["x", *(r[i] for i in order), "y"]) for r in rows[1:]]
-        other = path.with_name("shuffled.csv")
-        other.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert reprs(self.same_as_csv_module(other)) == reprs(read_csv(str(path)))
+        lines = [",".join("note" if i is None else row[i] for i in order) for row in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"{path}, line 1: header column {number} is {cell!r} where write_csv writes {column!r}"
+        with pytest.raises(ConfigError) as caught:
+            read_csv(str(path))
+        assert str(caught.value) == message
+        assert self.same_as_csv_module(path) == message
 
     @pytest.mark.parametrize("case", [
         "truncated", "bad-cell", "missing-column", "empty", "header-only", "blank-then-bad",
@@ -853,6 +869,9 @@ class TestCsv:
         lines = text.split("\r\n")[:-1]
         want_line = {"truncated": len(lines), "bad-cell": 5, "missing-column": 1, "empty": 0,
                      "header-only": None, "blank-then-bad": 7}[case]
+        # the header cases name the first column that differs from write_csv's header
+        want_header = {"missing-column": "header column 1 is 'delta1' where write_csv writes 't'",
+                       "empty": "header column 1 is '' where write_csv writes 't'"}.get(case)
         if case == "truncated":
             lines[-1] = lines[-1][: len(lines[-1]) // 2]
         elif case == "bad-cell":
@@ -875,17 +894,21 @@ class TestCsv:
             assert got == []
         else:
             assert got.startswith(f"{path}, line {want_line}: ")
+        if want_header:
+            assert got == f"{path}, line {want_line}: {want_header}"
 
-    @pytest.mark.parametrize("row, cell", [(3, '"free"'), (3, "fr\0ee"), (0, '"phase1"')],
-                             ids=["quoted", "nul", "quoted-header"])
-    def test_quoted_cell_and_nul_name_the_line(self, written, row, cell):
+    @pytest.mark.parametrize("row, cell, message", [
+        (3, '"free"', "a quote or NUL byte"), (3, "fr\0ee", "a quote or NUL byte"),
+        (0, '"phase1"', "header column 24 is '\"phase1\"' where write_csv writes 'phase1'"),
+    ], ids=["quoted", "nul", "quoted-header"])
+    def test_quoted_cell_and_nul_name_the_line(self, written, row, cell, message):
         path, text = written
         lines = text.split("\r\n")[:-1]
         cells = lines[row].split(",")
         cells[CSV_COLUMNS.index("phase1")] = cell
         lines[row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=rf"edges\.csv, line {row + 1}: a quote or NUL byte"):
+        with pytest.raises(ConfigError, match=rf"edges\.csv, line {row + 1}: {re.escape(message)}"):
             read_csv(str(path))
 
 
