@@ -225,8 +225,9 @@ class TestConfig:
             assert replace(preset("constant"), **{field: 1e300})  # a flow floor: no cap
         out = tmp_path / "over.csv"
         assert main(["run", "--preset", "triangular-gridlock",
-                     "--set", "simulation.initial_gp_trips=1000", "--set", "simulation.horizon_h=0.001",
-                     "--set", "simulation.output_dt_s=0.1", "--out", str(out)]) == 1
+                     "--set", "simulation.initial_gp_trips=1000",
+                     "--set", "simulation.horizon_h=0.001", "--set", "simulation.output_dt_s=0.1",
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: initial_gp_trips = 1000 exceeds")
         assert not out.exists()
 
@@ -713,7 +714,8 @@ def csv_module_read(path):
             header = next(reader, None) or [""]  # a line without cells is one empty cell
             for i, (got, want) in enumerate(itertools.zip_longest(header, CSV_COLUMNS), 1):
                 if got != want:
-                    raise ConfigError(f"header column {i} is {got!r} where write_csv writes {want!r}")
+                    raise ConfigError(
+                        f"header column {i} is {got!r} where write_csv writes {want!r}")
             kinds = [str if c in ("phase1", "phase2") else int if c.endswith("_clamped") else float
                      for c in CSV_COLUMNS]
             for row in filter(None, reader):
@@ -840,7 +842,8 @@ class TestCsv:
         path.write_text(ending.join(lines) + (ending if final else ""), encoding="utf-8", newline="")
         assert len(self.same_as_csv_module(path)) == len(lines) - 1
 
-    # columns each row takes, and the first header column that differs: (number, cell, column)
+    # the written column behind each cell (None: a "note" cell), and the first header column
+    # that differs: (its number, its cell, the column write_csv writes there)
     OTHER_LAYOUTS = {
         "reordered": ([*range(len(CSV_COLUMNS) - 1, 12, -1), *range(13)], (1, "gp_clamped", "t")),
         "extra-leading": ([None, *range(len(CSV_COLUMNS))], (1, "note", "t")),
@@ -855,7 +858,8 @@ class TestCsv:
         rows = [line.split(",") for line in text.split("\r\n")[:-1]]
         lines = [",".join("note" if i is None else row[i] for i in order) for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        message = f"{path}, line 1: header column {number} is {cell!r} where write_csv writes {column!r}"
+        message = (f"{path}, line 1: header column {number} is {cell!r} "
+                   f"where write_csv writes {column!r}")
         with pytest.raises(ConfigError) as caught:
             read_csv(str(path))
         assert str(caught.value) == message
