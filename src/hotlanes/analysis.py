@@ -228,9 +228,9 @@ def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right"
     left matrix is the under-critical one (g1' = u_f) and the right one the
     over-critical one.  The gains are the effective ones, K1 = k1 + k3 /
     omega and K2 = k2 + k4 / omega.  Raises ``ValueError`` for demand that
-    is not constant, an unknown side, a negative density, a share outside
-    the choice model's range, a gap that is not positive and finite, and a
-    system :class:`LinearizedSystem` rejects.
+    is not constant or has no SOV rate, an unknown side, a negative density,
+    a share outside the choice model's range, a gap that is not positive and
+    finite, and a system :class:`LinearizedSystem` rejects.
     """
     _require_constant_demand(config)
     if not 0.0 < omega < math.inf:
@@ -242,6 +242,8 @@ def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right"
     L1 = config.hot_lanes * config.corridor_length
     D = config.mean_trip_distance
     e1, e2 = config.demand.hov_rate, config.demand.sov_rate
+    if e2 <= 0:
+        raise ValueError(f"the SOV rate must be positive, got {e2}")
     p = (flow(fd, rho) * L1 / D - e1 - xi) / e2
     _, _, da, db = config.choice.toll_line(p)
     s = da + db / omega

@@ -1,9 +1,9 @@
 """Built-in scenario presets and the INI config loader.
 
-The study base pins the numerical study defaults: a triangular diagram with
-u_f = 100 km/h, w = 20 km/h, jam density 140 veh/km/lane and a flow floor at
-80% of capacity, integral gains (8, 5, 8, 6), an exponential VOT with mean
-$50/h, and a unit-length corridor with one lane per group.
+The study base sets a triangular diagram with u_f = 100 km/h, w = 20 km/h,
+jam density 140 veh/km/lane and a flow floor at 80% of capacity on the
+ScenarioConfig defaults: integral gains (8, 5, 8, 6), an exponential VOT with
+mean $50/h, and a unit-length corridor with one lane per group.
 
 The demand magnitudes are reconstructed, not published: 200 HOV and 860 SOV
 veh/h overload the corridor, leave the managed lanes under-used without
@@ -16,7 +16,6 @@ with corridor length if you change the geometry.  Each preset is a list of
 import configparser
 from dataclasses import replace
 
-from .controller import ControllerState
 from .lane_choice import ExponentialVot, LogitChoice, UniformVot
 from .nfd import FdParams, capacity
 from .scenario import ConfigError, DemandProfile, ScenarioConfig
@@ -29,14 +28,10 @@ def _vi_fd() -> FdParams:
     return replace(base, c=0.8 * capacity(base))
 
 
-# The study base: constant overload demand on the flow-floor diagram, UE choice.
+# The study base: constant overload demand on the flow-floor diagram; the rest is default.
 _BASE = ScenarioConfig(
     fd_hot=_vi_fd(), fd_gp=_vi_fd(),
     demand=DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0),
-    corridor_length=1.0, hot_lanes=1.0, gp_lanes=1.0, mean_trip_distance=5.0,
-    choice=ExponentialVot(mean=50.0),
-    controller=ControllerState(k1=8.0, k2=5.0, k3=8.0, k4=6.0),
-    dt_s=0.1, horizon_h=5.0,
 )
 
 # Each preset is the base with its ``section.key=value`` overrides applied.
@@ -73,7 +68,7 @@ def _float_list(raw: str) -> tuple[float, ...]:
 # The config schema: per table, INI key -> (field it sets, type its value converts to).
 # The fixed sections take one table each; [fd], [fd.hot] and [fd.gp] share one.
 _FD = {"free_flow_kmh": ("u_f", float), "wave_kmh": ("w", float), "jam_veh_km": ("rho_j", float),
-       "flow_floor_veh_h": ("c", float), "flow_floor_fraction": ("c_fraction", float)}
+       "flow_floor_veh_h": ("c", float)}
 _FIXED = {
     "scenario": {"preset": ("preset", str)},
     "fd": _FD, "fd.hot": _FD, "fd.gp": _FD,
@@ -142,15 +137,6 @@ def _read(cp: configparser.ConfigParser, section: str, table: dict | None = None
     return values
 
 
-def _parse_fd(values: dict[str, float], base: FdParams) -> FdParams:
-    """``base`` with a section's diagram values; a floor in veh/h beats one as a fraction."""
-    fraction = values.pop("c_fraction", None)
-    if fraction is None or "c" in values:
-        return replace(base, **values)
-    fd = replace(base, **values, c=0.0)
-    return replace(fd, c=fraction * capacity(fd))
-
-
 def _parse_demand(cp: configparser.ConfigParser, base: DemandProfile) -> DemandProfile:
     """The preset's profile with ``kind`` and that kind's ``[demand]`` keys applied."""
     kind = cp.get("demand", "kind", fallback=base.kind)
@@ -178,13 +164,12 @@ def _parse_choice(cp: configparser.ConfigParser, base):
 
 
 def _build_from_parser(cp: configparser.ConfigParser, config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` with the parser's keys applied."""
+    """``config`` with the parser's keys applied; [fd.hot] or [fd.gp] beats [fd] for its group."""
     updates = {}
-    if cp.has_section("fd"):
-        updates["fd_hot"] = updates["fd_gp"] = _parse_fd(_read(cp, "fd"), config.fd_hot)
+    shared = _read(cp, "fd")
     for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
-        if cp.has_section(group):
-            updates[attr] = _parse_fd(_read(cp, group), updates.get(attr, getattr(config, attr)))
+        if values := {**shared, **_read(cp, group)}:
+            updates[attr] = replace(getattr(config, attr), **values)
     if cp.has_section("demand"):
         updates["demand"] = _parse_demand(cp, config.demand)
     if cp.has_section("choice"):

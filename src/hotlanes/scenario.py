@@ -554,6 +554,7 @@ def compare_hov_hot(config: ScenarioConfig) -> ComparisonResult:
 # and '%.9g' % x == '{:.9g}'.format(x) for every float, inf and nan included.
 _HEADER = ",".join(CSV_COLUMNS) + "\r\n"
 _ROW = ",".join("%.9g" if c in _FLOAT_COLUMNS else "%s" for c in CSV_COLUMNS) + "\r\n"
+_LABEL, _FLAG = {p: p for p in ("SUC", "C", "SOC")}, {"0": 0, "1": 1}  # cell -> value
 
 
 def csv_rows(records: Iterable[SimulationRecord], path: str) -> Iterator[SimulationRecord]:
@@ -575,9 +576,10 @@ def iter_csv(path: str) -> Iterator[SimulationRecord]:
     """Stream the records of a :func:`write_csv` file, in any line ending; blank lines are skipped.
 
     Another header than write_csv's (its first differing column named), a ragged row, a bad cell
-    or a row holding a quote or NUL (cells are plain) is a :class:`ConfigError` naming the line.
+    (a phase label not SUC, C or SOC, a flag not 0 or 1) or a row holding a quote, NUL, '_', blank
+    or non-ASCII character (float() reads ' 1_5 ') is a :class:`ConfigError` naming the line.
     """
-    n, width = len(_FLOAT_COLUMNS), len(CSV_COLUMNS)
+    n, width, label, flag = len(_FLOAT_COLUMNS), len(CSV_COLUMNS), _LABEL, _FLAG
     with open(path, encoding="utf-8") as fh:
         num, lines = 0, enumerate(fh, 1)
         try:
@@ -592,12 +594,16 @@ def iter_csv(path: str) -> Iterator[SimulationRecord]:
                     if row == [""]:  # a blank line
                         continue
                     raise ConfigError(f"{len(row)} cells under a {width}-column header")
-                if '"' in line or "\0" in line:
-                    raise ConfigError("a quote or NUL byte in a plain-cell record file")
+                if (not line.isascii() or '"' in line or "\0" in line or "_" in line or " " in line
+                        or "\t" in line or "\v" in line or "\f" in line):
+                    raise ConfigError("a quote, NUL, '_', blank or non-ASCII character in the row")
                 yield _new_tuple(SimulationRecord, (
-                    *map(float, row[:n]), row[n], row[n + 1], *map(int, row[n + 2:])))
+                    *map(float, row[:n]), label[row[n]], label[row[n + 1]],
+                    flag[row[n + 2]], flag[row[n + 3]], flag[row[n + 4]]))
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"{path}, line {num}: {exc}") from None
+        except KeyError as exc:  # a phase label or flag cell that write_csv never writes
+            raise ConfigError(f"{path}, line {num}: cell {exc} is not SUC, C, SOC, 0 or 1") from None
 
 
 def read_csv(path: str) -> list[SimulationRecord]:

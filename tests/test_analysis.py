@@ -524,6 +524,12 @@ class TestLoopMatrix:
         with pytest.raises(ValueError, match="gap must be positive and finite"):
             loop_matrix(preset("constant"), 1.0, 0.0, omega)
 
+    def test_no_sov_demand_rejected(self):
+        # the state's share divides by the SOV rate
+        cfg = replace(preset("constant"), demand=DemandProfile(hov_rate=200.0, sov_rate=0.0))
+        with pytest.raises(ValueError, match="SOV rate must be positive, got 0.0"):
+            loop_matrix(cfg, 0.0, 0.0, 0.5)
+
     @pytest.mark.parametrize("demand", [
         preset("trapezoid").demand,  # the peak rates are not an operating point
         DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),  # the constant rates are 0

@@ -358,6 +358,14 @@ def test_readme_config_example_runs(tmp_path, capsys):
     assert read_csv(str(out))
 
 
+def test_readme_config_format_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"### Config format\n(.*?)\n#", readme, re.S).group(1)
+    missing = [f"[{name}] {key}" for name, keys in sorted(_KNOWN_KEYS.items()) for key in sorted(keys)
+               if not re.search(rf"\b{key}\b", section)]
+    assert not missing
+
+
 # Values no option or key accepts as they are, or accepts at an edge.  A
 # real command line cannot pass a NUL byte, so none is drawn.
 HOSTILE = (*EDGE_VALUES, "-inf", "-0", "1e-300", " ", "%", "%(x)s", "%%", "1,2", "0x10", "1_0",

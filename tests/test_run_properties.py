@@ -17,7 +17,6 @@ FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 BASE_FD = FdParams(u_f=100.0, w=20.0, rho_j=140.0)
 
 rates = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1.0, 10_000.0))
-trips = st.one_of(st.just(0.0), st.floats(1.0, 800.0))
 gains = st.floats(0.1, 50.0)
 floors = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
@@ -26,6 +25,11 @@ floors = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 uniform_bounds = st.one_of(
     st.just((0.0, 100.0)), st.just((10.0, 90.0)), st.just((0.6003328378632581, 1.6014561504779194)),
     st.tuples(st.floats(0.0, 200.0), st.floats(1e-3, 200.0)).map(lambda t: (t[0], t[0] + t[1])))
+
+
+def trips(fd, lanes):
+    """0 or an initial trip count from 1 to 800 that does not exceed the group's jam cap."""
+    return st.one_of(st.just(0.0), st.floats(1.0, min(800.0, jam_trip_cap(fd, lanes))))
 
 
 def choice_of(model, family, bounds):
@@ -70,24 +74,29 @@ def short_configs(draw):
 
     A coarse step completes more trips than a group holds (dt * u_f / D > 1), so
     without enough inflow it drives the count below 0 and the lower clamp engages.
+    Each group has 1 to 6 lanes on the unit corridor, and its initial trips fit
+    under its jam cap, so the draws are valid configs.
     """
     dt_s = draw(st.sampled_from((0.1, 0.5, 1.0, 5.0, 360.0)))
     horizon_h = draw(st.floats(1e-4, 0.05 if dt_s < 360.0 else 0.5))
+    hot_lanes, gp_lanes = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    fd_hot = replace(BASE_FD, c=draw(floors) * capacity(BASE_FD))
+    fd_gp = replace(BASE_FD, c=draw(floors) * capacity(BASE_FD))
     return {
         "dt_s": dt_s,
         "output_dt_s": dt_s,
         "horizon_h": horizon_h,
         "demand": draw(demands(dt_s, horizon_h)),
         "controller": ControllerState(**{k: draw(gains) for k in ("k1", "k2", "k3", "k4")}),
-        "hot_lanes": draw(st.integers(0, 6)),
-        "gp_lanes": draw(st.integers(0, 6)),
-        "initial_hot_trips": draw(trips),
-        "initial_gp_trips": draw(trips),
+        "hot_lanes": hot_lanes,
+        "gp_lanes": gp_lanes,
+        "initial_hot_trips": draw(trips(fd_hot, hot_lanes)),
+        "initial_gp_trips": draw(trips(fd_gp, gp_lanes)),
         "choice": choice_of(draw(st.sampled_from(("ue", "logit"))),
                             draw(st.sampled_from(("exponential", "uniform"))), draw(uniform_bounds)),
         "mode": draw(st.sampled_from(("hot", "hov"))),
-        "fd_hot": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
-        "fd_gp": replace(BASE_FD, c=draw(floors) * capacity(BASE_FD)),
+        "fd_hot": fd_hot,
+        "fd_gp": fd_gp,
     }
 
 
@@ -105,6 +114,9 @@ def close(got, want, *running):
     return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12 * max(map(abs, running)))
 
 
+# a group without lanes, and a start above the jam cap without a flow floor, are config errors
+@example({"hot_lanes": 0})
+@example({"fd_gp": BASE_FD, "initial_gp_trips": 140.5})
 # a positive HOT speed too small for a finite reciprocal is a gridlock, not a gap of -inf
 @example({"fd_hot": replace(preset("constant").fd_hot, c=1e-320), "initial_hot_trips": 140.0,
           "horizon_h": 0.01})

@@ -247,7 +247,7 @@ class TestConfig:
             "[simulation]\nhorizon_h = 0.5\ndt_s = 0.2\n"
             "[demand]\nkind = constant\nhov_veh_h = 150\nsov_veh_h = 700\n"
             "[controller]\nk1 = 9\na0 = 2.5\n"
-            "[fd]\nflow_floor_fraction = 0.5\n"
+            "[fd]\nflow_floor_veh_h = 1000\n"
         )
         cfg = apply_overrides(str(path), None, [])
         assert cfg.horizon_h == 0.5
@@ -255,7 +255,7 @@ class TestConfig:
         assert cfg.demand.held_rates(0.0)[:2] == (150.0, 700.0)
         assert cfg.controller.k1 == 9.0
         assert cfg.controller.a == 2.5
-        assert cfg.fd_gp.c == pytest.approx(0.5 * 7000.0 / 3.0)
+        assert cfg.fd_hot.c == cfg.fd_gp.c == 1000.0
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -334,8 +334,7 @@ class TestConfig:
             "controller.decimation": ("10", {"controller.decimation"}, []),
         }
         fd_cases = {"free_flow_kmh": ("120", "u_f"), "wave_kmh": ("25", "w"),
-                    "jam_veh_km": ("150", "rho_j"), "flow_floor_fraction": ("0.5", "c"),
-                    "flow_floor_veh_h": ("1000", "c")}
+                    "jam_veh_km": ("150", "rho_j"), "flow_floor_veh_h": ("1000", "c")}
         for key, (value, field) in fd_cases.items():
             cases[f"fd.{key}"] = (value, {f"fd_hot.{field}", f"fd_gp.{field}"}, [])
             cases[f"fd.hot.{key}"] = (value, {f"fd_hot.{field}"}, [])
@@ -349,13 +348,16 @@ class TestConfig:
             got = leaf_fields(apply_overrides(None, "constant", [*switch, f"{key}={value}"]))
             assert {f for f in base if got[f] != base[f]} == changed, key
 
-    def test_every_flow_floor_key_is_converted(self):
-        # a floor in veh/h beats a fraction, but a fraction that does not parse is still an error
-        floor = "fd.flow_floor_veh_h=1000"
-        cfg = apply_overrides(None, "constant", [floor, "fd.flow_floor_fraction=0.5"])
-        assert cfg.fd_hot.c == cfg.fd_gp.c == 1000.0
-        with pytest.raises(ConfigError, match=r"\[fd\] flow_floor_fraction = 'x'"):
-            apply_overrides(None, "constant", [floor, "fd.flow_floor_fraction=x"])
+    def test_each_group_diagram_is_built_once_from_one_floor_key(self):
+        # the floor has one key, flow_floor_veh_h; a fraction of capacity is not a key
+        for section in ("fd", "fd.hot", "fd.gp"):
+            with pytest.raises(ConfigError) as info:
+                apply_overrides(None, "constant", [f"{section}.flow_floor_fraction=0.5"])
+            assert str(info.value) == f"unknown key 'flow_floor_fraction' in section [{section}]"
+        # at u_f = 20 the base floor exceeds capacity, but no group ends with that diagram
+        cfg = apply_overrides(None, "constant", [
+            "fd.free_flow_kmh=20", "fd.hot.flow_floor_veh_h=0", "fd.gp.flow_floor_veh_h=0"])
+        assert cfg.fd_hot == cfg.fd_gp == FdParams(u_f=20.0, w=20.0, rho_j=140.0, c=0.0)
 
     def test_command_line_preset_beats_the_file(self, tmp_path):
         path = tmp_path / "preset.ini"
@@ -374,11 +376,11 @@ class TestConfig:
         path = tmp_path / "split.ini"
         path.write_text(
             "[scenario]\npreset = constant\n"
-            "[fd.gp]\nflow_floor_fraction = 0.2\n"
+            "[fd.gp]\nflow_floor_veh_h = 466.5\n"
         )
         cfg = apply_overrides(str(path), None, [])
-        assert cfg.fd_gp.c == pytest.approx(0.2 * 7000.0 / 3.0)
-        assert cfg.fd_hot.c == pytest.approx(0.8 * 7000.0 / 3.0)
+        assert cfg.fd_gp == replace(preset("constant").fd_gp, c=466.5)
+        assert cfg.fd_hot == preset("constant").fd_hot
 
 
 class TestRunner:
@@ -704,8 +706,8 @@ def csv_module_read(path):
     """The records the csv-module reader gives for ``path``, or its error message.
 
     This is the reader ``read_csv`` was before it split lines itself, held to
-    the header ``write_csv`` writes; the parity tests hold the two to the same
-    records and the same messages.
+    the header, cell characters, phase labels and flags ``write_csv`` writes;
+    the parity tests hold the two to the same records and the same messages.
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -716,14 +718,20 @@ def csv_module_read(path):
                 if got != want:
                     raise ConfigError(
                         f"header column {i} is {got!r} where write_csv writes {want!r}")
-            kinds = [str if c in ("phase1", "phase2") else int if c.endswith("_clamped") else float
+            labels, flags = {"SUC": "SUC", "C": "C", "SOC": "SOC"}, {"0": 0, "1": 1}
+            kinds = [labels.__getitem__ if c in ("phase1", "phase2")
+                     else flags.__getitem__ if c.endswith("_clamped") else float
                      for c in CSV_COLUMNS]
             for row in filter(None, reader):
                 if len(row) != len(header):
                     raise ConfigError(f"{len(row)} cells under a {len(header)}-column header")
+                if any(not cell.isascii() or any(ch in cell for ch in '"\0_ \t\v\f') for cell in row):
+                    raise ConfigError("a quote, NUL, '_', blank or non-ASCII character in the row")
                 out.append(SimulationRecord(*(k(cell) for k, cell in zip(kinds, row))))
         except (ValueError, csv.Error) as exc:
             return f"{path}, line {reader.line_num}: {exc}"
+        except KeyError as exc:
+            return f"{path}, line {reader.line_num}: cell {exc} is not SUC, C, SOC, 0 or 1"
     return out
 
 
@@ -901,19 +909,28 @@ class TestCsv:
         if want_header:
             assert got == f"{path}, line {want_line}: {want_header}"
 
-    @pytest.mark.parametrize("row, cell, message", [
-        (3, '"free"', "a quote or NUL byte"), (3, "fr\0ee", "a quote or NUL byte"),
-        (0, '"phase1"', "header column 24 is '\"phase1\"' where write_csv writes 'phase1'"),
-    ], ids=["quoted", "nul", "quoted-header"])
-    def test_quoted_cell_and_nul_name_the_line(self, written, row, cell, message):
+    FOREIGN = "a quote, NUL, '_', blank or non-ASCII character in the row"
+
+    @pytest.mark.parametrize("row, column, cell, message", [
+        (3, "phase1", '"free"', FOREIGN), (3, "phase1", "fr\0ee", FOREIGN),
+        (0, "phase1", '"phase1"', "header column 24 is '\"phase1\"' where write_csv writes 'phase1'"),
+        (3, "gp_clamped", "1_0", FOREIGN), (3, "u", " 1_5 ", FOREIGN), (3, "u", "\u0661\u0665", FOREIGN),
+        (3, "phase1", "XYZ", "cell 'XYZ' is not SUC, C, SOC, 0 or 1"),
+        (3, "toll_clamped", "+1", "cell '+1' is not SUC, C, SOC, 0 or 1"),
+    ], ids=["quoted", "nul", "quoted-header", "underscore-flag", "blank-toll", "non-ascii-toll",
+            "unknown-label", "signed-flag"])
+    def test_quoted_cell_and_nul_name_the_line(self, written, row, column, cell, message):
+        # float() and int() would read ' 1_5 ', '1_0', Arabic-Indic digits and '+1'
         path, text = written
         lines = text.split("\r\n")[:-1]
         cells = lines[row].split(",")
-        cells[CSV_COLUMNS.index("phase1")] = cell
+        cells[CSV_COLUMNS.index(column)] = cell
         lines[row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=rf"edges\.csv, line {row + 1}: {re.escape(message)}"):
             read_csv(str(path))
+        if '"' not in cell:  # to the csv module a quote is syntax, not a cell character
+            assert self.same_as_csv_module(path).endswith(message)
 
 
 class TestCli:
@@ -989,7 +1006,7 @@ class TestCli:
         [
             "demand.sov_veh_h=nan", "geometry.hot_lanes=0.5", "simulation.dt_s=nan",
             "controller.k1=-1", "controller.k1=abc", "controller.k1=nan",
-            "fd.free_flow_kmh=nan", "fd.free_flow_kmh=abc", "fd.gp.flow_floor_fraction=abc",
+            "fd.free_flow_kmh=nan", "fd.free_flow_kmh=abc", "fd.gp.flow_floor_veh_h=abc",
             "choice.expected_vot=nan", "choice.vot_low=nan",
             "choice.vot_high=inf", "choice.logit_vot=inf", "choice.logit_scale=nan",
             "simulation.dt_s=%", "simulation.dt_s=%(x)s", "DEFAULT.x=1",
