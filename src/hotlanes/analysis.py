@@ -11,7 +11,7 @@ maximizes corridor outflow.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .nfd import capacity, critical_density, flow, flow_slope
 
@@ -131,12 +131,13 @@ class LinearizedSystem:
 
 
 class MaxOutflowAnalysis(NamedTuple):
-    """Corridor outflow as a function of the HOT-side density split.
+    """The split of a combined per-lane density between the lane groups that maximizes outflow.
 
-    Valid for the plain triangular diagram with equal lane counts.  ``g_c``
-    is the outflow with both groups congested; the argmax interval collects
-    every split achieving the maximum (its endpoints are the critical-density
-    splits).
+    Valid for the plain triangular diagram with equal lane counts.  At HOT-side density rho1 the
+    outflow is scale * (flow(fd, rho1) + flow(fd, rho_tot - rho1)), scale = hot_lanes *
+    corridor_length / mean_trip_distance; ``g_c`` is its value with both groups congested.  Its
+    maximum over the feasible splits [feasible_lo, feasible_hi] is ``max_outflow``, reached on
+    exactly [argmax_lo, argmax_hi] (whose endpoints are the critical-density splits).
     """
 
     rho_tot: float
@@ -147,9 +148,6 @@ class MaxOutflowAnalysis(NamedTuple):
     feasible_lo: float
     feasible_hi: float
     a1_applicable: bool
-    outflow: Callable[[float], float]
-    g_a: Callable[[float], float]
-    g_b: Callable[[float], float]
 
 
 def max_outflow_cases(config, rho_tot: float) -> MaxOutflowAnalysis:
@@ -170,19 +168,6 @@ def max_outflow_cases(config, rho_tot: float) -> MaxOutflowAnalysis:
     u_f, w, rho_j = fd.u_f, fd.w, fd.rho_j
     if not 0.0 <= rho_tot <= 2.0 * rho_j:
         raise ValueError("total density outside the physical range")
-
-    def outflow(rho1: float) -> float:
-        rho2 = rho_tot - rho1
-        return scale * (flow(fd, rho1) + flow(fd, rho2))
-
-    def g_a(rho1: float) -> float:
-        # HOT group under-critical
-        return scale * (rho1 * (u_f + w) + w * (rho_j - rho_tot))
-
-    def g_b(rho1: float) -> float:
-        # GP group under-critical
-        return scale * (w * rho_j + u_f * rho_tot - rho1 * (u_f + w))
-
     g_c = scale * (2.0 * w * rho_j - rho_tot * w)
     feas_lo = max(0.0, rho_tot - rho_j)
     feas_hi = min(rho_j, rho_tot)
@@ -205,9 +190,6 @@ def max_outflow_cases(config, rho_tot: float) -> MaxOutflowAnalysis:
         feasible_lo=feas_lo,
         feasible_hi=feas_hi,
         a1_applicable=rho_c < rho_tot < 2.0 * rho_j,
-        outflow=outflow,
-        g_a=g_a,
-        g_b=g_b,
     )
 
 

@@ -57,8 +57,8 @@ def estimate_logit_vot(r, alpha_star: float = 1.0) -> float:
     estimates from near-equal lane speeds are the least reliable; no
     correction is applied here.
     """
-    if alpha_star <= 0:
-        raise ValueError("scale parameter must be positive")
+    if not 0.0 < alpha_star < math.inf:
+        raise ValueError(f"scale parameter must be positive and finite, got {alpha_star}")
     _check_record(r)
     if not 0.0 < r.e21_tilde < r.e2_tilde:
         raise EstimationError("share at 0 or 1 does not identify the VOT")
@@ -77,8 +77,8 @@ def pool_cdf_points(
     pragmatic reconciliation.  Returns (mean x, mean F, count) rows for
     non-empty bins, sorted by abscissa.
     """
-    if num_bins < 1:
-        raise ValueError("need at least one bin")
+    if not (isinstance(num_bins, int) and num_bins >= 1):
+        raise ValueError(f"the bin count must be an integer >= 1, got {num_bins!r}")
     if not points:
         return []
     xs = [x for x, _ in points]

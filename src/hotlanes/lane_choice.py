@@ -12,7 +12,7 @@ is all the loop linearization needs.
 
 The scenario step loop computes every model's share inline, with the
 expressions of its ``share``, and accepts no other model.  ``share`` is the
-reference, which the tests and the analysis use.
+reference the tests check the loop against; the analysis uses ``toll_line``.
 """
 
 import math

@@ -1,10 +1,11 @@
 """Closed-loop scenario orchestration, metrics and the CSV record surface.
 
-A scenario wires the pieces together: per-step it reads the demand profile,
-computes lane speeds and the travel-time gap, posts a toll, applies the lane
-choice split, advances both bathtubs, then updates the toll coefficients.  Rows
-of observables are emitted at a configurable cadence and can be written to
-CSV for external tooling.
+A scenario wires the pieces together: per-step it computes lane speeds and
+the travel-time gap, posts a toll, applies the lane choice split, advances
+both bathtubs, then updates the toll coefficients.  It reads the demand
+profile only when a step passes the end of the interval its held rates
+cover.  Rows of observables are emitted at a configurable cadence and can be
+written to CSV for external tooling.
 """
 
 import bisect

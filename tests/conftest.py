@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from hotlanes.nfd import FdParams, capacity
+from hotlanes.nfd import FdParams, capacity, flow
 from hotlanes.scenario import iter_run
 
 _CRITERION_LINES: list[tuple[int, str, bool, str]] = []
@@ -49,6 +49,17 @@ def fd_floor(fd_triangular) -> FdParams:
     return FdParams(
         u_f=100.0, w=20.0, rho_j=140.0, c=0.8 * capacity(fd_triangular)
     )
+
+
+def diagram_outflow(config, rho_tot: float, rho1: float) -> float:
+    """Corridor outflow [veh/h] read from the diagram at HOT-side density ``rho1`` of ``rho_tot``.
+
+    Both groups run on ``config.fd_hot`` with ``config.hot_lanes`` lanes each, as
+    :func:`hotlanes.analysis.max_outflow_cases` requires.
+    """
+    scale = config.hot_lanes * config.corridor_length / config.mean_trip_distance
+    rho2 = rho_tot - rho1
+    return scale * (flow(config.fd_hot, rho1) + flow(config.fd_hot, rho2))
 
 
 def until_gp_jam(config, stats=None):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+ROOT = Path(__file__).resolve().parent.parent
+_PATH = ROOT / "tools" / "ab.py"
 _SPEC = importlib.util.spec_from_file_location("ab_tool", _PATH)
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
@@ -253,3 +254,19 @@ def test_header_stamps_bytecode_writing_and_the_bare_start(tmp_path, monkeypatch
     assert doc["dont_write_bytecode"] == sys.flags.dont_write_bytecode
     assert starts == [sys.executable] * 5
     assert 0.0 < doc["bare_start_s"] < 60.0
+
+
+def test_header_counts_the_source_lines_of_each_side(tmp_path, monkeypatch):
+    dirs = checkouts(tmp_path)
+    parent, change = (Path(dirs[side]) / "src" / "hotlanes" for side in ("parent", "change"))
+    (parent / "a.py").write_text("x = 1\ny = 2\n")
+    (parent / "b.py").write_text('"""Doc."""\n\nz = 3\n')
+    (parent / "notes.txt").write_text("not\na\nmodule\n")  # src_sha256 skips it, and so does the count
+    (change / "a.py").write_text("x = 1\n")
+    fake_runs(monkeypatch, dirs)
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 1) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["parent_src_lines"], doc["change_src_lines"]) == (5, 1)
+    assert ab.src_lines(str(ROOT)) == sum(
+        path.read_bytes().count(b"\n") for path in (ROOT / "src" / "hotlanes").glob("*.py"))

@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from conftest import diagram_outflow
 
 from hotlanes.analysis import (
     A1ViolationError,
@@ -238,9 +239,10 @@ def two_groups(fd, lanes=1.0):
 
 class TestMaxOutflow:
     def test_critical_split_matches_congested_plateau(self, fd_triangular):
-        res = max_outflow_cases(two_groups(fd_triangular), 60.0)
-        assert res.g_a(RHO_C) == pytest.approx(res.g_c, rel=1e-9)
-        assert res.g_b(60.0 - RHO_C) == pytest.approx(res.g_c, rel=1e-9)
+        cfg = two_groups(fd_triangular)
+        res = max_outflow_cases(cfg, 60.0)
+        assert diagram_outflow(cfg, 60.0, RHO_C) == pytest.approx(res.g_c, rel=1e-9)
+        assert diagram_outflow(cfg, 60.0, 60.0 - RHO_C) == pytest.approx(res.g_c, rel=1e-9)
 
     def test_double_jam_has_zero_outflow(self, fd_triangular):
         res = max_outflow_cases(two_groups(fd_triangular), 280.0)
@@ -248,10 +250,11 @@ class TestMaxOutflow:
 
     @pytest.mark.parametrize("rho_tot", [30.0, 60.0, 120.0, 200.0, 260.0])
     def test_grid_search_confirms_argmax(self, fd_triangular, rho_tot):
-        res = max_outflow_cases(two_groups(fd_triangular), rho_tot)
+        cfg = two_groups(fd_triangular)
+        res = max_outflow_cases(cfg, rho_tot)
         step = 1e-3 * fd_triangular.rho_j
         n = int((res.feasible_hi - res.feasible_lo) / step) + 1
-        values = [res.outflow(res.feasible_lo + k * step) for k in range(n)]
+        values = [diagram_outflow(cfg, rho_tot, res.feasible_lo + k * step) for k in range(n)]
         best = max(values)
         assert best == pytest.approx(res.max_outflow, rel=1e-9)
         for k, v in enumerate(values):

@@ -79,6 +79,13 @@ class TestLogitVot:
         with pytest.raises(ValueError):
             estimate_logit_vot(obs(), alpha_star=0.0)
 
+    @pytest.mark.parametrize("alpha_star", [math.inf, math.nan, -math.inf])
+    def test_scale_must_be_finite(self, alpha_star):
+        # an infinite scale would give u / omega, and NaN would blame the record's share
+        with pytest.raises(ValueError, match="positive and finite") as info:
+            estimate_logit_vot(obs(), alpha_star=alpha_star)
+        assert not isinstance(info.value, EstimationError)
+
 
 class TestPooling:
     def test_empty_input(self):
@@ -107,6 +114,12 @@ class TestPooling:
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             pool_cdf_points([(1.0, 0.5)], num_bins=0)
+
+    @pytest.mark.parametrize("num_bins", [math.inf, math.nan, 1.5, 2.0])
+    def test_bin_count_must_be_an_integer(self, num_bins):
+        # an infinite count would take the one-abscissa path and report x = 1.0, not 1.5
+        with pytest.raises(ValueError, match="integer >= 1"):
+            pool_cdf_points([(1.0, 0.5), (2.0, 0.6)], num_bins=num_bins)
 
     def test_memory_follows_points_not_bins(self):
         # 200 points on 100 distinct abscissas, so bins are shared, pooled into 10^6 bins

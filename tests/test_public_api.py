@@ -5,7 +5,9 @@ The package exports each module's ``__all__`` and nothing keeps a second list.
 
 import ast
 import importlib
+import pickle
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -82,7 +84,7 @@ def test_sources_parse_under_the_oldest_supported_python(path):
 RESULT_FIELDS = {
     "EquilibriumPrediction": ("p0", "omega0", "omega1", "delta2_rate", "regime"),
     "MaxOutflowAnalysis": ("rho_tot", "g_c", "max_outflow", "argmax_lo", "argmax_hi",
-                           "feasible_lo", "feasible_hi", "a1_applicable", "outflow", "g_a", "g_b"),
+                           "feasible_lo", "feasible_hi", "a1_applicable"),
     "LaneMetrics": ("total_delay", "served", "initiated", "mean_travel_time"),
     "Metrics": ("hot", "gp", "max_omega", "revenue", "records"),
     "ComparisonResult": ("hov", "hot"),
@@ -107,6 +109,40 @@ CONSTANT_COMPARISON_REPR = (
 def test_results_are_named_tuples(name):
     cls = getattr(hotlanes, name)
     assert issubclass(cls, tuple) and cls._fields == RESULT_FIELDS[name]
+
+
+def _short(name):
+    return replace(hotlanes.preset(name), horizon_h=0.05)
+
+
+def _stats():
+    stats = hotlanes.SaturationStats()
+    hotlanes.run(_short("constant"), stats)
+    return stats
+
+
+# Each public result, built from fixed inputs.  EquilibriumPrediction comes from the constant
+# preset: on triangular-gridlock its gap lines are NaN, and NaN compares unequal to itself.
+VALUES = {
+    "Metrics": lambda: hotlanes.metrics(hotlanes.run(_short("constant")), 5.0),
+    "ComparisonResult": lambda: hotlanes.compare_hov_hot(_short("constant")),
+    "EquilibriumPrediction": lambda: hotlanes.constant_equilibrium(hotlanes.preset("constant")),
+    "LinearizedSystem": lambda: hotlanes.loop_matrix(hotlanes.preset("constant"), 0.0, 0.0, 0.5),
+    "MaxOutflowAnalysis": lambda: hotlanes.max_outflow_cases(
+        hotlanes.preset("triangular-gridlock"), 60.0),
+    "SimulationRecord": lambda: hotlanes.run(_short("constant-logit"))[-1],
+    "SaturationStats": _stats,
+    "ScenarioConfig": lambda: hotlanes.preset("trapezoid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_results_are_values(name):
+    """Two calls with the same inputs give equal results, and a result survives a pickle."""
+    first, second = VALUES[name](), VALUES[name]()
+    assert type(first) is getattr(hotlanes, name)
+    assert first == second
+    assert pickle.loads(pickle.dumps(first)) == first
 
 
 def test_comparison_repr_is_unchanged():

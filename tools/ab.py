@@ -8,15 +8,17 @@ Each directory is a clean checkout of one version.  Pair i runs
 change first in even pairs, so a drift of the host's speed falls on both
 sides alike.  The last stdout line of each run is its JSON result.
 
-The output file holds the shas, the Python version, the CPU count, whether
-the host writes bytecode (``PYTHONDONTWRITEBYTECODE`` and
-``sys.flags.dont_write_bytecode``; without it every fresh interpreter
-compiles ``src/`` again, which ``setup_s`` carries), the median wall time of
-5 bare ``python -c pass`` starts, every run, and per (workload, seed) and
-metric the medians, quartiles, the number of pairs the change won and
-``gain_shown``, the rule a claimed gain must meet: the change wins at least
-9 of 10 pairs, ties counting for neither side, and its median beats the
-parent's by more than the parent's interquartile range.  A metric with a
+The output file holds the shas, the line count of each side's
+``src/hotlanes/*.py`` (the files the source digest reads), the Python
+version, the CPU count, whether the host writes bytecode
+(``PYTHONDONTWRITEBYTECODE`` and ``sys.flags.dont_write_bytecode``; without
+it every fresh interpreter compiles ``src/`` again, which ``setup_s``
+carries), the median wall time of 5 bare ``python -c pass`` starts, every
+run, and per (workload, seed) and metric the medians, quartiles, the
+number of pairs the change won and ``gain_shown``, the rule a claimed gain
+must meet: the change wins at least 9 of 10 pairs, ties counting for neither
+side, and its median beats the parent's by more than the parent's
+interquartile range.  A metric with a
 ``bound`` in the parent's ``BENCHMARK.json`` also gets a no-regression
 verdict: ``worse`` when the change's median is worse than the parent's by
 more than bound x the parent median; else ``unresolved`` when the parent's
@@ -54,16 +56,29 @@ def git_sha(root: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def sources(root: str) -> list[tuple[str, bytes]]:
+    """Name and bytes of each ``src/hotlanes/*.py`` module of the checkout at ``root``, by name."""
+    pkg = os.path.join(root, "src", "hotlanes")
+    out = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                out.append((name, fh.read()))
+    return out
+
+
 def src_sha256(root: str) -> str:
     """Digest of the package sources, as ``benchmark/run.py`` computes it."""
     digest = hashlib.sha256()
-    pkg = os.path.join(root, "src", "hotlanes")
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            digest.update(name.encode())
-            with open(os.path.join(pkg, name), "rb") as fh:
-                digest.update(fh.read())
+    for name, data in sources(root):
+        digest.update(name.encode())
+        digest.update(data)
     return digest.hexdigest()
+
+
+def src_lines(root: str) -> int:
+    """Lines of the package sources that :func:`src_sha256` reads, counted as ``wc -l`` does."""
+    return sum(data.count(b"\n") for _, data in sources(root))
 
 
 def bare_start_s() -> float:
@@ -175,6 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         "change_sha": git_sha(args.change_dir),
         "parent_src_sha256": src_sha256(args.parent_dir),
         "change_src_sha256": src_sha256(args.change_dir),
+        "parent_src_lines": src_lines(args.parent_dir),
+        "change_src_lines": src_lines(args.change_dir),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
