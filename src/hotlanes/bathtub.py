@@ -32,10 +32,10 @@ class HotGridlockError(RuntimeError):
 class SaturationStats:
     """Counts of silent clamps applied during stepping."""
 
-    hot_clamp_steps: int = 0
-    gp_clamp_steps: int = 0
-    hot_dropped: float = 0.0  # veh denied entry at the jam cap
-    gp_dropped: float = 0.0
+    hot_clamp_steps: int = 0  # steps clamped at 0; a HOT count past its jam cap is the gridlock
+    gp_clamp_steps: int = 0  # steps clamped at 0 or at the jam cap
+    hot_dropped: float = 0.0  # always 0: the HOT count is never clamped at its jam cap
+    gp_dropped: float = 0.0  # veh denied entry at the GP jam cap
 
     @property
     def any_clamped(self) -> bool:
@@ -45,8 +45,8 @@ class SaturationStats:
 def jam_trip_cap(fd: FdParams, lane_length: float) -> float:
     """Largest active-trip count a group with total lane-length ``lane_length`` can hold.
 
-    With a flow floor the speed never reaches zero and the queue is
-    unbounded; without one, jam density is absorbing and caps the count.
+    With a flow floor the speed never reaches zero and the queue is unbounded;
+    without one the GP count is clamped at the cap, and a HOT count past it is a gridlock.
     """
     if fd.c > 0.0:
         return math.inf

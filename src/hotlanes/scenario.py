@@ -280,18 +280,18 @@ def run(config: ScenarioConfig, stats: SaturationStats | None = None) -> list[Si
 def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[SimulationRecord]:
     """The step loop: one Euler step per ``dt_s``, a record every ``output_dt_s`` and at the last.
 
-    This is the one place that does the per-step arithmetic.  The speeds are
-    ``nfd.speed``'s and the phase labels ``nfd.classify_phase``'s, computed
-    inline; the gap ``1/v2 - 1/v1`` is inf where ``1/v2`` overflows, a GP jam
-    included; a HOT speed with no finite reciprocal is a gridlock.  The paying
-    share is each accepted model's ``share``, inline.  The demand is read from
+    This is the one place that does the per-step arithmetic.  The speeds,
+    phase labels and paying share are ``nfd.speed``'s, ``nfd.classify_phase``'s
+    and each accepted model's ``share``, inline; the gap ``1/v2 - 1/v1`` is inf
+    where ``1/v2`` overflows, a GP jam included.  The demand is read from
     ``DemandProfile.held_rates`` only when a step passes the end of the
     interval the last rates hold on, so a constant profile is read once.
-    The plant completes ``delta / D * v`` trips per hour (0 from an empty
-    group) and keeps each trip count in [0, cap]; a count over its jam cap
-    drops the excess, counted in ``stats``.  The toll ``a * omega + b`` is
-    clamped at 0, posts the ceiling at an unbounded gap, and is held between
-    controller ticks (every ``config.controller.decimation`` steps).
+    The plant completes ``delta / D * v`` trips per hour, clamps each count at
+    0 and the GP count at its jam cap, dropping the excess (``stats`` counts
+    both).  One HOT jam rule: a HOT speed with no finite reciprocal is the
+    gridlock, so a HOT count past its jam cap aborts the next step at speed 0.
+    The toll ``a * omega + b`` is clamped at 0, posts the ceiling at an
+    unbounded gap, and is held between controller ticks, every ``decimation`` steps.
 
     The record flags are loop state.  ``toll_clamped`` is 1 while the toll
     the last tick computed, before its clamp, was negative; ``hot_clamped``
@@ -335,7 +335,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     D = config.mean_trip_distance
     L1 = config.hot_lanes * config.corridor_length
     L2 = config.gp_lanes * config.corridor_length
-    cap1, cap2 = jam_trip_cap(fd_hot, L1), jam_trip_cap(fd_gp, L2)
+    cap2 = jam_trip_cap(fd_gp, L2)
     d1_init = d1 = config.initial_hot_trips
     d2_init = d2 = config.initial_gp_trips
     G1 = G2 = 0.0
@@ -429,11 +429,6 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
             d1 = 0.0
             hot_clamped = 1
             stats.hot_clamp_steps += 1
-        elif d1 > cap1:
-            hot_clamped = 1
-            stats.hot_clamp_steps += 1
-            stats.hot_dropped += d1 - cap1
-            d1 = cap1
         d2 += dt * (in2 - g2)
         if d2 < 0.0:
             G2 += d2

@@ -106,10 +106,12 @@ def checkouts(tmp_path):
 def fake_runs(monkeypatch, dirs, fail_at=None):
     """Replace ``run_once``: the change runs in 1 s, the parent in 2 s; run ``fail_at`` fails.
 
-    The bare interpreter probe reads 0.05 s without starting one.
+    The bare interpreter probe reads 0.05 s without starting one, and the step
+    counts of a checkout are ``{"root": root}``.
     """
     calls = []
     monkeypatch.setattr(ab, "bare_start_s", lambda: 0.05)
+    monkeypatch.setattr(ab, "step_counts", lambda root: {"root": root})
 
     def fake_run_once(root, workload, seed, seconds):
         calls.append(root)
@@ -270,3 +272,23 @@ def test_header_counts_the_source_lines_of_each_side(tmp_path, monkeypatch):
     assert (doc["parent_src_lines"], doc["change_src_lines"]) == (5, 1)
     assert ab.src_lines(str(ROOT)) == sum(
         path.read_bytes().count(b"\n") for path in (ROOT / "src" / "hotlanes").glob("*.py"))
+
+
+def test_header_carries_the_step_counts_of_each_side(tmp_path, monkeypatch):
+    dirs = checkouts(tmp_path)
+    fake_runs(monkeypatch, dirs)
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 1) == 0
+    doc = json.loads(out.read_text())
+    assert doc["parent_counts"] == {"root": dirs["parent"]}
+    assert doc["change_counts"] == {"root": dirs["change"]}
+
+
+def test_step_counts_are_the_same_in_two_processes():
+    first, second = ab.step_counts(str(ROOT)), ab.step_counts(str(ROOT))
+    assert first == second
+    assert set(first["per_step"]) == {"constant", "constant-logit", "trapezoid", "triangular-gridlock"}
+    for counts in first["per_step"].values():
+        assert counts["steps"] == 1800  # 0.05 h at the presets' 0.1 s step
+        assert counts["bytecodes"] > 100 and counts["python_calls"] > 0
+        assert counts["c_calls"] == sum(counts["c_calls_by_name"].values()) / counts["steps"]

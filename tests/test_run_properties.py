@@ -27,6 +27,14 @@ uniform_bounds = st.one_of(
     st.tuples(st.floats(0.0, 200.0), st.floats(1e-3, 200.0)).map(lambda t: (t[0], t[0] + t[1])))
 
 
+@st.composite
+def diagrams(draw):
+    """A lane group's own diagram: u_f, w, rho_j and the flow floor each drawn."""
+    fd = FdParams(u_f=draw(st.floats(40.0, 140.0)), w=draw(st.floats(5.0, 40.0)),
+                  rho_j=draw(st.floats(80.0, 220.0)))
+    return replace(fd, c=draw(floors) * capacity(fd))
+
+
 def trips(fd, lanes):
     """0 or an initial trip count from 1 to 800 that does not exceed the group's jam cap."""
     return st.one_of(st.just(0.0), st.floats(1.0, min(800.0, jam_trip_cap(fd, lanes))))
@@ -74,14 +82,13 @@ def short_configs(draw):
 
     A coarse step completes more trips than a group holds (dt * u_f / D > 1), so
     without enough inflow it drives the count below 0 and the lower clamp engages.
-    Each group has 1 to 6 lanes on the unit corridor, and its initial trips fit
-    under its jam cap, so the draws are valid configs.
+    Each group has its own diagram and 1 to 6 lanes on the unit corridor, and its
+    initial trips fit under its jam cap, so the draws are valid configs.
     """
     dt_s = draw(st.sampled_from((0.1, 0.5, 1.0, 5.0, 360.0)))
     horizon_h = draw(st.floats(1e-4, 0.05 if dt_s < 360.0 else 0.5))
     hot_lanes, gp_lanes = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    fd_hot = replace(BASE_FD, c=draw(floors) * capacity(BASE_FD))
-    fd_gp = replace(BASE_FD, c=draw(floors) * capacity(BASE_FD))
+    fd_hot, fd_gp = draw(diagrams()), draw(diagrams())
     return {
         "dt_s": dt_s,
         "output_dt_s": dt_s,
@@ -160,14 +167,14 @@ def test_run_outcome_and_invariants(overrides):
             assert identical(r.p, config.choice.share(r.u, r.omega)), r
 
     # Mass balance across each Euler step, through steps clamped at 0, which serve
-    # the trips before the step and its inflow; a step that lands on a jam cap
-    # drops trips E never counts, so the check stops there.
+    # the trips before the step and its inflow; a step that lands on the GP jam cap
+    # drops trips E never counts, so the check stops there.  A HOT count past its
+    # cap is the gridlock, so no HOT step drops trips.
     dt = config.dt_s / 3600.0
     d1_init, d2_init = config.initial_hot_trips, config.initial_gp_trips
-    cap1 = jam_trip_cap(config.fd_hot, config.hot_lanes * config.corridor_length)
     cap2 = jam_trip_cap(config.fd_gp, config.gp_lanes * config.corridor_length)
     for r, nxt in zip(records, records[1:]):
-        if nxt.delta1 == cap1 or nxt.delta2 == cap2:
+        if nxt.delta2 == cap2:
             event("jam cap")
             break
         entered1, entered2 = dt * (r.e1_tilde + r.e21_tilde), dt * (r.e2_tilde - r.e21_tilde)

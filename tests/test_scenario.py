@@ -1158,6 +1158,19 @@ class TestCli:
         assert len(records) > 1
         assert records[-1].rho1 < 140.0
 
+    # 187.9 * 2.85 / 2.85 rounds one ulp below 187.9, so a HOT count clamped at that cap ran
+    # on at v1 = 3e-15 km/h and exited 0, while 188.0 aborted; a count past the cap is the gridlock
+    @pytest.mark.parametrize("jam", ["187.9", "188.0"])
+    def test_hot_count_past_its_jam_cap_aborts(self, jam, tmp_path, capsys):
+        sets = [f"fd.hot.jam_veh_km={jam}", "geometry.corridor_km=2.85",
+                "demand.hov_veh_h=50000", "simulation.horizon_h=0.5"]
+        with pytest.raises(HotGridlockError):
+            quiet_run(apply_overrides(None, "triangular-gridlock", sets))
+        argv = ["run", "--preset", "triangular-gridlock", "--out", str(tmp_path / "run.csv")]
+        assert main([*argv, *(arg for s in sets for arg in ("--set", s))]) == 2
+        abort = capsys.readouterr().err.splitlines()[-1]
+        assert abort.startswith("runtime abort: managed lanes gridlocked"), abort
+
     def test_analyze_reports_equilibrium(self, capsys):
         assert main(["analyze", "--preset", "constant"]) == 0
         out = capsys.readouterr().out

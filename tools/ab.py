@@ -9,7 +9,8 @@ change first in even pairs, so a drift of the host's speed falls on both
 sides alike.  The last stdout line of each run is its JSON result.
 
 The output file holds the shas, the line count of each side's
-``src/hotlanes/*.py`` (the files the source digest reads), the Python
+``src/hotlanes/*.py`` (the files the source digest reads), each side's
+per-step work counts of the step loop from ``tools/counts.py``, the Python
 version, the CPU count, whether the host writes bytecode
 (``PYTHONDONTWRITEBYTECODE`` and ``sys.flags.dont_write_bytecode``; without
 it every fresh interpreter compiles ``src/`` again, which ``setup_s``
@@ -89,6 +90,14 @@ def bare_start_s() -> float:
         subprocess.run([sys.executable, "-c", "pass"], check=True)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def step_counts(root: str) -> dict:
+    """``tools/counts.py``'s counts of the step loop of the checkout at ``root``, in a fresh interpreter."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "counts.py")
+    proc = subprocess.run([sys.executable, script, "--root", root],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 class RunFailed(RuntimeError):
@@ -192,6 +201,8 @@ def main(argv: list[str] | None = None) -> int:
         "change_src_sha256": src_sha256(args.change_dir),
         "parent_src_lines": src_lines(args.parent_dir),
         "change_src_lines": src_lines(args.change_dir),
+        "parent_counts": step_counts(args.parent_dir),
+        "change_counts": step_counts(args.change_dir),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
