@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from hotlanes.presets import PRESETS
+
 ROOT = Path(__file__).resolve().parent.parent
 _PATH = ROOT / "tools" / "ab.py"
 _SPEC = importlib.util.spec_from_file_location("ab_tool", _PATH)
@@ -287,8 +289,8 @@ def test_header_carries_the_step_counts_of_each_side(tmp_path, monkeypatch):
 def test_step_counts_are_the_same_in_two_processes():
     first, second = ab.step_counts(str(ROOT)), ab.step_counts(str(ROOT))
     assert first == second
-    assert set(first["per_step"]) == {"constant", "constant-logit", "trapezoid", "triangular-gridlock"}
+    assert list(first["per_step"]) == list(PRESETS)
     for counts in first["per_step"].values():
-        assert counts["steps"] == 1800  # 0.05 h at the presets' 0.1 s step
+        assert counts["steps"] == 1800  # the loop ran 0.05 h at the presets' 0.1 s step
         assert counts["bytecodes"] > 100 and counts["python_calls"] > 0
         assert counts["c_calls"] == sum(counts["c_calls_by_name"].values()) / counts["steps"]

@@ -1,11 +1,13 @@
 """Deterministic per-step work counts of the step loop, a witness beside the wall clock.
 
-    python3 tools/counts.py [--root CHECKOUT] [--horizon-h 0.05]
+    python3 tools/counts.py [--root CHECKOUT]
 
-For each preset, runs ``scenario._stream`` of the checkout at ``--root`` (the
-one holding this script by default) for ``--horizon-h`` hours at the preset's
-own step and record cadence, and prints one JSON object.  Per preset it gives
-the steps and, per step:
+For each preset of ``presets.PRESETS``, runs ``scenario._stream`` of the
+checkout at ``--root`` (the one holding this script by default) for
+``HORIZON_H`` hours at the preset's own step and record cadence, and prints
+one JSON object.  The horizon is fixed, so counts from two checkouts, or from
+two BENCH headers, compare.  Per preset it gives the steps the traced loop ran
+and, per step:
 
 - ``bytecodes``: the bytecodes the loop's own frame executes, counted by a
   ``sys.settrace`` hook that sets ``frame.f_trace_opcodes``;
@@ -30,7 +32,7 @@ from collections import Counter
 from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PRESETS = ("constant", "constant-logit", "trapezoid", "triangular-gridlock")
+HORIZON_H = 0.05  # 1,800 steps at the presets' 0.1 s step
 
 
 def c_name(func) -> str:
@@ -44,11 +46,14 @@ def count_loop(stream, config) -> dict:
     """The counts of one run of ``stream(config, None)``, the step loop of a scenario module."""
     loop = stream.__code__
     bytecodes = 0
+    last_i = -1  # the loop's step index when its frame last returned or yielded
 
     def on_opcode(frame, event, arg):
-        nonlocal bytecodes
+        nonlocal bytecodes, last_i
         if event == "opcode":
             bytecodes += 1
+        elif event == "return":
+            last_i = frame.f_locals.get("i", last_i)
         return on_opcode
 
     def on_call(frame, event, arg):
@@ -84,7 +89,7 @@ def count_loop(stream, config) -> dict:
     finally:
         sys.setprofile(None)
 
-    steps = max(1, round(config.horizon_h * 3600.0 / config.dt_s))  # the loop's own step count
+    steps = last_i + 1
     return {
         "steps": steps,
         "bytecodes": bytecodes / steps,
@@ -94,25 +99,24 @@ def count_loop(stream, config) -> dict:
     }
 
 
-def counts(root: str = ROOT, horizon_h: float = 0.05) -> dict:
-    """Per preset, the counts of the step loop of the checkout at ``root`` over ``horizon_h`` hours."""
+def counts(root: str) -> dict:
+    """Per preset, the counts of the step loop of the checkout at ``root`` over ``HORIZON_H`` hours."""
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     presets = importlib.import_module("hotlanes.presets")
     scenario = importlib.import_module("hotlanes.scenario")
     return {
         "python": platform.python_version(),
-        "horizon_h": horizon_h,
-        "per_step": {name: count_loop(scenario._stream, replace(presets.preset(name), horizon_h=horizon_h))
-                     for name in PRESETS},
+        "horizon_h": HORIZON_H,
+        "per_step": {name: count_loop(scenario._stream, replace(presets.preset(name), horizon_h=HORIZON_H))
+                     for name in presets.PRESETS},
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=ROOT, help="the checkout whose src/ is counted")
-    ap.add_argument("--horizon-h", type=float, default=0.05)
     args = ap.parse_args(argv)
-    print(json.dumps(counts(args.root, args.horizon_h), indent=1))
+    print(json.dumps(counts(args.root), indent=1))
     return 0
 
 

@@ -1,6 +1,6 @@
 """A committed mutation sweep of the step loop: which one-line faults does Tier-1 catch?
 
-    python3 tools/mutants.py --out mutants.json [--only 3 7]
+    python3 tools/mutants.py --out mutants.json
 
 Each entry of ``MUTANTS`` is one fault: the file, a text that occurs exactly
 once in it, the text that replaces it, and the reason the fault matters (or,
@@ -136,16 +136,15 @@ def run_tier1(copy: str) -> tuple[int, str]:
     return proc.returncode, proc.stdout
 
 
-def sweep(indices: list[int], root: str = ROOT) -> dict:
-    """Run each of these ``MUTANTS`` not declared equivalent against Tier-1 in a copy of ``root``."""
+def sweep() -> dict:
+    """Run each of the ``MUTANTS`` not declared equivalent against Tier-1 in a copy of ``ROOT``."""
     out = {"killed": [], "survived": [], "equivalent": [], "wall_s": 0.0}
     t_start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "checkout")
-        shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
-        for index in indices:
-            mutant = MUTANTS[index]
+        for index, mutant in enumerate(MUTANTS):
             entry = {"index": index, **mutant._asdict()}
             if mutant.equivalent:
                 out["equivalent"].append(entry)
@@ -174,9 +173,8 @@ def sweep(indices: list[int], root: str = ROOT) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True)
-    ap.add_argument("--only", type=int, nargs="+", help="run only these indices of MUTANTS")
     args = ap.parse_args(argv)
-    result = sweep(args.only or list(range(len(MUTANTS))))
+    result = sweep()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
