@@ -44,7 +44,7 @@ def triangular_growth(config, delta2_0: float, t: float) -> float:
     w, rho_j = config.fd_gp.w, config.fd_gp.rho_j
     D = config.mean_trip_distance
     jam = rho_j * config.gp_lanes * config.corridor_length
-    drain = D * config.demand.sov_rate * (1.0 - p0) / w
+    drain = D * _constant_rates(config)[1] * (1.0 - p0) / w
     return (delta2_0 + drain - jam) * math.exp(w * t / D) - drain + jam
 
 
@@ -193,9 +193,10 @@ def max_outflow_cases(config, rho_tot: float) -> MaxOutflowAnalysis:
     )
 
 
-def _require_constant_demand(config) -> None:
+def _constant_rates(config) -> tuple[float, float]:
     if config.demand.kind != "constant":
         raise ValueError("equilibrium predictions need a constant demand profile")
+    return config.demand.peak_rates()
 
 
 def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right") -> LinearizedSystem:
@@ -214,7 +215,7 @@ def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right"
     a share outside the choice model's range, a gap that is not positive and
     finite, and a system :class:`LinearizedSystem` rejects.
     """
-    _require_constant_demand(config)
+    e1, e2 = _constant_rates(config)
     if not 0.0 < omega < math.inf:
         raise ValueError(f"the travel time gap must be positive and finite, got {omega}")
     fd = config.fd_hot
@@ -223,7 +224,6 @@ def loop_matrix(config, lam: float, xi: float, omega: float, side: str = "right"
         raise ValueError("state implies a negative density")
     L1 = config.hot_lanes * config.corridor_length
     D = config.mean_trip_distance
-    e1, e2 = config.demand.hov_rate, config.demand.sov_rate
     if e2 <= 0:
         raise ValueError(f"the SOV rate must be positive, got {e2}")
     p = (flow(fd, rho) * L1 / D - e1 - xi) / e2
@@ -249,18 +249,18 @@ def constant_equilibrium(config) -> EquilibriumPrediction:
     if the demand is not constant, and :class:`A1ViolationError`, listing the
     failed inequalities, if ``config.a1_warnings()`` is not empty.
     """
-    _require_constant_demand(config)
+    e1, e2 = _constant_rates(config)
     failures = config.a1_warnings()
     if failures:
         raise A1ViolationError("; ".join(failures))
     L1 = config.hot_lanes * config.corridor_length
     D = config.mean_trip_distance
-    p0 = (L1 * capacity(config.fd_hot) - config.demand.hov_rate * D) / (D * config.demand.sov_rate)
+    p0 = (L1 * capacity(config.fd_hot) - e1 * D) / (D * e2)
     fd = config.fd_gp
     if fd.c <= 0.0:
         return EquilibriumPrediction(p0, math.nan, math.nan, math.nan, "exponential")
     served = fd.c * config.gp_lanes * config.corridor_length  # c L2
-    rate = config.demand.sov_rate * (1.0 - p0) - served / D
+    rate = e2 * (1.0 - p0) - served / D
     return EquilibriumPrediction(
         p0=p0,
         omega0=rate / served,

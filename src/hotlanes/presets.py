@@ -31,7 +31,7 @@ def _vi_fd() -> FdParams:
 # The study base: constant overload demand on the flow-floor diagram; the rest is default.
 _BASE = ScenarioConfig(
     fd_hot=_vi_fd(), fd_gp=_vi_fd(),
-    demand=DemandProfile(kind="constant", hov_rate=200.0, sov_rate=860.0),
+    demand=DemandProfile.constant(200.0, 860.0),
 )
 
 # Each preset is the base with its ``section.key=value`` overrides applied.
@@ -52,13 +52,7 @@ PRESETS = {
 
 def preset(name: str) -> ScenarioConfig:
     """The study base with the named preset's overrides applied."""
-    try:
-        overrides = PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
-    return _build_from_parser(_parser(None, overrides), _BASE)
+    return _build(_stack(name, configparser.ConfigParser()))
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -88,13 +82,14 @@ _FIXED = {
 _SWITCHES = {"demand": ("kind",), "choice": ("model", "vot_family")}
 _DEMAND = {
     "constant": {"hov_veh_h": ("hov_rate", float), "sov_veh_h": ("sov_rate", float)},
-    "trapezoid": {"hov_peak_veh_h": ("hov_rate", float), "sov_peak_veh_h": ("sov_rate", float),
+    "trapezoid": {"hov_peak_veh_h": ("hov_peak", float), "sov_peak_veh_h": ("sov_peak", float),
                   "ramp_up_start_h": ("t0", float), "ramp_up_end_h": ("t1", float),
                   "ramp_down_start_h": ("t2", float), "ramp_down_end_h": ("t3", float)},
     "piecewise": {"breakpoints_h": ("breakpoints", _float_list),
                   "hov_rates_veh_h": ("hov_rates", _float_list),
                   "sov_rates_veh_h": ("sov_rates", _float_list)},
 }
+_BUILD_DEMAND = {"constant": DemandProfile.constant, "trapezoid": DemandProfile.trapezoid, "piecewise": DemandProfile}
 _CHOICE = {  # values of the first n switch keys -> (class, what its table applies to, table)
     ("logit",): (LogitChoice, "the logit model",
                  {"logit_vot": ("pi_star", float), "logit_scale": ("alpha_star", float)}),
@@ -137,20 +132,22 @@ def _read(cp: configparser.ConfigParser, section: str, table: dict | None = None
     return values
 
 
-def _parse_demand(cp: configparser.ConfigParser, base: DemandProfile) -> DemandProfile:
-    """The preset's profile with ``kind`` and that kind's ``[demand]`` keys applied."""
-    kind = cp.get("demand", "kind", fallback=base.kind)
+def _parse_demand(cp: configparser.ConfigParser) -> DemandProfile:
+    """The profile of the stack's ``kind``, from its keys; only constant has defaults, the base's rates."""
+    kind = cp.get("demand", "kind", fallback=_BASE.demand.kind)
     if kind not in _DEMAND:
         raise ConfigError(f"unknown demand kind {kind!r}")
-    return replace(base, kind=kind, **_read(
-        cp, "demand", _DEMAND[kind], _SWITCHES["demand"], f"demand kind {kind!r}"))
+    values = _read(cp, "demand", _DEMAND[kind], _SWITCHES["demand"], f"demand kind {kind!r}")
+    if kind == "constant" == _BASE.demand.kind:  # one knot: its rates are the peak rates
+        values = dict(zip(("hov_rate", "sov_rate"), _BASE.demand.peak_rates()), **values)
+    if missing := [key for key, (field, _) in _DEMAND[kind].items() if field not in values]:
+        raise ConfigError(f"[demand] kind {kind!r} needs {', '.join(missing)}")
+    return _BUILD_DEMAND[kind](**values)
 
 
-def _parse_choice(cp: configparser.ConfigParser, base):
-    """The preset's choice model with the ``[choice]`` keys of the resulting model applied.
-
-    A switch of model or VOT family starts from the new class's defaults.
-    """
+def _parse_choice(cp: configparser.ConfigParser):
+    """The stack's choice model, from its keys over the base's value or, for another class, its defaults."""
+    base = _BASE.choice
     model = cp.get("choice", "model", fallback="logit" if isinstance(base, LogitChoice) else "ue")
     family = cp.get("choice", "vot_family",
                     fallback="uniform" if isinstance(base, UniformVot) else "exponential")
@@ -163,31 +160,48 @@ def _parse_choice(cp: configparser.ConfigParser, base):
     return replace(start, **_read(cp, "choice", table, _SWITCHES["choice"][:len(variant)], what))
 
 
-def _build_from_parser(cp: configparser.ConfigParser, config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` with the parser's keys applied; [fd.hot] or [fd.gp] beats [fd] for its group."""
+def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
+    """The study base with the stack's keys applied; [fd.hot] or [fd.gp] beats [fd] for its group."""
     updates = {}
     shared = _read(cp, "fd")
     for group, attr in (("fd.hot", "fd_hot"), ("fd.gp", "fd_gp")):
         if values := {**shared, **_read(cp, group)}:
-            updates[attr] = replace(getattr(config, attr), **values)
+            updates[attr] = replace(getattr(_BASE, attr), **values)
     if cp.has_section("demand"):
-        updates["demand"] = _parse_demand(cp, config.demand)
+        updates["demand"] = _parse_demand(cp)
     if cp.has_section("choice"):
-        updates["choice"] = _parse_choice(cp, config.choice)
+        updates["choice"] = _parse_choice(cp)
     updates.update(_read(cp, "geometry"), **_read(cp, "simulation"))
-    controller = _read(cp, "controller")
-    if controller:
-        updates["controller"] = replace(config.controller, **controller)
-    return replace(config, **updates)
+    if controller := _read(cp, "controller"):
+        updates["controller"] = replace(_BASE.controller, **controller)
+    return replace(_BASE, **updates)
+
+
+def _stack(name: str, user: configparser.ConfigParser) -> configparser.ConfigParser:
+    """The named preset's keys with the user's set on top.
+
+    A switch key (``kind``, ``model`` or ``vot_family``) that the user sets to
+    another value than the preset's own drops the preset's keys of its section.
+    """
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    cp = _parser(None, PRESETS[name])
+    for section in user.sections():
+        if any(user.get(section, key) != cp.get(section, key, fallback=None)
+               for key in _SWITCHES.get(section, ()) if user.has_option(section, key)):
+            cp.remove_section(section)
+        cp.read_dict({section: dict(user.items(section, raw=True))})
+    return cp
 
 
 def apply_overrides(path: str | None, preset_name: str | None, overrides: list[str]) -> ScenarioConfig:
     """Resolve a config from an optional file, preset name and key=value overrides.
 
     Overrides use ``section.key=value`` with the same keys as the INI format.
-    The preset name is the override ``scenario.preset=NAME``; the overrides
-    apply after the file, in order.  A file or value that does not parse, a
-    bad value and an unknown key raise :class:`ConfigError`.
+    The preset name is the override ``scenario.preset=NAME``.  The config is
+    built once over the study base from one stack of keys: the preset's list,
+    then the file, then the overrides in order (see :func:`_stack`).  A file or
+    value that does not parse, a bad value and an unknown key raise :class:`ConfigError`.
     """
     if preset_name:
         overrides = [f"scenario.preset={preset_name}", *overrides]
@@ -196,8 +210,8 @@ def apply_overrides(path: str | None, preset_name: str | None, overrides: list[s
     # not in the locale's encoding; a file that is not INI and a missing
     # interpolation key raise configparser.Error.
     try:
-        cp = _parser(path, overrides)
-        return _build_from_parser(cp, preset(_read(cp, "scenario").get("preset", "constant")))
+        user = _parser(path, overrides)
+        return _build(_stack(_read(user, "scenario").get("preset", "constant"), user))
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from None
 

@@ -48,82 +48,64 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class DemandProfile:
-    """Trip initiation rates over time for HOVs and SOVs.
+    """Trip initiation rates over time for HOVs and SOVs: a list of knots.
 
-    ``kind`` is one of constant, trapezoid, piecewise.  Trapezoids ramp from
-    zero at ``t0`` to the peak at ``t1``, hold until ``t2`` and return to
-    zero at ``t3``.  Piecewise profiles interpolate linearly between
-    breakpoints and hold the end rates outside them.
+    Knot k holds ``hov_rates[k]`` and ``sov_rates[k]`` [veh/h] at ``breakpoints[k]`` [h]; the
+    times strictly increase.  The rates are linear between knots and hold the end knot's outside
+    them.  The knots are stored as floats, a zero rate as +0.0 (``x + 0.0``), so a rate held up
+    to a knot is the float read at it.
     """
 
-    kind: str = "constant"
-    hov_rate: float = 0.0
-    sov_rate: float = 0.0
-    t0: float = 0.0
-    t1: float = 0.0
-    t2: float = 0.0
-    t3: float = 0.0
-    breakpoints: tuple[float, ...] = ()
-    hov_rates: tuple[float, ...] = ()
-    sov_rates: tuple[float, ...] = ()
+    breakpoints: tuple[float, ...]
+    hov_rates: tuple[float, ...]
+    sov_rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "trapezoid", "piecewise"):
-            raise ConfigError(f"unknown demand kind {self.kind!r}")
-        numbers = (self.hov_rate, self.sov_rate, self.t0, self.t1, self.t2, self.t3,
-                   *self.breakpoints, *self.hov_rates, *self.sov_rates)
-        if not all(math.isfinite(x) for x in numbers):
-            raise ConfigError("demand rates and breakpoints must be finite")
-        if self.hov_rate < 0 or self.sov_rate < 0:
-            raise ConfigError("demand rates cannot be negative")
-        if self.kind == "trapezoid":
-            ts = (self.t0, self.t1, self.t2, self.t3)
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ConfigError("trapezoid breakpoints must be strictly increasing")
-        if self.kind == "piecewise":
-            if not (len(self.breakpoints) == len(self.hov_rates) == len(self.sov_rates)):
-                raise ConfigError("piecewise arrays must have equal length")
-            if len(self.breakpoints) < 2:
-                raise ConfigError("piecewise profile needs at least two breakpoints")
-            if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-                raise ConfigError("piecewise breakpoints must be strictly increasing")
-            if min(self.hov_rates) < 0 or min(self.sov_rates) < 0:
-                raise ConfigError("demand rates cannot be negative")
+        for name in ("breakpoints", "hov_rates", "sov_rates"):
+            object.__setattr__(self, name, tuple(x + 0.0 for x in getattr(self, name)))
+        bp, hov, sov = self.breakpoints, self.hov_rates, self.sov_rates
+        if not len(bp) == len(hov) == len(sov) > 0:
+            raise ConfigError("demand needs one knot or more, each with a breakpoint, an HOV and an SOV rate")
+        if not (all(map(math.isfinite, bp)) and all(a < b for a, b in zip(bp, bp[1:]))):
+            raise ConfigError("demand breakpoints must be finite and strictly increasing")
+        if not all(0.0 <= x < math.inf for x in (*hov, *sov)):
+            raise ConfigError("demand rates must be finite and non-negative")
+
+    @classmethod
+    def constant(cls, hov_rate: float, sov_rate: float) -> "DemandProfile":
+        """Rates that hold at all times: one knot."""
+        return cls((0.0,), (hov_rate,), (sov_rate,))
+
+    @classmethod
+    def trapezoid(cls, hov_peak: float, sov_peak: float, t0: float, t1: float, t2: float,
+                  t3: float) -> "DemandProfile":
+        """Zero to ``t0``, a ramp to the peak at ``t1``, the peak to ``t2``, a ramp to zero at ``t3``."""
+        return cls((t0, t1, t2, t3), (0.0, hov_peak, hov_peak, 0.0), (0.0, sov_peak, sov_peak, 0.0))
+
+    @property
+    def kind(self) -> str:
+        """"constant" for one knot, else "piecewise"."""
+        return "constant" if len(self.breakpoints) == 1 else "piecewise"
 
     def held_rates(self, t: float) -> tuple[float, float, float]:
         """(HOV rate, SOV rate, t_end): the rates at t [veh/h], which hold unchanged on [t, t_end].
 
-        ``t_end`` is inf once the rates hold for good, and t itself on a ramp.
+        Between knots a and b with rates h0 and h1 the rate is ``h0 * g + h1 * f``, with
+        ``f = (t - a) / (b - a)`` and ``g = (b - t) / (b - a)``, and ``t_end`` is t.  A flat
+        segment holds to its end knot, and the last knot's rates for good (``t_end`` inf).
         """
-        if self.kind == "constant":
-            return self.hov_rate, self.sov_rate, math.inf
-        if self.kind == "trapezoid":
-            if t <= self.t0:
-                f, t_end = 0.0, self.t0
-            elif t >= self.t3:
-                f, t_end = 0.0, math.inf
-            elif t < self.t1:
-                f, t_end = (t - self.t0) / (self.t1 - self.t0), t
-            elif t <= self.t2:
-                f, t_end = 1.0, self.t2
-            else:
-                f, t_end = (self.t3 - t) / (self.t3 - self.t2), t
-            return self.hov_rate * f, self.sov_rate * f, t_end
-        bp = self.breakpoints
-        if t <= bp[0]:
-            return self.hov_rates[0], self.sov_rates[0], bp[0]
-        if t >= bp[-1]:
-            return self.hov_rates[-1], self.sov_rates[-1], math.inf
-        i = bisect.bisect_right(bp, t)
-        f = (t - bp[i - 1]) / (bp[i] - bp[i - 1])
-        hov = self.hov_rates[i - 1] + f * (self.hov_rates[i] - self.hov_rates[i - 1])
-        sov = self.sov_rates[i - 1] + f * (self.sov_rates[i] - self.sov_rates[i - 1])
-        return hov, sov, t
+        bp, hov, sov = self.breakpoints, self.hov_rates, self.sov_rates
+        i = bisect.bisect_right(bp, t)  # the knot after t; outside the list, both knots are its end
+        j, k = (i - 1 if i else 0), (i if i < len(bp) else i - 1)
+        h0, h1, s0, s1 = hov[j], hov[k], sov[j], sov[k]
+        if h0 == h1 and s0 == s1:
+            return h1, s1, bp[i] if i < len(bp) else math.inf
+        a, b = bp[j], bp[k]
+        f, g = (t - a) / (b - a), (b - t) / (b - a)
+        return h0 * g + h1 * f, s0 * g + s1 * f, t
 
     def peak_rates(self) -> tuple[float, float]:
-        if self.kind == "piecewise":
-            return max(self.hov_rates), max(self.sov_rates)
-        return self.hov_rate, self.sov_rate
+        return max(self.hov_rates), max(self.sov_rates)
 
 
 @dataclass(frozen=True, slots=True)

@@ -230,7 +230,7 @@ GEOMETRIES = {
 def test_criterion_3_rates_hold_on_any_geometry(geometry):
     length, hot_lanes, gp_lanes, hov, sov = geometry
     cfg = replace(preset("constant"), corridor_length=length, hot_lanes=hot_lanes,
-                  gp_lanes=gp_lanes, demand=DemandProfile(hov_rate=hov, sov_rate=sov),
+                  gp_lanes=gp_lanes, demand=DemandProfile.constant(hov, sov),
                   horizon_h=12.0, dt_s=0.5, output_dt_s=60.0)
     pred = constant_equilibrium(cfg)
     with warnings.catch_warnings():
@@ -281,7 +281,7 @@ def test_criterion_5_triangular_gridlock(criterion):
     # HOV mode nobody pays, so the one GP lane of the 1 km corridor takes all of e2
     p0 = constant_equilibrium(base).p0
     e2 = 860.0 * (1.0 - p0)
-    plant = replace(base, mode="hov", demand=DemandProfile(hov_rate=0.0, sov_rate=e2),
+    plant = replace(base, mode="hov", demand=DemandProfile.constant(0.0, e2),
                     initial_gp_trips=42.0, dt_s=0.01, output_dt_s=0.01)
     worst = 0.0
     with warnings.catch_warnings():
@@ -304,7 +304,7 @@ def test_criterion_5_triangular_gridlock(criterion):
 def test_criterion_6_max_outflow_brute_force(criterion, fd_triangular):
     rho_j = fd_triangular.rho_j
     two_groups = ScenarioConfig(  # one lane per group on a 10 km corridor, D = 5 km
-        fd_hot=fd_triangular, fd_gp=fd_triangular, demand=DemandProfile(),
+        fd_hot=fd_triangular, fd_gp=fd_triangular, demand=DemandProfile.constant(0.0, 0.0),
         corridor_length=10.0, hot_lanes=1.0, gp_lanes=1.0, mean_trip_distance=5.0,
     )
     grid_step = 1e-3 * rho_j
@@ -363,7 +363,7 @@ def test_criterion_7_choice_model_properties(criterion, fd_floor):
     rt_ok = round_trip_err <= 1e-10
 
     one_lane = ScenarioConfig(
-        fd_hot=fd_floor, fd_gp=fd_floor, demand=DemandProfile("constant", 200.0, 860.0),
+        fd_hot=fd_floor, fd_gp=fd_floor, demand=DemandProfile.constant(200.0, 860.0),
         corridor_length=1.0, hot_lanes=1.0, mean_trip_distance=5.0, choice=UE50,
     )
 

@@ -26,7 +26,7 @@ RHO_C = 70.0 / 3.0
 def study(hov=2000.0, sov=8600.0):
     """The constant preset on a 10 km corridor with the given constant demand."""
     return replace(preset("constant"), corridor_length=10.0,
-                   demand=DemandProfile(hov_rate=hov, sov_rate=sov))
+                   demand=DemandProfile.constant(hov, sov))
 
 
 class TestEquilibriumShare:
@@ -71,7 +71,7 @@ class TestEquilibriumShare:
 def gridlock_study():
     """The triangular-gridlock preset on a 10 km corridor, 2000 HOV and 8600 SOV veh/h."""
     return replace(preset("triangular-gridlock"), corridor_length=10.0,
-                   demand=DemandProfile(hov_rate=2000.0, sov_rate=8600.0))
+                   demand=DemandProfile.constant(2000.0, 8600.0))
 
 
 class TestTriangularGrowth:
@@ -233,7 +233,7 @@ class TestStability:
 
 def two_groups(fd, lanes=1.0):
     """Both lane groups on ``fd`` with ``lanes`` lanes each on a 10 km corridor, D = 5 km."""
-    return ScenarioConfig(fd_hot=fd, fd_gp=fd, demand=DemandProfile(), corridor_length=10.0,
+    return ScenarioConfig(fd_hot=fd, fd_gp=fd, demand=DemandProfile.constant(0.0, 0.0), corridor_length=10.0,
                           hot_lanes=lanes, gp_lanes=lanes, mean_trip_distance=5.0)
 
 
@@ -337,7 +337,7 @@ def ref_gap_sensitivities(config, lam, xi, omega, step=1e-6):
     """H and J by central differences of the toll line in xi and lam."""
     L1 = config.hot_lanes * config.corridor_length
     args = (config.fd_hot, L1, config.mean_trip_distance,
-            config.demand.hov_rate, config.demand.sov_rate)
+            config.demand.hov_rates[0], config.demand.sov_rates[0])
 
     def slope(dlam, dxi):
         a_hi, b_hi = ref_toll_decomposition(
@@ -352,7 +352,7 @@ def ref_gap_sensitivities(config, lam, xi, omega, step=1e-6):
 def one_lane(fd, choice=ExponentialVot(50.0)):
     """One HOT lane on a 1 km corridor, D = 5 km, 200 HOV and 860 SOV veh/h."""
     return ScenarioConfig(
-        fd_hot=fd, fd_gp=fd, demand=DemandProfile("constant", 200.0, 860.0),
+        fd_hot=fd, fd_gp=fd, demand=DemandProfile.constant(200.0, 860.0),
         corridor_length=1.0, hot_lanes=1.0, mean_trip_distance=5.0, choice=choice,
     )
 
@@ -529,13 +529,13 @@ class TestLoopMatrix:
 
     def test_no_sov_demand_rejected(self):
         # the state's share divides by the SOV rate
-        cfg = replace(preset("constant"), demand=DemandProfile(hov_rate=200.0, sov_rate=0.0))
+        cfg = replace(preset("constant"), demand=DemandProfile.constant(200.0, 0.0))
         with pytest.raises(ValueError, match="SOV rate must be positive, got 0.0"):
             loop_matrix(cfg, 0.0, 0.0, 0.5)
 
     @pytest.mark.parametrize("demand", [
         preset("trapezoid").demand,  # the peak rates are not an operating point
-        DemandProfile(kind="piecewise", breakpoints=(0.0, 1.0),  # the constant rates are 0
+        DemandProfile(breakpoints=(0.0, 1.0),  # flat, but two knots are not one
                       hov_rates=(200.0, 200.0), sov_rates=(860.0, 860.0)),
     ], ids=["trapezoid", "piecewise"])
     def test_time_varying_demand_rejected(self, demand):

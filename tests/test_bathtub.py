@@ -27,7 +27,7 @@ def plant_run(fd, d1=0.0, d2=0.0, e1=0.0, e2=0.0, dt_s=3.6, steps=1, stats=None,
     ``to_gp_jam`` ends the records at the first one at GP jam density.
     """
     config = ScenarioConfig(
-        fd_hot=fd, fd_gp=fd, demand=DemandProfile(hov_rate=e1, sov_rate=e2),
+        fd_hot=fd, fd_gp=fd, demand=DemandProfile.constant(e1, e2),
         corridor_length=10.0, mean_trip_distance=5.0, mode=mode,
         dt_s=dt_s, output_dt_s=dt_s, horizon_h=steps * dt_s / 3600.0,
         initial_hot_trips=d1, initial_gp_trips=d2, choice=choice,
@@ -124,7 +124,7 @@ class TestStep:
         # constant GP inflow, over-critical start: matches the exact solution
         study = ScenarioConfig(
             fd_hot=fd_triangular, fd_gp=fd_triangular,
-            demand=DemandProfile(hov_rate=2000.0, sov_rate=8600.0),
+            demand=DemandProfile.constant(2000.0, 8600.0),
             corridor_length=10.0, mean_trip_distance=5.0,
         )
         e2 = 8600.0 * (1.0 - constant_equilibrium(study).p0)

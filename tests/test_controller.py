@@ -23,7 +23,7 @@ def priced_rows(d1=0.0, d2=0.0, hov=0.0, sov=0.0, dt_h=0.1, steps=1, **controlle
     Record ``k`` holds the state after ``k`` Euler steps of ``dt_h`` hours.
     """
     config = ScenarioConfig(
-        fd_hot=FD, fd_gp=FD, demand=DemandProfile(hov_rate=hov, sov_rate=sov),
+        fd_hot=FD, fd_gp=FD, demand=DemandProfile.constant(hov, sov),
         corridor_length=1.0, mean_trip_distance=D, controller=ControllerState(**controller),
         dt_s=3600.0 * dt_h, output_dt_s=3600.0 * dt_h, horizon_h=steps * dt_h,
         initial_hot_trips=d1, initial_gp_trips=d2,

@@ -153,7 +153,7 @@ def split_rows(sov, mode="hot", choice=UE, b0=0.0):
     The corridor is empty at t = 0, so the gap is 0 and the posted toll is ``b0``.
     """
     config = replace(
-        preset("constant"), demand=DemandProfile(sov_rate=sov), mode=mode,
+        preset("constant"), demand=DemandProfile.constant(0.0, sov), mode=mode,
         choice=choice, controller=ControllerState(b=b0),
         dt_s=1.0, output_dt_s=1.0, horizon_h=2.0 / 3600.0,
     )

@@ -48,8 +48,8 @@ def case_config(case: str):
         if name == "trapezoid":
             # the pulse moved into the horizon, t1 and t2 on step times: every ramp
             # step and both inclusive plateau ends are recorded
-            cfg = replace(cfg, demand=replace(
-                cfg.demand, t0=100.5 * step, t1=2000 * step, t2=5000 * step, t3=7000.5 * step))
+            cfg = replace(cfg, demand=DemandProfile.trapezoid(
+                200.0, 700.0, 100.5 * step, 2000 * step, 5000 * step, 7000.5 * step))
     elif variant == "coarse-step":
         # a 300 s step drains a lane group past zero: the lower clamp engages
         cfg = replace(cfg, dt_s=300.0, output_dt_s=300.0,
@@ -67,13 +67,11 @@ def case_config(case: str):
         cfg = replace(cfg, initial_hot_trips=30.0, initial_gp_trips=60.0)
     elif variant == "short-pulse":
         # the whole pulse and its tail fit in the horizon: the toll clamps at 0
-        cfg = replace(cfg, demand=DemandProfile(
-            kind="trapezoid", hov_rate=200.0, sov_rate=700.0, t0=0.0, t1=0.05, t2=0.15, t3=0.2))
+        cfg = replace(cfg, demand=DemandProfile.trapezoid(200.0, 700.0, 0.0, 0.05, 0.15, 0.2))
     elif variant == "piecewise":
         # breakpoints on and off step times, a flat interior segment (1500 to
         # 3000) and held end rates before the first and after the last, every step
         cfg = replace(cfg, output_dt_s=cfg.dt_s, demand=DemandProfile(
-            kind="piecewise",
             breakpoints=tuple(k * step for k in (300.5, 1500, 3000, 4500.25, 6000, 8000.7)),
             hov_rates=(150.0, 250.0, 250.0, 100.0, 300.0, 200.0),
             sov_rates=(600.0, 1000.0, 1000.0, 500.0, 900.0, 700.0)))
@@ -81,7 +79,7 @@ def case_config(case: str):
         cfg = replace(cfg, initial_gp_trips=130.0)
     elif variant == "hot-gridlock":
         cfg = replace(cfg, initial_gp_trips=130.0,
-                      demand=DemandProfile(kind="constant", hov_rate=2000.0, sov_rate=3000.0))
+                      demand=DemandProfile.constant(2000.0, 3000.0))
     elif variant:
         raise KeyError(case)
     return cfg

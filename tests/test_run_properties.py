@@ -62,18 +62,23 @@ def demand_times(draw, count, dt_s, horizon_h):
 
 @st.composite
 def demands(draw, dt_s, horizon_h):
-    """A constant, trapezoid or piecewise profile whose breakpoints fall in or just past the run."""
-    kind = draw(st.sampled_from(("constant", "trapezoid", "piecewise")))
-    if kind == "constant":
-        return DemandProfile(hov_rate=draw(rates), sov_rate=draw(rates))
-    if kind == "trapezoid":
-        t0, t1, t2, t3 = demand_times(draw, 4, dt_s, horizon_h)
-        return DemandProfile(kind=kind, hov_rate=draw(rates), sov_rate=draw(rates),
-                             t0=t0, t1=t1, t2=t2, t3=t3)
+    """One knot, a trapezoid or a free piecewise curve, its knots in or just past the run.
+
+    A piecewise knot may repeat the rates before it, a flat segment, and a
+    zero rate may be drawn as -0.0 or 0.0.
+    """
+    shape = draw(st.sampled_from(("one knot", "trapezoid", "piecewise")))
+    if shape == "one knot":
+        return DemandProfile(tuple(demand_times(draw, 1, dt_s, horizon_h)), (draw(rates),), (draw(rates),))
+    if shape == "trapezoid":
+        return DemandProfile.trapezoid(draw(rates), draw(rates), *demand_times(draw, 4, dt_s, horizon_h))
     n = draw(st.integers(2, 5))
-    return DemandProfile(kind=kind, breakpoints=tuple(demand_times(draw, n, dt_s, horizon_h)),
-                         hov_rates=tuple(draw(rates) for _ in range(n)),
-                         sov_rates=tuple(draw(rates) for _ in range(n)))
+    hov, sov = [draw(rates)], [draw(rates)]
+    for _ in range(n - 1):
+        flat = draw(st.booleans())
+        hov.append(hov[-1] if flat else draw(rates))
+        sov.append(sov[-1] if flat else draw(rates))
+    return DemandProfile(tuple(demand_times(draw, n, dt_s, horizon_h)), tuple(hov), tuple(sov))
 
 
 @st.composite

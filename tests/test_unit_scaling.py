@@ -155,7 +155,7 @@ def test_max_outflow_scales_with_the_length_unit(rho_tot, s):
 def test_one_lane_of_length_2l_equals_two_lanes_of_length_l():
     # the loop, the A1 check and the closed forms read the lanes only through the lane-length
     cfg = replace(preset("constant"), horizon_h=0.5, corridor_length=0.75,
-                  demand=DemandProfile(hov_rate=300.0, sov_rate=1290.0))
+                  demand=DemandProfile.constant(300.0, 1290.0))
     long = replace(cfg, corridor_length=1.5)
     wide = replace(cfg, hot_lanes=2.0, gp_lanes=2.0)
     assert list(iter_run(long)) == list(iter_run(wide))

@@ -1,4 +1,4 @@
-"""A committed mutation sweep of the step loop: which one-line faults does Tier-1 catch?
+"""A committed mutation sweep: which one-line faults in the program does Tier-1 catch?
 
     python3 tools/mutants.py --out mutants.json
 
@@ -28,7 +28,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Tier-1 but for the check of this list, which any applied mutant fails by construction
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
          "--ignore=tests/test_mutants_tool.py"]
-LOOP = "src/hotlanes/scenario.py"
+LOOP = "src/hotlanes/scenario.py"  # the step loop, held_rates, metrics and iter_csv
+ESTIMATION = "src/hotlanes/estimation.py"
+PRESETS = "src/hotlanes/presets.py"
 
 
 class Mutant(NamedTuple):
@@ -111,6 +113,57 @@ MUTANTS = [
            "the coefficients integrate one step per controller tick"),
     Mutant(LOOP, "next_tick += decim", "next_tick += 1",
            "the controller ticks every step under any decimation"),
+    # the demand's one interpolation
+    Mutant(LOOP, "f, g = (t - a) / (b - a), (b - t) / (b - a)",
+           "g, f = (t - a) / (b - a), (b - t) / (b - a)",
+           "a ramp runs backwards: f and g swap"),
+    Mutant(LOOP, "return h1, s1, bp[i] if i < len(bp) else math.inf",
+           "return h1, s1, t if i < len(bp) else math.inf",
+           "a flat segment holds only to t, so the loop reads it every step"),
+    Mutant(LOOP, "i = bisect.bisect_right(bp, t)", "i = bisect.bisect_left(bp, t)",
+           "a time on a knot reads the segment before it"),
+    Mutant(LOOP, "tuple(x + 0.0 for x in getattr(self, name))", "tuple(getattr(self, name))",
+           "a -0.0 rate is held up to a knot where held_rates reads +0.0"),
+    # metrics
+    Mutant(LOOP, "delay1 += 0.5 * (y1 + p1) * (t - pt)", "delay1 += y1 * (t - pt)",
+           "the managed-lane delay takes a rectangle rule, not the trapezoid"),
+    Mutant(LOOP, "last.u * last.e21_tilde * D", "last.u * last.e2_tilde * D",
+           "revenue charges every SOV, not the paying ones"),
+    Mutant(LOOP, "max_omega = max(max_omega, last.omega)", "max_omega = last.omega",
+           "the peak gap is the last gap"),
+    Mutant(LOOP, "served1, served2 = last.G1 - first.G1, last.G2", "served1, served2 = last.G1, last.G2",
+           "served trips count the completions before the first record"),
+    Mutant(LOOP, "if not math.isfinite(total):", "if math.isnan(total):",
+           "an infinite delay or revenue is returned, not raised"),
+    # iter_csv
+    Mutant(LOOP, r'if line.rstrip("\n") != _HEADER[:-2]:', 'if line[:10] != _HEADER[:10]:',
+           "a header that differs after its first columns is read"),
+    Mutant(LOOP, "label[row[n]], label[row[n + 1]]", "label[row[n]], label[row[n]]",
+           "phase2 reads the phase1 cell"),
+    Mutant(LOOP, "flag[row[n + 2]], flag[row[n + 3]], flag[row[n + 4]]",
+           "flag[row[n + 2]], flag[row[n + 4]], flag[row[n + 3]]",
+           "the hot_clamped and gp_clamped cells swap"),
+    Mutant(LOOP, 'or "_" in line or " " in line', 'or " " in line',
+           "a cell such as 1_5, which float() reads, is accepted"),
+    Mutant(LOOP, '                    if row == [""]:  # a blank line\n                        continue',
+           '                    if row == [""]:  # a blank line\n                        break',
+           "a blank line ends the file"),
+    # the two estimators
+    Mutant(ESTIMATION, "return x, 1.0 - r.e21_tilde / r.e2_tilde", "return x, r.e21_tilde / r.e2_tilde",
+           "the CDF point is the paying share, not the non-paying one"),
+    Mutant(ESTIMATION, "x = r.u / r.omega", "x = r.u * r.omega",
+           "the CDF abscissa multiplies the toll by the gap"),
+    Mutant(ESTIMATION, "- 1.0) / alpha_star) / r.omega", "- 1.0) * alpha_star) / r.omega",
+           "the logit estimate multiplies by the scale parameter"),
+    Mutant(ESTIMATION, "if not 0.0 < r.e21_tilde < r.e2_tilde:", "if not 0.0 < r.e21_tilde <= r.e2_tilde:",
+           "a share of 1 reaches the logarithm of 0"),
+    Mutant(ESTIMATION, "if not 0.0 < r.omega < math.inf:", "if not 0.0 <= r.omega < math.inf:",
+           "a zero gap passes the record check"),
+    # the config stack
+    Mutant(PRESETS, "            cp.remove_section(section)", "            pass",
+           "a user switch key keeps the preset's keys of its section"),
+    Mutant(PRESETS, 'if kind == "constant" == _BASE.demand.kind:', "if False:",
+           "a constant rate the stack does not set is missing, not the study base's"),
 ]
 
 
