@@ -71,7 +71,8 @@ def _cmd_run(args) -> int:
     print(f"max gap {m.max_omega:.6g} h/km, revenue ${_num(m.revenue, 2)}")
     if stats.any_clamped:
         print(f"trip count clamped at 0 or the jam cap: managed {stats.hot_clamp_steps} steps, "
-              f"gp {stats.gp_clamp_steps} steps; dropped at the jam cap: gp {_num(stats.gp_dropped, 1)} veh")
+              f"gp {stats.gp_clamp_steps} steps; dropped at the jam cap: gp "
+              f"{_num(stats.gp_dropped, 1)} veh")
     return EXIT_OK
 
 

@@ -89,7 +89,8 @@ _DEMAND = {
                   "hov_rates_veh_h": ("hov_rates", _float_list),
                   "sov_rates_veh_h": ("sov_rates", _float_list)},
 }
-_BUILD_DEMAND = {"constant": DemandProfile.constant, "trapezoid": DemandProfile.trapezoid, "piecewise": DemandProfile}
+_BUILD_DEMAND = {"constant": DemandProfile.constant, "trapezoid": DemandProfile.trapezoid,
+                 "piecewise": DemandProfile}
 _CHOICE = {  # values of the first n switch keys -> (class, what its table applies to, table)
     ("logit",): (LogitChoice, "the logit model",
                  {"logit_vot": ("pi_star", float), "logit_scale": ("alpha_star", float)}),
@@ -200,8 +201,10 @@ def apply_overrides(path: str | None, preset_name: str | None, overrides: list[s
     Overrides use ``section.key=value`` with the same keys as the INI format.
     The preset name is the override ``scenario.preset=NAME``.  The config is
     built once over the study base from one stack of keys: the preset's list,
-    then the file, then the overrides in order (see :func:`_stack`).  A file or
-    value that does not parse, a bad value and an unknown key raise :class:`ConfigError`.
+    then the file, then the overrides in order.  A ``kind``, ``model`` or
+    ``vot_family`` set to a value the preset's list does not give it drops the
+    preset's keys of its section.  A file or value that does not parse, a bad
+    value and an unknown key raise :class:`ConfigError`.
     """
     if preset_name:
         overrides = [f"scenario.preset={preset_name}", *overrides]

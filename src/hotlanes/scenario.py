@@ -65,7 +65,7 @@ class DemandProfile:
             object.__setattr__(self, name, tuple(x + 0.0 for x in getattr(self, name)))
         bp, hov, sov = self.breakpoints, self.hov_rates, self.sov_rates
         if not len(bp) == len(hov) == len(sov) > 0:
-            raise ConfigError("demand needs one knot or more, each with a breakpoint, an HOV and an SOV rate")
+            raise ConfigError("demand needs one knot or more, each with a time and two rates")
         if not (all(map(math.isfinite, bp)) and all(a < b for a, b in zip(bp, bp[1:]))):
             raise ConfigError("demand breakpoints must be finite and strictly increasing")
         if not all(0.0 <= x < math.inf for x in (*hov, *sov)):
