@@ -135,11 +135,11 @@ def _read(cp: configparser.ConfigParser, section: str, table: dict | None = None
 
 def _parse_demand(cp: configparser.ConfigParser) -> DemandProfile:
     """The profile of the stack's ``kind``, from its keys; only constant has defaults, the base's rates."""
-    kind = cp.get("demand", "kind", fallback=_BASE.demand.kind)
+    kind = cp.get("demand", "kind", fallback="constant")
     if kind not in _DEMAND:
         raise ConfigError(f"unknown demand kind {kind!r}")
     values = _read(cp, "demand", _DEMAND[kind], _SWITCHES["demand"], f"demand kind {kind!r}")
-    if kind == "constant" == _BASE.demand.kind:  # one knot: its rates are the peak rates
+    if kind == "constant":  # defaults: the study base's one knot
         values = dict(zip(("hov_rate", "sov_rate"), _BASE.demand.peak_rates()), **values)
     if missing := [key for key, (field, _) in _DEMAND[kind].items() if field not in values]:
         raise ConfigError(f"[demand] kind {kind!r} needs {', '.join(missing)}")

@@ -84,7 +84,7 @@ class DemandProfile:
 
     @property
     def kind(self) -> str:
-        """"constant" for one knot, else "piecewise"."""
+        """'constant' for one knot, else 'piecewise'."""
         return "constant" if len(self.breakpoints) == 1 else "piecewise"
 
     def held_rates(self, t: float) -> tuple[float, float, float]:

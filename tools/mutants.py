@@ -162,7 +162,7 @@ MUTANTS = [
     # the config stack
     Mutant(PRESETS, "            cp.remove_section(section)", "            pass",
            "a user switch key keeps the preset's keys of its section"),
-    Mutant(PRESETS, 'if kind == "constant" == _BASE.demand.kind:', "if False:",
+    Mutant(PRESETS, 'if kind == "constant":', "if False:",
            "a constant rate the stack does not set is missing, not the study base's"),
 ]
 
