@@ -20,7 +20,7 @@ from .lane_choice import ExponentialVot, LogitChoice, UniformVot
 from .nfd import FdParams, capacity
 from .scenario import ConfigError, DemandProfile, ScenarioConfig
 
-__all__ = ["PRESETS", "preset", "apply_overrides", "section_help"]
+__all__ = ["PRESETS", "apply_overrides", "section_help"]
 
 
 def _vi_fd() -> FdParams:
@@ -48,11 +48,6 @@ PRESETS = {
     # No flow floor: constant overload gridlocks the GP lanes in finite time.
     "triangular-gridlock": ("fd.flow_floor_veh_h=0", "simulation.horizon_h=2"),
 }
-
-
-def preset(name: str) -> ScenarioConfig:
-    """The study base with the named preset's overrides applied."""
-    return _build(_stack(name, configparser.ConfigParser()))
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -147,18 +142,15 @@ def _parse_demand(cp: configparser.ConfigParser) -> DemandProfile:
 
 
 def _parse_choice(cp: configparser.ConfigParser):
-    """The stack's choice model, from its keys over the base's value or, for another class, its defaults."""
-    base = _BASE.choice
-    model = cp.get("choice", "model", fallback="logit" if isinstance(base, LogitChoice) else "ue")
-    family = cp.get("choice", "vot_family",
-                    fallback="uniform" if isinstance(base, UniformVot) else "exponential")
+    """The stack's choice model, its keys over its class's defaults; the fallbacks are the base's."""
+    model = cp.get("choice", "model", fallback="ue")
+    family = cp.get("choice", "vot_family", fallback="exponential")
     variant = (model, family) if model == "ue" else (model,)
     if variant not in _CHOICE:
         raise ConfigError(f"unknown VOT family {family!r}" if model == "ue"
                           else f"unknown choice model {model!r}")
     cls, what, table = _CHOICE[variant]
-    start = base if isinstance(base, cls) else cls()
-    return replace(start, **_read(cp, "choice", table, _SWITCHES["choice"][:len(variant)], what))
+    return cls(**_read(cp, "choice", table, _SWITCHES["choice"][:len(variant)], what))
 
 
 def _build(cp: configparser.ConfigParser) -> ScenarioConfig:

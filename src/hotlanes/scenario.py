@@ -35,7 +35,6 @@ __all__ = [
     "metrics",
     "compare_hov_hot",
     "csv_rows",
-    "write_csv",
     "iter_csv",
     "read_csv",
     "CSV_COLUMNS",
@@ -84,8 +83,8 @@ class DemandProfile:
 
     @property
     def kind(self) -> str:
-        """'constant' for one knot, else 'piecewise'."""
-        return "constant" if len(self.breakpoints) == 1 else "piecewise"
+        """'constant' when every knot has the same rates, else 'piecewise'."""
+        return "constant" if len({*self.hov_rates}) == len({*self.sov_rates}) == 1 else "piecewise"
 
     def held_rates(self, t: float) -> tuple[float, float, float]:
         """(HOV rate, SOV rate, t_end): the rates at t [veh/h], which hold unchanged on [t, t_end].
@@ -116,7 +115,7 @@ class ScenarioConfig:
     any consistent length unit works as long as it is used throughout.
     """
 
-    MAX_STEPS = 10**8  # not a field: Euler steps one run may take, about 200 s at 2 us each
+    MAX_STEPS = 10**8  # not a field: Euler steps one run may take, about 2 min at 1-1.5 us each
 
     fd_hot: FdParams
     fd_gp: FdParams
@@ -536,7 +535,10 @@ _LABEL, _FLAG = {p: p for p in ("SUC", "C", "SOC")}, {"0": 0, "1": 1}  # cell ->
 
 
 def csv_rows(records: Iterable[SimulationRecord], path: str) -> Iterator[SimulationRecord]:
-    """Pass the records through, writing each first to the CSV at ``path`` (opened at the first)."""
+    """Pass the records through, writing each first to the CSV at ``path`` (opened at the first).
+
+    The file is UTF-8 with 9 significant digits per float; drain the stream to write it all.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_HEADER)
         for r in records:
@@ -544,16 +546,10 @@ def csv_rows(records: Iterable[SimulationRecord], path: str) -> Iterator[Simulat
             yield r
 
 
-def write_csv(records: Iterable[SimulationRecord], path: str) -> None:
-    """Write records as UTF-8 CSV with 9 significant digits per float."""
-    for _ in csv_rows(records, path):
-        pass
-
-
 def iter_csv(path: str) -> Iterator[SimulationRecord]:
-    """Stream the records of a :func:`write_csv` file, in any line ending; blank lines are skipped.
+    """Stream the records of a :func:`csv_rows` file, in any line ending; blank lines are skipped.
 
-    Another header than write_csv's (its first differing column named), a ragged row, a bad cell
+    Another header than csv_rows's (its first differing column named), a ragged row, a bad cell
     (a phase label not SUC, C or SOC, a flag not 0 or 1) or a row holding a quote, NUL, '_', blank
     or non-ASCII character (float() reads ' 1_5 ') is a :class:`ConfigError` naming the line.
     """
@@ -565,7 +561,7 @@ def iter_csv(path: str) -> Iterator[SimulationRecord]:
             if line.rstrip("\n") != _HEADER[:-2]:
                 pairs = zip([*line.rstrip("\n").split(","), None], (*CSV_COLUMNS, None))
                 i, (got, want) = next(x for x in enumerate(pairs, 1) if x[1][0] != x[1][1])
-                raise ConfigError(f"header column {i} is {got!r} where write_csv writes {want!r}")
+                raise ConfigError(f"header column {i} is {got!r} where csv_rows writes {want!r}")
             for num, line in lines:
                 row = line.rstrip("\n").split(",")
                 if len(row) != width:
@@ -580,7 +576,7 @@ def iter_csv(path: str) -> Iterator[SimulationRecord]:
                     flag[row[n + 2]], flag[row[n + 3]], flag[row[n + 4]]))
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"{path}, line {num}: {exc}") from None
-        except KeyError as exc:  # a phase label or flag cell that write_csv never writes
+        except KeyError as exc:  # a phase label or flag cell that csv_rows never writes
             raise ConfigError(f"{path}, line {num}: cell {exc} is not SUC, C, SOC, 0 or 1") from None
 
 

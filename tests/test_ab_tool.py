@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,8 +93,15 @@ def test_no_pairs_summarise_to_counts_only():
     assert set(out) == {"failed_operations", "attempted_operations", "incorrect_runs"}
 
 
+def commit(root):
+    """Make ``root`` a git repository whose one commit holds the files in it."""
+    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "--allow-empty", "-m", "checkout"]):
+        subprocess.run([*git, *args], cwd=root, check=True, capture_output=True)
+
+
 def checkouts(tmp_path):
-    """Two empty checkouts, the parent's with a BENCHMARK.json."""
+    """Two committed checkouts without a package, the parent's with a BENCHMARK.json."""
     dirs = {}
     for side in ("parent", "change"):
         root = tmp_path / side
@@ -102,6 +110,8 @@ def checkouts(tmp_path):
     (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "run_s", "better": "lower"},
                         {"name": "sim_h_per_s", "better": "higher"}]}))
+    for root in dirs.values():
+        commit(root)
     return dirs
 
 
@@ -127,6 +137,34 @@ def fake_runs(monkeypatch, dirs, fail_at=None):
 def run_main(dirs, out, workload, pairs):
     return ab.main([dirs["parent"], dirs["change"], "--workload", workload,
                     "--pairs", str(pairs), "--out", str(out)])
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("state", ["no repository", "no commit"])
+def test_a_side_without_a_commit_is_refused(tmp_path, monkeypatch, capsys, side, state):
+    dirs = checkouts(tmp_path)
+    bare = tmp_path / "bare"
+    (bare / "src" / "hotlanes").mkdir(parents=True)
+    if state == "no commit":
+        subprocess.run(["git", "init", "-q"], cwd=bare, check=True)
+    dirs[side] = str(bare)
+    fake_runs(monkeypatch, dirs)
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 1) == 1
+    assert capsys.readouterr().err == f"{bare}: the {side} side has no git commit\n"
+    assert not out.exists()
+
+
+def test_header_names_each_side_by_its_commit(tmp_path, monkeypatch):
+    dirs = checkouts(tmp_path)
+    fake_runs(monkeypatch, dirs)
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 1) == 0
+    doc = json.loads(out.read_text())
+    for side in ("parent", "change"):
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=dirs[side], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        assert doc[f"{side}_sha"] == head and len(head) == 40
 
 
 def test_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch, capsys):

@@ -29,15 +29,15 @@ from hotlanes.estimation import (
 )
 from hotlanes.lane_choice import ExponentialVot, LogitChoice
 from hotlanes.nfd import capacity, critical_density
-from hotlanes.presets import preset
+from hotlanes.presets import apply_overrides
 from hotlanes.scenario import (
     DemandProfile,
     ScenarioConfig,
     compare_hov_hot,
     constant_equilibrium,
+    csv_rows,
     iter_run,
     run,
-    write_csv,
 )
 
 RHO_C = 70.0 / 3.0
@@ -76,26 +76,26 @@ def quiet_run(config, **kwargs):
 @pytest.fixture(scope="module")
 def constant_run():
     """The constant-demand study preset over its full 5 h horizon."""
-    return quiet_run(preset("constant"))
+    return quiet_run(apply_overrides(None, "constant", []))
 
 
 @pytest.fixture(scope="module")
 def constant_run_12h():
     """Longer constant-demand run for the growth-rate regressions."""
-    return quiet_run(replace(preset("constant"), horizon_h=12.0))
+    return quiet_run(replace(apply_overrides(None, "constant", []), horizon_h=12.0))
 
 
 @pytest.fixture(scope="module")
 def constant_run_long():
     """The constant-demand preset run on to LONG_HORIZON_H at a 1 s step."""
     return quiet_run(
-        replace(preset("constant"), horizon_h=LONG_HORIZON_H, dt_s=1.0, output_dt_s=60.0)
+        replace(apply_overrides(None, "constant", []), horizon_h=LONG_HORIZON_H, dt_s=1.0, output_dt_s=60.0)
     )
 
 
 @pytest.fixture(scope="module")
 def logit_run():
-    return quiet_run(replace(preset("constant-logit"), horizon_h=2.0))
+    return quiet_run(replace(apply_overrides(None, "constant-logit", []), horizon_h=2.0))
 
 
 def test_criterion_1_critical_density_and_capacity(criterion, fd_triangular):
@@ -148,7 +148,7 @@ def slow_mode_closed_form(cfg, records, p0, invariant):
 
 
 def test_criterion_2_optimal_equilibrium(criterion, constant_run, constant_run_long):
-    cfg = preset("constant")
+    cfg = apply_overrides(None, "constant", [])
     p0 = constant_equilibrium(cfg).p0
     last = constant_run[-1]
     xi_ok = abs(last.xi) < 5.0
@@ -197,7 +197,7 @@ def test_criterion_2_optimal_equilibrium(criterion, constant_run, constant_run_l
 
 
 def test_criterion_3_linear_growth_regime(criterion, constant_run_12h):
-    cfg = preset("constant")
+    cfg = apply_overrides(None, "constant", [])
     pred = constant_equilibrium(cfg)
     window = [r for r in constant_run_12h if r.t >= 9.0]
     ts = [r.t for r in window]
@@ -229,7 +229,7 @@ GEOMETRIES = {
 @pytest.mark.parametrize("geometry", GEOMETRIES.values(), ids=GEOMETRIES)
 def test_criterion_3_rates_hold_on_any_geometry(geometry):
     length, hot_lanes, gp_lanes, hov, sov = geometry
-    cfg = replace(preset("constant"), corridor_length=length, hot_lanes=hot_lanes,
+    cfg = replace(apply_overrides(None, "constant", []), corridor_length=length, hot_lanes=hot_lanes,
                   gp_lanes=gp_lanes, demand=DemandProfile.constant(hov, sov),
                   horizon_h=12.0, dt_s=0.5, output_dt_s=60.0)
     pred = constant_equilibrium(cfg)
@@ -265,7 +265,7 @@ def test_criterion_4_stability_verdicts(criterion):
 
 
 def test_criterion_5_triangular_gridlock(criterion):
-    base = preset("triangular-gridlock")
+    base = apply_overrides(None, "triangular-gridlock", [])
     rng = random.Random(12345)
     jam_times = []
     for _ in range(10):
@@ -395,7 +395,7 @@ def test_criterion_7_choice_model_properties(criterion, fd_floor):
 
 
 def test_criterion_8_residual_identity_scales_with_dt(criterion):
-    base = replace(preset("constant"), horizon_h=1.0, initial_gp_trips=46.67)
+    base = replace(apply_overrides(None, "constant", []), horizon_h=1.0, initial_gp_trips=46.67)
     residuals = {}
     for dt_s in (0.1, 0.05, 0.025):
         cfg = replace(base, dt_s=dt_s, output_dt_s=dt_s)
@@ -446,7 +446,7 @@ def test_criterion_9_estimation_round_trips(criterion, constant_run, logit_run):
 
 
 def test_criterion_10_hov_vs_hot_comparison(criterion):
-    cfg = preset("trapezoid")
+    cfg = apply_overrides(None, "trapezoid", [])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = compare_hov_hot(cfg)
@@ -466,11 +466,11 @@ def test_criterion_10_hov_vs_hot_comparison(criterion):
 
 
 def test_criterion_11_deterministic_output(criterion, tmp_path):
-    cfg = replace(preset("constant"), horizon_h=0.25)
+    cfg = replace(apply_overrides(None, "constant", []), horizon_h=0.25)
     paths = []
     for name in ("first.csv", "second.csv"):
         p = tmp_path / name
-        write_csv(quiet_run(cfg), str(p))
+        list(csv_rows(quiet_run(cfg), str(p)))
         paths.append(p)
     ok = paths[0].read_bytes() == paths[1].read_bytes()
     criterion(11, "identical configs produce byte-identical CSV output", ok,

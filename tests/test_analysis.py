@@ -17,7 +17,7 @@ from hotlanes.analysis import (
 )
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity, critical_density, flow, flow_slope
-from hotlanes.presets import preset
+from hotlanes.presets import apply_overrides
 from hotlanes.scenario import DemandProfile, ScenarioConfig
 
 RHO_C = 70.0 / 3.0
@@ -25,7 +25,7 @@ RHO_C = 70.0 / 3.0
 
 def study(hov=2000.0, sov=8600.0):
     """The constant preset on a 10 km corridor with the given constant demand."""
-    return replace(preset("constant"), corridor_length=10.0,
+    return replace(apply_overrides(None, "constant", []), corridor_length=10.0,
                    demand=DemandProfile.constant(hov, sov))
 
 
@@ -36,7 +36,7 @@ class TestEquilibriumShare:
         assert p0 == pytest.approx(0.3101, rel=1e-3)
 
     def test_share_in_unit_interval(self):
-        p0 = constant_equilibrium(preset("constant")).p0
+        p0 = constant_equilibrium(apply_overrides(None, "constant", [])).p0
         assert 0.0 < p0 < 1.0
 
     def test_doubling_sov_demand_halves_share(self):
@@ -65,12 +65,12 @@ class TestEquilibriumShare:
 
     def test_time_varying_demand_rejected(self):
         with pytest.raises(ValueError, match="constant demand"):
-            constant_equilibrium(preset("trapezoid"))
+            constant_equilibrium(apply_overrides(None, "trapezoid", []))
 
 
 def gridlock_study():
     """The triangular-gridlock preset on a 10 km corridor, 2000 HOV and 8600 SOV veh/h."""
-    return replace(preset("triangular-gridlock"), corridor_length=10.0,
+    return replace(apply_overrides(None, "triangular-gridlock", []), corridor_length=10.0,
                    demand=DemandProfile.constant(2000.0, 8600.0))
 
 
@@ -100,7 +100,7 @@ class TestTriangularGrowth:
 
     def test_raises_as_constant_equilibrium(self):
         with pytest.raises(ValueError, match="constant demand"):
-            triangular_growth(preset("trapezoid"), 500.0, 0.1)
+            triangular_growth(apply_overrides(None, "trapezoid", []), 500.0, 0.1)
 
 
 class TestAtfdGrowthRates:
@@ -130,7 +130,7 @@ class TestAtfdGrowthRates:
         assert pred.delta2_rate == pytest.approx(0.0, abs=1e-6)
 
     def test_requires_positive_floor(self):
-        pred = constant_equilibrium(preset("triangular-gridlock"))
+        pred = constant_equilibrium(apply_overrides(None, "triangular-gridlock", []))
         assert pred.regime == "exponential"
         assert math.isnan(pred.omega0) and math.isnan(pred.omega1)
         assert math.isnan(pred.delta2_rate)
@@ -210,6 +210,12 @@ class TestStability:
         assert big.real == pytest.approx(-1e250, rel=1e-15)
         assert res.stable
 
+    def test_centre_is_not_asymptotically_stable(self):
+        # trace exactly 0 and determinant 1: the undamped pair +-1j neither grows nor decays
+        res = LinearizedSystem(H=1.0, J=2.0, K1=1.0, K2=2.0, L1=1.0)
+        assert res.eigenvalues == (1j, -1j)
+        assert not res.stable
+
     def test_saddle_is_unstable(self):
         res = LinearizedSystem(H=1.0, J=0.0, K1=-8.0, K2=5.0, L1=10.0)
         hi, lo = res.eigenvalues
@@ -269,6 +275,10 @@ class TestMaxOutflow:
     def test_a1_applicability_flag(self, fd_triangular):
         assert max_outflow_cases(two_groups(fd_triangular), 60.0).a1_applicable
         assert not max_outflow_cases(two_groups(fd_triangular), 10.0).a1_applicable
+        # both bounds are strict: exactly critical, and exactly twice the jam density
+        rho_c = critical_density(fd_triangular)
+        assert not max_outflow_cases(two_groups(fd_triangular), rho_c).a1_applicable
+        assert not max_outflow_cases(two_groups(fd_triangular), 280.0).a1_applicable
 
     def test_groups_on_different_diagrams_or_lane_counts_rejected(self, fd_triangular):
         base = two_groups(fd_triangular)
@@ -381,7 +391,7 @@ class TestChoiceSensitivity:
         # at lam = xi = 0 the UE toll slope is -mean / p, so H = mean / (p e2)
         h = loop_matrix(one_lane(fd_floor), 0.0, 0.0, 0.1).H
         p = 50.0 / (h * 860.0)
-        assert p == pytest.approx(constant_equilibrium(preset("constant")).p0, rel=1e-9)
+        assert p == pytest.approx(constant_equilibrium(apply_overrides(None, "constant", [])).p0, rel=1e-9)
 
     def test_decreasing_in_residual_service(self, fd_floor):
         # at rho1 = 10 the share at xi = 0 is exactly 0 (g1 L1 / D = e1), where
@@ -447,9 +457,9 @@ class TestGapSensitivities:
 
 
 CONFIGS = {
-    "constant": preset("constant"),
-    "constant-logit": preset("constant-logit"),
-    "uniform-ue": replace(preset("constant"), choice=UniformVot(0.0, 100.0)),
+    "constant": apply_overrides(None, "constant", []),
+    "constant-logit": apply_overrides(None, "constant-logit", []),
+    "uniform-ue": replace(apply_overrides(None, "constant", []), choice=UniformVot(0.0, 100.0)),
 }
 
 
@@ -465,7 +475,7 @@ class TestLoopMatrix:
         assert sysm.J == pytest.approx(j, rel=1e-6)
 
     def test_effective_gains(self):
-        cfg = preset("constant")
+        cfg = apply_overrides(None, "constant", [])
         c, omega = cfg.controller, 0.25
         sysm = loop_matrix(cfg, 1.0, 0.0, omega)
         L1 = cfg.hot_lanes * cfg.corridor_length
@@ -492,26 +502,26 @@ class TestLoopMatrix:
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
     def test_right_side_is_the_default(self, lam):
-        cfg = preset("constant")
+        cfg = apply_overrides(None, "constant", [])
         assert loop_matrix(cfg, lam, 0.0, 0.25) == loop_matrix(cfg, lam, 0.0, 0.25, side="right")
 
     @pytest.mark.parametrize("lam", [-1.0, 1.0, 5.0])
     def test_sides_agree_off_the_kink(self, lam):
-        cfg = preset("constant")
+        cfg = apply_overrides(None, "constant", [])
         assert loop_matrix(cfg, lam, 0.0, 0.25, side="left") == loop_matrix(cfg, lam, 0.0, 0.25)
 
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError, match="side must be"):
-            loop_matrix(preset("constant"), 0.0, 0.0, 0.25, side="up")
+            loop_matrix(apply_overrides(None, "constant", []), 0.0, 0.0, 0.25, side="up")
 
     def test_negative_density_rejected(self):
-        cfg = preset("constant")
+        cfg = apply_overrides(None, "constant", [])
         with pytest.raises(ValueError, match="negative density"):
             loop_matrix(cfg, -critical_density(cfg.fd_hot) - 1e-6, 0.0, 0.1)
 
     @pytest.mark.parametrize("share", [0.0, 1.0])
     def test_logit_share_at_the_bounds_rejected(self, share):
-        cfg = preset("constant-logit")
+        cfg = apply_overrides(None, "constant-logit", [])
         # xi that puts the share implied by the state at lam = 0 exactly on the bound
         completion = flow(cfg.fd_hot, critical_density(cfg.fd_hot)) * 1.0 / 5.0 - 200.0
         xi = completion - share * 860.0
@@ -520,27 +530,27 @@ class TestLoopMatrix:
 
     def test_non_positive_gap_rejected(self):
         with pytest.raises(ValueError, match="gap must be positive"):
-            loop_matrix(preset("constant"), 1.0, 0.0, 0.0)
+            loop_matrix(apply_overrides(None, "constant", []), 1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("omega", [math.inf, math.nan])
     def test_gap_that_is_not_finite_rejected(self, omega):
         with pytest.raises(ValueError, match="gap must be positive and finite"):
-            loop_matrix(preset("constant"), 1.0, 0.0, omega)
+            loop_matrix(apply_overrides(None, "constant", []), 1.0, 0.0, omega)
 
     def test_no_sov_demand_rejected(self):
         # the state's share divides by the SOV rate
-        cfg = replace(preset("constant"), demand=DemandProfile.constant(200.0, 0.0))
+        cfg = replace(apply_overrides(None, "constant", []), demand=DemandProfile.constant(200.0, 0.0))
         with pytest.raises(ValueError, match="SOV rate must be positive, got 0.0"):
             loop_matrix(cfg, 0.0, 0.0, 0.5)
 
     @pytest.mark.parametrize("demand", [
-        preset("trapezoid").demand,  # the peak rates are not an operating point
-        DemandProfile(breakpoints=(0.0, 1.0),  # flat, but two knots are not one
-                      hov_rates=(200.0, 200.0), sov_rates=(860.0, 860.0)),
+        apply_overrides(None, "trapezoid", []).demand,  # the peak rates are not an operating point
+        DemandProfile(breakpoints=(0.0, 1.0),  # the HOV rate is flat, the SOV rate is not
+                      hov_rates=(200.0, 200.0), sov_rates=(860.0, 900.0)),
     ], ids=["trapezoid", "piecewise"])
     def test_time_varying_demand_rejected(self, demand):
         with pytest.raises(ValueError, match="constant demand"):
-            loop_matrix(replace(preset("constant"), demand=demand), 0.0, 0.0, 0.25)
+            loop_matrix(replace(apply_overrides(None, "constant", []), demand=demand), 0.0, 0.0, 0.25)
 
 
 CHOICES = {

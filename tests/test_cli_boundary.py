@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import hotlanes
 from hotlanes.cli import main
-from hotlanes.presets import _KNOWN_KEYS, PRESETS, preset
+from hotlanes.presets import _KNOWN_KEYS, PRESETS, apply_overrides
 from hotlanes.scenario import CSV_COLUMNS, read_csv
 
 EDGE_VALUES = ("nan", "inf", "-1", "0", "1e300", "1e308", "", "abc")
@@ -233,7 +233,7 @@ def a1_argv(command):
 def test_a1_warning_is_one_plain_line(command, warning_filter, tmp_path):
     code, _, err = hotlanes_process(a1_argv(command), tmp_path, warning_filter)
     assert code == 0
-    shown = [] if warning_filter == "ignore" else preset("trapezoid").a1_warnings()
+    shown = [] if warning_filter == "ignore" else apply_overrides(None, "trapezoid", []).a1_warnings()
     assert err.splitlines() == [f"warning: demand assumption violated at peak: {msg}" for msg in shown]
 
 
@@ -242,7 +242,7 @@ def test_a1_warning_made_an_error_is_a_config_error(command, tmp_path):
     code, out, err = hotlanes_process(a1_argv(command), tmp_path, "error")
     assert code == 1 and out == ""
     assert err == f"config error: demand assumption violated at peak: " \
-                  f"{preset('trapezoid').a1_warnings()[0]}\n"
+                  f"{apply_overrides(None, 'trapezoid', []).a1_warnings()[0]}\n"
     assert not (tmp_path / "run.csv").exists()
 
 

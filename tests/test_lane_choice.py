@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from hotlanes.controller import ControllerState
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
-from hotlanes.presets import preset
+from hotlanes.presets import apply_overrides
 from hotlanes.scenario import DemandProfile, run
 
 UE = ExponentialVot(mean=50.0)
@@ -153,7 +153,7 @@ def split_rows(sov, mode="hot", choice=UE, b0=0.0):
     The corridor is empty at t = 0, so the gap is 0 and the posted toll is ``b0``.
     """
     config = replace(
-        preset("constant"), demand=DemandProfile.constant(0.0, sov), mode=mode,
+        apply_overrides(None, "constant", []), demand=DemandProfile.constant(0.0, sov), mode=mode,
         choice=choice, controller=ControllerState(b=b0),
         dt_s=1.0, output_dt_s=1.0, horizon_h=2.0 / 3600.0,
     )

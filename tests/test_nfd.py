@@ -119,6 +119,10 @@ class TestParameterValidation:
     def test_floor_bounded_by_capacity(self):
         with pytest.raises(ValueError):
             FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=5000.0)
+        # the tolerance covers rounding, not a floor 0.05% above capacity
+        cap = capacity(FdParams(u_f=100.0, w=20.0, rho_j=140.0))
+        with pytest.raises(ValueError, match="outside"):
+            FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=1.0005 * cap)
 
     def test_floor_at_capacity_is_ramp_diagram(self):
         fd = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=7000.0 / 3.0)

@@ -34,14 +34,14 @@ from conftest import until_gp_jam
 
 from hotlanes.bathtub import HotGridlockError, SaturationStats
 from hotlanes.lane_choice import UniformVot
-from hotlanes.presets import preset
-from hotlanes.scenario import CSV_COLUMNS, DemandProfile, SimulationRecord, run, write_csv
+from hotlanes.presets import apply_overrides
+from hotlanes.scenario import CSV_COLUMNS, DemandProfile, SimulationRecord, csv_rows, run
 
 
 def case_config(case: str):
     """The config of a pinned case; every horizon is 0.25 h."""
     name, _, variant = case.partition("/")
-    cfg = replace(preset(name), horizon_h=0.25)
+    cfg = replace(apply_overrides(None, name, []), horizon_h=0.25)
     step = cfg.dt_s / 3600.0  # the loop's step in hours: step i is at t = i * step
     if variant == "every-step":
         cfg = replace(cfg, output_dt_s=cfg.dt_s)
@@ -188,7 +188,7 @@ def stats_tuple(stats: SaturationStats):
 def test_csv_and_stats_match_pinned(case, tmp_path):
     stats = SaturationStats()
     path = tmp_path / "run.csv"
-    write_csv(run_case(case, stats), str(path))
+    list(csv_rows(run_case(case, stats), str(path)))
     digest, want_stats = PINNED[case]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert stats_tuple(stats) == want_stats
@@ -225,5 +225,5 @@ def test_template_writer_matches_csv_writer(omega, tmp_path):
         SimulationRecord(**base | {"t": 1 / 3, "delta1": -2.5e-7, "u": 123456789.123, "omega": omega}),
     ]
     path = tmp_path / "run.csv"
-    write_csv(records, str(path))
+    list(csv_rows(records, str(path)))
     assert path.read_bytes() == csv_writer_bytes(records)

@@ -39,7 +39,10 @@ def test_package_exports_each_module_all(name):
 def test_package_star_import():
     namespace = {}
     exec("from hotlanes import *", namespace)
-    assert {"run", "preset", "ScenarioConfig", "HotGridlockError"} <= set(namespace)
+    assert {"run", "apply_overrides", "csv_rows", "ScenarioConfig", "HotGridlockError"} <= set(namespace)
+    # apply_overrides is the one config loader and csv_rows the one record writer
+    assert not {"preset", "write_csv"} & set(namespace)
+    assert not hasattr(hotlanes, "preset") and not hasattr(hotlanes, "write_csv")
 
 
 def test_no_module_imports_inside_a_function():
@@ -89,7 +92,7 @@ RESULT_FIELDS = {
     "Metrics": ("hot", "gp", "max_omega", "revenue", "records"),
     "ComparisonResult": ("hov", "hot"),
 }
-# the repr of compare_hov_hot(preset("constant")), as the frozen dataclasses printed it
+# the repr of compare_hov_hot(apply_overrides(None, "constant", [])), as the frozen dataclasses printed it
 CONSTANT_COMPARISON_REPR = (
     "ComparisonResult(hov=Metrics(hot=LaneMetrics(total_delay=49.49985983761024,"
     " served=989.9944444461912, initiated=999.9944444461896,"
@@ -112,7 +115,7 @@ def test_results_are_named_tuples(name):
 
 
 def _short(name):
-    return replace(hotlanes.preset(name), horizon_h=0.05)
+    return replace(hotlanes.apply_overrides(None, name, []), horizon_h=0.05)
 
 
 def _stats():
@@ -126,13 +129,15 @@ def _stats():
 VALUES = {
     "Metrics": lambda: hotlanes.metrics(hotlanes.run(_short("constant")), 5.0),
     "ComparisonResult": lambda: hotlanes.compare_hov_hot(_short("constant")),
-    "EquilibriumPrediction": lambda: hotlanes.constant_equilibrium(hotlanes.preset("constant")),
-    "LinearizedSystem": lambda: hotlanes.loop_matrix(hotlanes.preset("constant"), 0.0, 0.0, 0.5),
+    "EquilibriumPrediction": lambda: hotlanes.constant_equilibrium(
+        hotlanes.apply_overrides(None, "constant", [])),
+    "LinearizedSystem": lambda: hotlanes.loop_matrix(
+        hotlanes.apply_overrides(None, "constant", []), 0.0, 0.0, 0.5),
     "MaxOutflowAnalysis": lambda: hotlanes.max_outflow_cases(
-        hotlanes.preset("triangular-gridlock"), 60.0),
+        hotlanes.apply_overrides(None, "triangular-gridlock", []), 60.0),
     "SimulationRecord": lambda: hotlanes.run(_short("constant-logit"))[-1],
     "SaturationStats": _stats,
-    "ScenarioConfig": lambda: hotlanes.preset("trapezoid"),
+    "ScenarioConfig": lambda: hotlanes.apply_overrides(None, "trapezoid", []),
 }
 
 
@@ -146,4 +151,5 @@ def test_results_are_values(name):
 
 
 def test_comparison_repr_is_unchanged():
-    assert repr(hotlanes.compare_hov_hot(hotlanes.preset("constant"))) == CONSTANT_COMPARISON_REPR
+    result = hotlanes.compare_hov_hot(hotlanes.apply_overrides(None, "constant", []))
+    assert repr(result) == CONSTANT_COMPARISON_REPR

@@ -1,17 +1,20 @@
 """Invariants of ``run`` over random short configurations, checked on the real loop."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
+from operator import attrgetter
 
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from hotlanes.bathtub import HotGridlockError, jam_trip_cap
 from hotlanes.controller import ControllerState
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity, classify_phase, speed
-from hotlanes.presets import preset
-from hotlanes.scenario import CSV_COLUMNS, ConfigError, DemandProfile, run
+from hotlanes.presets import apply_overrides
+from hotlanes.scenario import CSV_COLUMNS, ConfigError, DemandProfile, iter_run, run
 
 FLOAT_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("phase1")]
 BASE_FD = FdParams(u_f=100.0, w=20.0, rho_j=140.0)
@@ -130,8 +133,8 @@ def close(got, want, *running):
 @example({"hot_lanes": 0})
 @example({"fd_gp": BASE_FD, "initial_gp_trips": 140.5})
 # a positive HOT speed too small for a finite reciprocal is a gridlock, not a gap of -inf
-@example({"fd_hot": replace(preset("constant").fd_hot, c=1e-320), "initial_hot_trips": 140.0,
-          "horizon_h": 0.01})
+@example({"fd_hot": replace(apply_overrides(None, "constant", []).fd_hot, c=1e-320),
+          "initial_hot_trips": 140.0, "horizon_h": 0.01})
 # a start just under the GP jam cap, without a flow floor, reaches the cap at t = 0.0016 h
 @example({"fd_gp": BASE_FD, "initial_gp_trips": 139.9, "horizon_h": 0.01, "output_dt_s": 0.1})
 # over-critical starts post a toll that sweeps each UniformVot's thresholds through [low, high]
@@ -143,7 +146,7 @@ def close(got, want, *running):
 @given(short_configs())
 def test_run_outcome_and_invariants(overrides):
     try:
-        config = replace(preset("constant"), **overrides)
+        config = replace(apply_overrides(None, "constant", []), **overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # random demand need not overload the corridor
             records = run(config)
@@ -193,3 +196,28 @@ def test_run_outcome_and_invariants(overrides):
         served2 = r.delta2 + entered2 if nxt.delta2 == 0.0 else dt * r.g2
         assert close(nxt.G1 - r.G1, served1, r.G1, nxt.G1, r.delta1), (r, nxt)
         assert close(nxt.G2 - r.G2, served2, r.G2, nxt.G2, r.delta2), (r, nxt)
+
+
+STATE = attrgetter("delta1", "delta2", "a", "b")  # the loop state a constant-demand record carries
+
+
+@pytest.mark.parametrize("name", ["constant", "constant-logit"])
+def test_a_run_restarts_from_its_1_h_record(name):
+    """A restart from the 1 h record of a 2 h run, with that record's trips and coefficients as
+    the initial state, gives delta1, delta2, a and b of each of the 36,000 later records bit for bit.
+
+    It holds where those four are the whole state the loop carries into its next step: the
+    demand does not read the clock, and the controller ticks every step.
+    """
+    config = apply_overrides(None, name, ["simulation.horizon_h=2", "simulation.output_dt_s=0.1"])
+    later = itertools.islice(iter_run(config), 36_000, None)
+    start = next(later)
+    assert round(start.t, 9) == 1.0
+    restart = replace(config, horizon_h=1.0, initial_hot_trips=start.delta1,
+                      initial_gp_trips=start.delta2,
+                      controller=replace(config.controller, a=start.a, b=start.b))
+    want = list(map(STATE, itertools.chain([start], later)))
+    got = list(map(STATE, iter_run(restart)))
+    assert len(got) == len(want) == 36_000
+    # no value is a signed zero, so == is bit equality (and a NaN would compare unequal)
+    assert 0.0 not in itertools.chain.from_iterable(want) and got == want

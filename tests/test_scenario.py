@@ -20,7 +20,7 @@ from hotlanes.cli import main
 from hotlanes.controller import ControllerState
 from hotlanes.lane_choice import ExponentialVot, LogitChoice, UniformVot
 from hotlanes.nfd import FdParams, capacity
-from hotlanes.presets import _KNOWN_KEYS, PRESETS, apply_overrides, preset
+from hotlanes.presets import _KNOWN_KEYS, PRESETS, apply_overrides
 from hotlanes.scenario import (
     ComparisonResult,
     ConfigError,
@@ -31,12 +31,12 @@ from hotlanes.scenario import (
     CSV_COLUMNS,
     SimulationRecord,
     compare_hov_hot,
+    csv_rows,
     iter_csv,
     iter_run,
     metrics,
     read_csv,
     run,
-    write_csv,
 )
 
 
@@ -150,6 +150,9 @@ class TestDemandProfile:
         assert DemandProfile.constant(200.0, 860.0).kind == "constant"
         assert DemandProfile((3.0,), (1.0,), (2.0,)).kind == "constant"
         assert DemandProfile.trapezoid(1.0, 1.0, 0.0, 1.0, 2.0, 3.0).kind == "piecewise"
+        # the kind is the rates' shape, not the knot count
+        assert DemandProfile((0.0, 1.0), (200.0, 200.0), (860.0, 860.0)).kind == "constant"
+        assert DemandProfile((0.0, 1.0), (200.0, 200.0), (860.0, 900.0)).kind == "piecewise"
         # the knots are tuples of floats, a zero rate +0.0
         d = DemandProfile([-0.0, 1], [-0.0, 2], [0, 3])
         assert repr(d) == "DemandProfile(breakpoints=(0.0, 1.0), hov_rates=(0.0, 2.0), sov_rates=(0.0, 3.0))"
@@ -214,17 +217,17 @@ FACTORY_PRESETS = {
 class TestConfig:
     @pytest.mark.parametrize("name", sorted(FACTORY_PRESETS))
     def test_preset_matches_the_factory_it_replaces(self, name):
-        assert preset(name) == FACTORY_PRESETS[name]
-        assert repr(preset(name)) == repr(FACTORY_PRESETS[name])
+        assert apply_overrides(None, name, []) == FACTORY_PRESETS[name]
+        assert repr(apply_overrides(None, name, [])) == repr(FACTORY_PRESETS[name])
 
     def test_every_preset_is_an_override_list(self):
         assert sorted(PRESETS) == sorted(FACTORY_PRESETS)
         for name, overrides in PRESETS.items():
             assert isinstance(overrides, tuple)
-            assert apply_overrides(None, "constant", list(overrides)) == preset(name)
+            assert apply_overrides(None, "constant", list(overrides)) == apply_overrides(None, name, [])
 
     def test_preset_constant_defaults(self):
-        cfg = preset("constant")
+        cfg = apply_overrides(None, "constant", [])
         assert cfg.demand.held_rates(1.0)[:2] == (200.0, 860.0)
         assert cfg.fd_hot.u_f == 100.0
         assert cfg.fd_gp.c == pytest.approx(0.8 * 7000.0 / 3.0)
@@ -235,14 +238,14 @@ class TestConfig:
     def test_unknown_preset(self):
         available = "available: constant, constant-logit, trapezoid, triangular-gridlock"
         with pytest.raises(ConfigError, match=f"^unknown preset 'nope'; {available}$"):
-            preset("nope")
+            apply_overrides(None, "nope", [])
 
     def test_trapezoid_preset_warns_at_peak(self):
-        cfg = preset("trapezoid")
+        cfg = apply_overrides(None, "trapezoid", [])
         assert cfg.a1_warnings()  # peak deliberately below joint capacity
 
     def test_validation(self):
-        cfg = preset("constant")
+        cfg = apply_overrides(None, "constant", [])
         with pytest.raises(ConfigError):
             replace(cfg, mode="bus")
         with pytest.raises(ConfigError):
@@ -260,12 +263,13 @@ class TestConfig:
                 replace(cfg, **bad)
 
     def test_initial_trips_within_the_jam_cap(self, tmp_path, capsys):
-        cfg = preset("triangular-gridlock")  # no flow floor: a group holds at most rho_j * L trips
+        # no flow floor: a group holds at most rho_j * L trips
+        cfg = apply_overrides(None, "triangular-gridlock", [])
         for field in ("initial_hot_trips", "initial_gp_trips"):
             assert replace(cfg, **{field: 140.0})  # exactly at the cap
             with pytest.raises(ConfigError, match=f"^{field} = 1000 exceeds the jam cap 140$"):
                 replace(cfg, **{field: 1000.0})
-            assert replace(preset("constant"), **{field: 1e300})  # a flow floor: no cap
+            assert replace(apply_overrides(None, "constant", []), **{field: 1e300})  # a flow floor: no cap
         out = tmp_path / "over.csv"
         assert main(["run", "--preset", "triangular-gridlock",
                      "--set", "simulation.initial_gp_trips=1000",
@@ -275,7 +279,7 @@ class TestConfig:
         assert not out.exists()
 
     def test_step_ceiling(self):
-        cfg = replace(preset("constant"), dt_s=1.0, output_dt_s=1.0)
+        cfg = replace(apply_overrides(None, "constant", []), dt_s=1.0, output_dt_s=1.0)
         ceiling = ScenarioConfig.MAX_STEPS
         replace(cfg, horizon_h=0.5 * ceiling / 3600.0)
         for bad in ({"horizon_h": 2.0 * ceiling / 3600.0}, {"horizon_h": 1e9},
@@ -438,11 +442,11 @@ class TestConfig:
     def test_command_line_preset_beats_the_file(self, tmp_path):
         path = tmp_path / "preset.ini"
         path.write_text("[scenario]\npreset = constant\n")
-        assert apply_overrides(str(path), None, []) == preset("constant")
-        assert apply_overrides(str(path), "trapezoid", []) == preset("trapezoid")
+        assert apply_overrides(str(path), None, []) == apply_overrides(None, "constant", [])
+        assert apply_overrides(str(path), "trapezoid", []) == apply_overrides(None, "trapezoid", [])
         # --set still beats --preset
         cfg = apply_overrides(str(path), "trapezoid", ["scenario.preset=constant-logit"])
-        assert cfg == preset("constant-logit")
+        assert cfg == apply_overrides(None, "constant-logit", [])
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
@@ -455,13 +459,13 @@ class TestConfig:
             "[fd.gp]\nflow_floor_veh_h = 466.5\n"
         )
         cfg = apply_overrides(str(path), None, [])
-        assert cfg.fd_gp == replace(preset("constant").fd_gp, c=466.5)
-        assert cfg.fd_hot == preset("constant").fd_hot
+        assert cfg.fd_gp == replace(apply_overrides(None, "constant", []).fd_gp, c=466.5)
+        assert cfg.fd_hot == apply_overrides(None, "constant", []).fd_hot
 
 
 class TestRunner:
     def test_zero_demand_stays_empty(self):
-        cfg = short(preset("constant"))
+        cfg = short(apply_overrides(None, "constant", []))
         cfg = replace(cfg, demand=DemandProfile.constant(0.0, 0.0))
         records = quiet_run(cfg)
         assert all(r.delta1 == 0.0 and r.delta2 == 0.0 for r in records)
@@ -469,7 +473,7 @@ class TestRunner:
         assert all(r.g1 == 0.0 and r.g2 == 0.0 for r in records)
 
     def test_record_internal_consistency(self):
-        cfg = short(preset("constant"), horizon_h=0.05, dt_s=0.25)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.05, dt_s=0.25)
         records = quiet_run(cfg)
         L1 = cfg.hot_lanes * cfg.corridor_length
         for r in records:
@@ -480,14 +484,14 @@ class TestRunner:
             assert r.e21_tilde == pytest.approx(r.p * r.e2_tilde)
 
     def test_emits_first_and_last_steps(self):
-        cfg = short(preset("constant"), horizon_h=0.01, dt_s=0.5)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.01, dt_s=0.5)
         records = quiet_run(cfg)
         assert records[0].t == 0.0
         n_steps = round(cfg.horizon_h * 3600 / cfg.dt_s)
         assert records[-1].t == pytest.approx((n_steps - 1) * cfg.dt_s / 3600.0)
 
     def test_output_decimation(self):
-        cfg = replace(preset("constant"), horizon_h=0.01, dt_s=0.5, output_dt_s=2.0)
+        cfg = replace(apply_overrides(None, "constant", []), horizon_h=0.01, dt_s=0.5, output_dt_s=2.0)
         records = quiet_run(cfg)
         gaps = [round((b.t - a.t) * 3600.0, 6) for a, b in zip(records, records[1:])]
         assert all(g == 2.0 for g in gaps[:-1])
@@ -495,13 +499,14 @@ class TestRunner:
 
     @pytest.mark.parametrize("output_dt_s", [36.5, 1e308])
     def test_interval_past_horizon_records_first_and_last(self, output_dt_s):
-        cfg = replace(preset("constant"), horizon_h=0.01, dt_s=0.5, output_dt_s=output_dt_s)
+        cfg = replace(apply_overrides(None, "constant", []), horizon_h=0.01, dt_s=0.5,
+                      output_dt_s=output_dt_s)
         records = quiet_run(cfg)
         assert [round(r.t * 3600.0, 6) for r in records] == [0.0, 35.5]
         assert records == quiet_run(replace(cfg, output_dt_s=36.0))
 
     def test_control_decimation_holds_toll(self):
-        cfg = preset("constant")
+        cfg = apply_overrides(None, "constant", [])
         cfg = short(cfg, horizon_h=0.01, dt_s=0.1, initial_gp_trips=46.67,
                     controller=replace(cfg.controller, decimation=10))
         records = quiet_run(cfg)
@@ -514,7 +519,7 @@ class TestRunner:
         # toll_clamped is 1 exactly when the toll the last controller tick computed was
         # negative before its clamp, and holds, as the toll does, until the next tick; the
         # flag flips on the ramp up and settles at 1 as the pulse ends at 5 h
-        cfg = preset("trapezoid")
+        cfg = apply_overrides(None, "trapezoid", [])
         cfg = short(cfg, horizon_h=5.0, dt_s=0.5,
                     controller=replace(cfg.controller, decimation=decimation))
         ceiling = cfg.controller.toll_ceiling
@@ -531,12 +536,12 @@ class TestRunner:
         assert len(flagged) == 36000 and 0 < sum(flagged) < len(flagged)
 
     def test_hov_mode_forces_zero_share(self):
-        cfg = short(preset("trapezoid"), horizon_h=0.05, dt_s=0.5)
+        cfg = short(apply_overrides(None, "trapezoid", []), horizon_h=0.05, dt_s=0.5)
         records = quiet_run(replace(cfg, mode="hov"))
         assert all(r.p == 0.0 and r.u == 0.0 and r.e21_tilde == 0.0 for r in records)
 
     def test_hov_and_hot_share_demand(self):
-        cfg = short(preset("trapezoid"), horizon_h=0.05, dt_s=0.5)
+        cfg = short(apply_overrides(None, "trapezoid", []), horizon_h=0.05, dt_s=0.5)
         hov = quiet_run(replace(cfg, mode="hov"))
         hot = quiet_run(replace(cfg, mode="hot"))
         assert [r.e1_tilde for r in hov] == [r.e1_tilde for r in hot]
@@ -545,7 +550,7 @@ class TestRunner:
     def test_hot_gridlock_aborts(self):
         fd = FdParams(u_f=100.0, w=20.0, rho_j=140.0, c=0.0)
         cfg = replace(
-            preset("constant"),
+            apply_overrides(None, "constant", []),
             fd_hot=fd, fd_gp=fd,
             demand=DemandProfile.constant(2000.0, 0.0),
             horizon_h=2.0, dt_s=1.0, output_dt_s=1.0,
@@ -554,7 +559,8 @@ class TestRunner:
             quiet_run(cfg)
 
     def test_stream_ends_where_the_consumer_stops(self):
-        cfg = replace(preset("triangular-gridlock"), horizon_h=2.0, dt_s=0.5, output_dt_s=5.0)
+        cfg = replace(apply_overrides(None, "triangular-gridlock", []), horizon_h=2.0, dt_s=0.5,
+                      output_dt_s=5.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             records = until_gp_jam(cfg)
@@ -564,14 +570,15 @@ class TestRunner:
 
     def test_negative_gap_means_nobody_pays(self):
         # HOT preloaded over-critical, GP free: paying would slow you down
-        cfg = short(preset("constant"), horizon_h=0.005, dt_s=0.5,
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.005, dt_s=0.5,
                     initial_hot_trips=60.0, initial_gp_trips=0.0)
         records = quiet_run(cfg)
         assert records[0].omega < 0.0
         assert records[0].p == 0.0
 
     def test_saturation_stats_filled(self):
-        cfg = replace(preset("triangular-gridlock"), horizon_h=1.5, dt_s=0.5, output_dt_s=5.0)
+        cfg = replace(apply_overrides(None, "triangular-gridlock", []), horizon_h=1.5, dt_s=0.5,
+                      output_dt_s=5.0)
         stats = SaturationStats()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -581,7 +588,7 @@ class TestRunner:
 
     def test_reused_stats_flag_only_this_runs_clamps(self):
         # a 300 s step drains a lane group past zero after the first row
-        cfg = replace(preset("constant"), horizon_h=1.0, dt_s=300.0, output_dt_s=300.0,
+        cfg = replace(apply_overrides(None, "constant", []), horizon_h=1.0, dt_s=300.0, output_dt_s=300.0,
                       initial_hot_trips=10.0, initial_gp_trips=10.0)
         stats = SaturationStats()
         first = quiet_run(cfg, stats=stats)
@@ -593,7 +600,7 @@ class TestRunner:
         # two-hour plateau: no equilibrium, toll rises through the peak and
         # falls once demand recedes
         cfg = replace(
-            preset("trapezoid"),
+            apply_overrides(None, "trapezoid", []),
             demand=DemandProfile.trapezoid(200.0, 700.0, 0.0, 0.5, 2.5, 3.0),
             horizon_h=5.0, dt_s=1.0, output_dt_s=30.0,
         )
@@ -606,7 +613,7 @@ class TestRunner:
         assert any(abs(r.lam) > 0.5 for r in records)  # never settles
 
     def test_dt_refinement_first_order(self):
-        base = replace(preset("constant"), horizon_h=0.3, initial_gp_trips=46.67)
+        base = replace(apply_overrides(None, "constant", []), horizon_h=0.3, initial_gp_trips=46.67)
         terminal = {}
         for dt_s in (0.4, 0.2, 0.1):
             cfg = replace(base, dt_s=dt_s, output_dt_s=0.4)
@@ -650,7 +657,7 @@ class TestStepLoopCalls:
         does not depend on timing.  A loop that calls the share or the demand
         every step makes more than one call a step.
         """
-        config = replace(preset(name), horizon_h=0.05)
+        config = replace(apply_overrides(None, name, []), horizon_h=0.05)
         if choice is not None:
             config = replace(config, choice=choice)
         assert count_step_loop(config)["python_calls"] <= 0.25
@@ -671,9 +678,9 @@ class TestStepLoopCalls:
     def test_pinned_calls_per_run(self, name):
         """A change that adds work to the step loop changes a pin here and says so."""
         if name == "flat-interior":
-            config = replace(preset("constant"), demand=FLAT_INTERIOR)
+            config = replace(apply_overrides(None, "constant", []), demand=FLAT_INTERIOR)
         else:
-            config = preset(name)
+            config = apply_overrides(None, name, [])
         got = count_step_loop(replace(config, horizon_h=counts_tool.HORIZON_H))
         steps = got["steps"]
         assert steps == 1800
@@ -682,7 +689,7 @@ class TestStepLoopCalls:
 
 class TestMetrics:
     def test_zero_delay_when_curves_coincide(self):
-        cfg = short(preset("constant"))
+        cfg = short(apply_overrides(None, "constant", []))
         cfg = replace(cfg, demand=DemandProfile.constant(0.0, 0.0))
         m = metrics(quiet_run(cfg), cfg.mean_trip_distance)
         assert m.total_delay == 0.0
@@ -707,20 +714,20 @@ class TestMetrics:
         assert m.hot.mean_travel_time == pytest.approx(5.0 / 100.0, rel=1e-9)
 
     def test_a_window_counts_only_its_own_trips(self):
-        records = quiet_run(short(preset("constant"), horizon_h=0.05, dt_s=0.5))
+        records = quiet_run(short(apply_overrides(None, "constant", []), horizon_h=0.05, dt_s=0.5))
         first, last = records[100], records[-1]
         m = metrics(records[100:], 5.0)
         assert m.hot.served == last.G1 - first.G1 > 0 and m.gp.served == last.G2 - first.G2 > 0
         assert m.hot.initiated == last.E1 - first.E1 and m.gp.initiated == last.E2 - first.E2
 
     def test_served_not_above_initiated(self):
-        cfg = short(preset("constant"), horizon_h=0.05, dt_s=0.25)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.05, dt_s=0.25)
         m = metrics(quiet_run(cfg), cfg.mean_trip_distance)
         assert m.hot.served <= m.hot.initiated + 1e-9
         assert m.gp.served <= m.gp.initiated + 1e-9
 
     def test_compare_returns_both_modes(self):
-        cfg = short(preset("trapezoid"), horizon_h=0.1, dt_s=1.0)
+        cfg = short(apply_overrides(None, "trapezoid", []), horizon_h=0.1, dt_s=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = compare_hov_hot(cfg)
@@ -749,7 +756,7 @@ class TestMetrics:
                 compare_hov_hot(cfg)
 
     def test_compare_warns_a1_once_at_the_caller(self):
-        cfg = short(preset("trapezoid"), horizon_h=0.1, dt_s=1.0)
+        cfg = short(apply_overrides(None, "trapezoid", []), horizon_h=0.1, dt_s=1.0)
         with pytest.warns(UserWarning, match="demand assumption violated") as caught:
             compare_hov_hot(cfg)
         assert [str(w.message) for w in caught] == [
@@ -758,14 +765,14 @@ class TestMetrics:
         assert all(w.filename == __file__ for w in caught)
 
     def test_run_warns_a1_at_the_caller(self):
-        cfg = short(preset("trapezoid"), horizon_h=0.01, dt_s=1.0)
+        cfg = short(apply_overrides(None, "trapezoid", []), horizon_h=0.01, dt_s=1.0)
         with pytest.warns(UserWarning, match="demand assumption violated") as caught:
             run(cfg)
         assert len(caught) == len(cfg.a1_warnings())
         assert all(w.filename == __file__ for w in caught)
 
     def test_iter_run_warns_a1_at_the_call_before_the_first_record(self):
-        cfg = short(preset("trapezoid"), horizon_h=0.01, dt_s=1.0)
+        cfg = short(apply_overrides(None, "trapezoid", []), horizon_h=0.01, dt_s=1.0)
         with pytest.warns(UserWarning, match="demand assumption violated") as caught:
             records = iter_run(cfg)
         assert len(caught) == len(cfg.a1_warnings())
@@ -781,7 +788,7 @@ class TestMetrics:
             metrics(iter([]), 5.0)
 
     def test_fold_of_the_stream_equals_fold_of_the_list(self):
-        cfg = short(preset("constant"), horizon_h=0.05, dt_s=0.5, initial_gp_trips=60.0)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.05, dt_s=0.5, initial_gp_trips=60.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             records = run(cfg)
@@ -791,7 +798,7 @@ class TestMetrics:
         assert streamed.revenue > 0.0 and streamed.total_delay > 0.0
 
     def test_streamed_metrics_hold_no_record_list(self):
-        cfg = replace(preset("constant"), horizon_h=0.1, output_dt_s=0.1)
+        cfg = replace(apply_overrides(None, "constant", []), horizon_h=0.1, output_dt_s=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tracemalloc.start()
@@ -811,7 +818,7 @@ def csv_module_read(path):
     """The records the csv-module reader gives for ``path``, or its error message.
 
     This is the reader ``read_csv`` was before it split lines itself, held to
-    the header, cell characters, phase labels and flags ``write_csv`` writes;
+    the header, cell characters, phase labels and flags ``csv_rows`` writes;
     the parity tests hold the two to the same records and the same messages.
     """
     out = []
@@ -822,7 +829,7 @@ def csv_module_read(path):
             for i, (got, want) in enumerate(itertools.zip_longest(header, CSV_COLUMNS), 1):
                 if got != want:
                     raise ConfigError(
-                        f"header column {i} is {got!r} where write_csv writes {want!r}")
+                        f"header column {i} is {got!r} where csv_rows writes {want!r}")
             labels, flags = {"SUC": "SUC", "C": "C", "SOC": "SOC"}, {"0": 0, "1": 1}
             kinds = [labels.__getitem__ if c in ("phase1", "phase2")
                      else flags.__getitem__ if c.endswith("_clamped") else float
@@ -847,10 +854,10 @@ def reprs(records):
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        cfg = short(preset("constant"), horizon_h=0.01, dt_s=0.5)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.01, dt_s=0.5)
         records = quiet_run(cfg)
         path = tmp_path / "out.csv"
-        write_csv(records, str(path))
+        list(csv_rows(records, str(path)))
         again = read_csv(str(path))
         assert len(again) == len(records)
         for a, b in zip(records, again):
@@ -863,20 +870,20 @@ class TestCsv:
         records = [SimulationRecord(*(0.25 * k,) * CSV_COLUMNS.index("phase1"), *row)
                    for k, row in enumerate(cells)]
         path = tmp_path / "cells.csv"
-        write_csv(records, str(path))
+        list(csv_rows(records, str(path)))
         assert read_csv(str(path)) == records
 
     def test_deterministic_bytes(self, tmp_path):
-        cfg = short(preset("constant"), horizon_h=0.01, dt_s=0.5)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.01, dt_s=0.5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(quiet_run(cfg), str(p1))
-        write_csv(quiet_run(cfg), str(p2))
+        list(csv_rows(quiet_run(cfg), str(p1)))
+        list(csv_rows(quiet_run(cfg), str(p2)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_names_every_field(self, tmp_path):
-        cfg = short(preset("constant"), horizon_h=0.005, dt_s=0.5)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.005, dt_s=0.5)
         path = tmp_path / "h.csv"
-        write_csv(quiet_run(cfg), str(path))
+        list(csv_rows(quiet_run(cfg), str(path)))
         header = path.read_text().splitlines()[0].split(",")
         assert header == list(SimulationRecord._fields)
 
@@ -888,9 +895,9 @@ class TestCsv:
 
     @staticmethod
     def written_lines(tmp_path):
-        cfg = short(preset("constant"), horizon_h=0.005, dt_s=0.5)
+        cfg = short(apply_overrides(None, "constant", []), horizon_h=0.005, dt_s=0.5)
         path = tmp_path / "run.csv"
-        write_csv(quiet_run(cfg), str(path))
+        list(csv_rows(quiet_run(cfg), str(path)))
         return path, path.read_text().splitlines()
 
     def test_truncated_file_names_the_line(self, tmp_path):
@@ -927,16 +934,16 @@ class TestCsv:
         assert next(records) == read_csv(str(path))[0]
         assert [next(records), *records] == read_csv(str(path))[1:]
 
-    # read_csv against the csv module's reader on the files write_csv writes
+    # read_csv against the csv module's reader on the files csv_rows writes
     EDGES = {"omega": math.inf, "lam": math.nan, "xi": -0.0, "a": 1e-300, "b": 1e300, "u": -1e300}
 
     @pytest.fixture
     def written(self, tmp_path):
-        """(path, text) of a ``write_csv`` file whose third row holds the edge cells."""
-        records = quiet_run(short(preset("constant"), horizon_h=0.002, dt_s=0.5))
+        """(path, text) of a ``csv_rows`` file whose third row holds the edge cells."""
+        records = quiet_run(short(apply_overrides(None, "constant", []), horizon_h=0.002, dt_s=0.5))
         records[2] = records[2]._replace(**self.EDGES)
         path = tmp_path / "edges.csv"
-        write_csv(records, str(path))
+        list(csv_rows(records, str(path)))
         return path, path.read_bytes().decode("utf-8")
 
     def same_as_csv_module(self, path):
@@ -964,7 +971,7 @@ class TestCsv:
         assert len(self.same_as_csv_module(path)) == len(lines) - 1
 
     # the written column behind each cell (None: a "note" cell), and the first header column
-    # that differs: (its number, its cell, the column write_csv writes there)
+    # that differs: (its number, its cell, the column csv_rows writes there)
     OTHER_LAYOUTS = {
         "reordered": ([*range(len(CSV_COLUMNS) - 1, 12, -1), *range(13)], (1, "gp_clamped", "t")),
         "extra-leading": ([None, *range(len(CSV_COLUMNS))], (1, "note", "t")),
@@ -980,7 +987,7 @@ class TestCsv:
         lines = [",".join("note" if i is None else row[i] for i in order) for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         message = (f"{path}, line 1: header column {number} is {cell!r} "
-                   f"where write_csv writes {column!r}")
+                   f"where csv_rows writes {column!r}")
         with pytest.raises(ConfigError) as caught:
             read_csv(str(path))
         assert str(caught.value) == message
@@ -994,9 +1001,9 @@ class TestCsv:
         lines = text.split("\r\n")[:-1]
         want_line = {"truncated": len(lines), "bad-cell": 5, "missing-column": 1, "empty": 0,
                      "header-only": None, "blank-then-bad": 7}[case]
-        # the header cases name the first column that differs from write_csv's header
-        want_header = {"missing-column": "header column 1 is 'delta1' where write_csv writes 't'",
-                       "empty": "header column 1 is '' where write_csv writes 't'"}.get(case)
+        # the header cases name the first column that differs from csv_rows's header
+        want_header = {"missing-column": "header column 1 is 'delta1' where csv_rows writes 't'",
+                       "empty": "header column 1 is '' where csv_rows writes 't'"}.get(case)
         if case == "truncated":
             lines[-1] = lines[-1][: len(lines[-1]) // 2]
         elif case == "bad-cell":
@@ -1026,7 +1033,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("row, column, cell, message", [
         (3, "phase1", '"free"', FOREIGN), (3, "phase1", "fr\0ee", FOREIGN),
-        (0, "phase1", '"phase1"', "header column 24 is '\"phase1\"' where write_csv writes 'phase1'"),
+        (0, "phase1", '"phase1"', "header column 24 is '\"phase1\"' where csv_rows writes 'phase1'"),
         (3, "gp_clamped", "1_0", FOREIGN), (3, "u", " 1_5 ", FOREIGN), (3, "u", "\u0661\u0665", FOREIGN),
         (3, "phase1", "XYZ", "cell 'XYZ' is not SUC, C, SOC, 0 or 1"),
         (3, "toll_clamped", "+1", "cell '+1' is not SUC, C, SOC, 0 or 1"),
@@ -1294,6 +1301,15 @@ class TestCli:
                 "eigenvalues [-1.23+0j, -173.1+0j] -> stable\n") in out
         assert ("over-critical (lam=0, p=p0): H=0.1875, J=0.75, K1=39.9088, K2=28.9316, "
                 "eigenvalues [-1.43+0j, -148.9+0j] -> stable\n") in out
+
+    def test_analyze_reads_a_flat_knot_list_as_constant_demand(self, capsys):
+        assert main(["analyze", "--preset", "constant"]) == 0
+        constant = capsys.readouterr().out
+        flat = ["--set", "demand.kind=piecewise", "--set", "demand.breakpoints_h=0,1",
+                "--set", "demand.hov_rates_veh_h=200,200", "--set", "demand.sov_rates_veh_h=860,860"]
+        assert main(["analyze", "--preset", "constant", *flat]) == 0
+        assert capsys.readouterr().out == constant
+        assert "p0 = 0.310078" in constant and "gap line omega(t)" in constant
 
     @pytest.mark.parametrize("k2, right_real", [
         (1.0, "-2.15"), (0.6, "-0.4899"), (0.4, "0.34"), (0.2, "1.17"), (0.1, "1.585"),

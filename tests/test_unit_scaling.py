@@ -24,7 +24,7 @@ import pytest
 
 from hotlanes.analysis import constant_equilibrium, loop_matrix, max_outflow_cases
 from hotlanes.lane_choice import LogitChoice
-from hotlanes.presets import preset
+from hotlanes.presets import apply_overrides
 from hotlanes.scenario import CSV_COLUMNS, DemandProfile, iter_run, run
 
 # The power of s each record field scales by; the fields not named do not scale.
@@ -89,7 +89,7 @@ def quiet_run(config):
 @pytest.fixture(scope="module")
 def base_runs():
     """Each preset's config and records over 2 h."""
-    configs = {name: replace(preset(name), horizon_h=2.0) for name in PRESETS}
+    configs = {name: replace(apply_overrides(None, name, []), horizon_h=2.0) for name in PRESETS}
     return {name: (cfg, quiet_run(cfg)) for name, cfg in configs.items()}
 
 
@@ -143,7 +143,7 @@ def test_price_rescaling_within_range_tolerance(name, base_runs):
 @pytest.mark.parametrize("rho_tot", [30.0, 60.0, 200.0])
 def test_max_outflow_scales_with_the_length_unit(rho_tot, s):
     # outflow is in veh/h, so it and g_c stay; the densities that bound the split divide by s
-    cfg = preset("triangular-gridlock")
+    cfg = apply_overrides(None, "triangular-gridlock", [])
     res, res_s = max_outflow_cases(cfg, rho_tot), max_outflow_cases(rescale(cfg, s), rho_tot / s)
     assert res_s.max_outflow == pytest.approx(res.max_outflow, rel=1e-12)
     assert res_s.g_c == pytest.approx(res.g_c, rel=1e-12)
@@ -154,7 +154,7 @@ def test_max_outflow_scales_with_the_length_unit(rho_tot, s):
 
 def test_one_lane_of_length_2l_equals_two_lanes_of_length_l():
     # the loop, the A1 check and the closed forms read the lanes only through the lane-length
-    cfg = replace(preset("constant"), horizon_h=0.5, corridor_length=0.75,
+    cfg = replace(apply_overrides(None, "constant", []), horizon_h=0.5, corridor_length=0.75,
                   demand=DemandProfile.constant(300.0, 1290.0))
     long = replace(cfg, corridor_length=1.5)
     wide = replace(cfg, hot_lanes=2.0, gp_lanes=2.0)
@@ -166,7 +166,7 @@ def test_one_lane_of_length_2l_equals_two_lanes_of_length_l():
 @pytest.mark.parametrize("s", [4.0, 1000.0])
 @pytest.mark.parametrize("name", ["constant", "constant-logit"])
 def test_closed_forms_scale_with_their_units(name, s):
-    cfg = preset(name)
+    cfg = apply_overrides(None, name, [])
     scaled = rescale(cfg, s)
     pred, pred_s = constant_equilibrium(cfg), constant_equilibrium(scaled)
     assert pred_s.p0 == pytest.approx(pred.p0, rel=1e-13)
@@ -185,5 +185,5 @@ def test_closed_forms_scale_with_their_units(name, s):
 @pytest.mark.parametrize("s", [4.0, 1000.0])
 @pytest.mark.parametrize("name", ["constant", "trapezoid", "triangular-gridlock"])
 def test_a1_verdict_does_not_depend_on_the_unit(name, s):
-    cfg = preset(name)
+    cfg = apply_overrides(None, name, [])
     assert bool(rescale(cfg, s).a1_warnings()) == bool(cfg.a1_warnings())

@@ -3,7 +3,9 @@
     python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload records-io --seed 7 \
         --pairs 10 --seconds 25 --out BENCH_13.json
 
-Each directory is a clean checkout of one version.  Pair i runs
+Each directory is a clean git checkout of one version, with a commit: the
+script exits 1, naming the directory, when ``git rev-parse HEAD`` finds none
+there, so every output file names both sides by commit.  Pair i runs
 ``benchmark/run.py`` unchanged in both, the parent first in odd pairs and the
 change first in even pairs, so a drift of the host's speed falls on both
 sides alike.  The last stdout line of each run is its JSON result.
@@ -46,7 +48,7 @@ import time
 
 
 def git_sha(root: str) -> str | None:
-    """HEAD of the checkout at ``root``, or None when it is not a git checkout."""
+    """HEAD of the checkout at ``root``, or None when ``root`` is not a git checkout with a commit."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, timeout=30,
@@ -187,6 +189,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent_dir, "change": args.change_dir}
+    shas = {side: git_sha(root) for side, root in sides.items()}
+    for side, root in sides.items():
+        if shas[side] is None:
+            print(f"{root}: the {side} side has no git commit", file=sys.stderr)
+            return 1
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -195,8 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         "what": args.what or doc.get("what", ""),
         "command": "python3 benchmark/run.py --workload WORKLOAD --seed SEED --seconds SECONDS",
         "order": "odd pairs run the parent first, even pairs the change first",
-        "parent_sha": git_sha(args.parent_dir),
-        "change_sha": git_sha(args.change_dir),
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
         "parent_src_sha256": src_sha256(args.parent_dir),
         "change_src_sha256": src_sha256(args.change_dir),
         "parent_src_lines": src_lines(args.parent_dir),

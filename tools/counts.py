@@ -29,7 +29,6 @@ import os
 import platform
 import sys
 from collections import Counter
-from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HORIZON_H = 0.05  # 1,800 steps at the presets' 0.1 s step
@@ -107,8 +106,8 @@ def counts(root: str) -> dict:
     return {
         "python": platform.python_version(),
         "horizon_h": HORIZON_H,
-        "per_step": {name: count_loop(scenario._stream, replace(presets.preset(name), horizon_h=HORIZON_H))
-                     for name in presets.PRESETS},
+        "per_step": {name: count_loop(scenario._stream, presets.apply_overrides(
+            None, name, [f"simulation.horizon_h={HORIZON_H}"])) for name in presets.PRESETS},
     }
 
 

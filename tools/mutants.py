@@ -31,6 +31,8 @@ TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-co
 LOOP = "src/hotlanes/scenario.py"  # the step loop, held_rates, metrics and iter_csv
 ESTIMATION = "src/hotlanes/estimation.py"
 PRESETS = "src/hotlanes/presets.py"
+ANALYSIS = "src/hotlanes/analysis.py"
+NFD = "src/hotlanes/nfd.py"
 
 
 class Mutant(NamedTuple):
@@ -164,6 +166,13 @@ MUTANTS = [
            "a user switch key keeps the preset's keys of its section"),
     Mutant(PRESETS, 'if kind == "constant":', "if False:",
            "a constant rate the stack does not set is missing, not the study base's"),
+    # the closed forms, each at its exact boundary
+    Mutant(ANALYSIS, "return tr < 0.0 and det > 0.0", "return tr <= 0.0 and det > 0.0",
+           "a centre (trace exactly 0) reads as asymptotically stable"),
+    Mutant(ANALYSIS, "a1_applicable=rho_c < rho_tot", "a1_applicable=rho_c <= rho_tot",
+           "a total density exactly at critical counts as overloaded"),
+    Mutant(NFD, "cap + 1e-9 * cap", "cap + 1e-3 * cap",
+           "a flow floor up to 0.1% above capacity is accepted"),
 ]
 
 
