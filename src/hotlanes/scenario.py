@@ -303,7 +303,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     exp = math.exp
     hov_mode = config.mode == "hov"
     ctrl = config.controller
-    a, b = ctrl.a, ctrl.b
+    a, b = ctrl.a + 0.0, ctrl.b + 0.0  # + 0.0 reads a -0.0 config value as +0.0
     k1, k2, k3, k4, ceiling = ctrl.k1, ctrl.k2, ctrl.k3, ctrl.k4, ctrl.toll_ceiling
     decim = ctrl.decimation
     dt_ctrl = dt * decim
@@ -317,8 +317,8 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
     L1 = config.hot_lanes * config.corridor_length
     L2 = config.gp_lanes * config.corridor_length
     cap2 = jam_trip_cap(fd_gp, L2)
-    d1_init = d1 = config.initial_hot_trips
-    d2_init = d2 = config.initial_gp_trips
+    d1_init = d1 = config.initial_hot_trips + 0.0
+    d2_init = d2 = config.initial_gp_trips + 0.0
     G1 = G2 = 0.0
     u = p = posted = 0.0  # posted: the last tick's toll before its clamp
     hot_clamped = gp_clamped = 0
@@ -332,7 +332,7 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
         if t > hold_until:
             e1t, e2t, hold_until = held_rates(t)
         rho1, rho2 = d1 / L1, d2 / L2
-        if not (0.0 <= rho1 < inf and 0.0 <= rho2 < inf):
+        if not (rho1 < inf and rho2 < inf):  # the counts are clamped at 0: only NaN or inf fails
             raise OverflowError(
                 f"trip counts overflowed at t={t:.4f} h (rho1={rho1}, rho2={rho2})")
         # nfd.speed of each group: u_f when empty, else the wave branch raised to the floor c/rho.
@@ -381,8 +381,8 @@ def _stream(config: ScenarioConfig, stats: SaturationStats | None) -> Iterator[S
                     p = 1.0 if x <= 0.0 else exp(-x / vot_mean)
         e21 = p * e2t
         in1, in2 = e1t + e21, e2t - e21
-        g1 = 0.0 if d1 == 0.0 else d1 / D * v1
-        g2 = 0.0 if d2 == 0.0 else d2 / D * v2
+        g1 = d1 / D * v1
+        g2 = d2 / D * v2
         lam = rho1 - rho_c1
         xi = g1 - in1
 

@@ -123,6 +123,7 @@ def fake_runs(monkeypatch, dirs, fail_at=None):
     """
     calls = []
     monkeypatch.setattr(ab, "bare_start_s", lambda: 0.05)
+    monkeypatch.setattr(ab, "parallel_ratio", lambda: 1.0)
     monkeypatch.setattr(ab, "step_counts", lambda root: {"root": root})
 
     def fake_run_once(root, workload, seed, seconds):
@@ -296,6 +297,34 @@ def test_header_stamps_bytecode_writing_and_the_bare_start(tmp_path, monkeypatch
     assert doc["dont_write_bytecode"] == sys.flags.dont_write_bytecode
     assert starts == [sys.executable] * 5
     assert 0.0 < doc["bare_start_s"] < 60.0
+
+
+def test_header_stamps_the_parallel_headroom(tmp_path, monkeypatch):
+    real_probe, real_popen = ab.parallel_ratio, ab.subprocess.Popen
+    dirs = checkouts(tmp_path)
+    fake_runs(monkeypatch, dirs)
+    monkeypatch.setattr(ab, "parallel_ratio", real_probe)
+    monkeypatch.setattr(ab, "SPIN", "for _ in range(30_000): pass")  # keep the probe short here
+    children = []
+
+    def counting_popen(cmd, *args, **kwargs):
+        if cmd[1:2] == ["-c"]:
+            children.append(cmd)
+        return real_popen(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(ab.subprocess, "Popen", counting_popen)
+    out = tmp_path / "BENCH.json"
+    assert run_main(dirs, out, "closed-loop", 1) == 0
+    doc = json.loads(out.read_text())
+    # 3 tries, each one child alone and then two at once
+    assert children == [[sys.executable, "-c", "for _ in range(30_000): pass"]] * 9
+    assert 0.0 < doc["parallel_ratio"] < 60.0
+
+
+def test_a_failed_spin_child_stops_the_probe(monkeypatch):
+    monkeypatch.setattr(ab, "SPIN", "raise SystemExit(3)")
+    with pytest.raises(RuntimeError, match="child failed"):
+        ab.parallel_ratio()
 
 
 def test_header_counts_the_source_lines_of_each_side(tmp_path, monkeypatch):

@@ -164,6 +164,13 @@ class TestLinearizedMatrix:
         with pytest.raises(ValueError):
             LinearizedSystem(H=0.0, J=0.0, K1=8.0, K2=5.0, L1=10.0)
 
+    def test_lane_length_must_be_positive(self):
+        # 1e-300 is a length whose loop is finite; at 0 and below the length check rejects it
+        assert LinearizedSystem(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=1e-300).stable
+        for L1 in (0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="lane length must be positive"):
+                LinearizedSystem(H=1.0, J=0.0, K1=8.0, K2=5.0, L1=L1)
+
 
 class TestStability:
     def test_worked_eigenvalues(self):
@@ -279,6 +286,15 @@ class TestMaxOutflow:
         rho_c = critical_density(fd_triangular)
         assert not max_outflow_cases(two_groups(fd_triangular), rho_c).a1_applicable
         assert not max_outflow_cases(two_groups(fd_triangular), 280.0).a1_applicable
+
+    def test_total_density_outside_zero_to_twice_jam_rejected(self, fd_triangular):
+        cfg = two_groups(fd_triangular)
+        both_jammed = 2.0 * fd_triangular.rho_j
+        assert max_outflow_cases(cfg, 0.0).max_outflow == 0.0
+        assert max_outflow_cases(cfg, both_jammed).max_outflow == 0.0
+        for rho_tot in (-5e-324, math.nextafter(both_jammed, math.inf), math.nan):
+            with pytest.raises(ValueError, match="physical range"):
+                max_outflow_cases(cfg, rho_tot)
 
     def test_groups_on_different_diagrams_or_lane_counts_rejected(self, fd_triangular):
         base = two_groups(fd_triangular)

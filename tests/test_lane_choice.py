@@ -142,6 +142,14 @@ class TestLogitInverseToll:
             with pytest.raises(ValueError):
                 toll(LOGIT, p, 0.01)
 
+    def test_intercept_divides_by_the_scale(self):
+        # B = ln(1/p - 1) / alpha*: at p = 1 / (1 + e) the logarithm is 1, so B = 1 / 4
+        steep = LogitChoice(pi_star=50.0, alpha_star=4.0)
+        p = 1.0 / (1.0 + math.e)
+        a, b, _, _ = steep.toll_line(p)
+        assert b == pytest.approx(0.25, rel=1e-12)
+        assert steep.share(a * 0.01 + b, 0.01) == pytest.approx(p, rel=1e-12)
+
     def test_share_above_free_share_needs_negative_toll(self):
         free = LOGIT.share(0.0, 0.01)
         assert toll(LOGIT, free + 0.05, 0.01) < 0.0
@@ -253,6 +261,11 @@ class TestDistributions:
             UniformVot(10.0, 10.0)
         with pytest.raises(ValueError):
             UniformVot(-5.0, 10.0)
+
+    def test_logit_vot_may_be_zero_but_not_negative(self):
+        assert LogitChoice(pi_star=0.0).toll_line(0.5) == (0.0, 0.0, 0.0, -4.0)
+        with pytest.raises(ValueError, match="VOT cannot be negative"):
+            LogitChoice(pi_star=-5e-324)
 
     def test_non_finite_parameters_rejected(self):
         for build in (

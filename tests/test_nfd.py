@@ -53,6 +53,11 @@ class TestSpeed:
     def test_jam_density_zero_speed(self, fd_triangular):
         assert speed(fd_triangular, 140.0) == 0.0
 
+    def test_speed_clamps_at_zero_past_jam_without_a_floor(self, fd_triangular):
+        # the wave branch w (rho_j - rho) / rho is exactly 0 at rho_j and negative past it
+        for rho in (140.0, math.nextafter(140.0, math.inf), 1e300):
+            assert speed(fd_triangular, rho) == 0.0
+
     def test_floor_keeps_speed_positive_at_jam(self, fd_floor):
         assert speed(fd_floor, 140.0) == pytest.approx(1866.6666666666667 / 140.0)
         assert round(speed(fd_floor, 140.0), 3) == 13.333

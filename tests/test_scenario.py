@@ -880,6 +880,19 @@ class TestCsv:
         list(csv_rows(quiet_run(cfg), str(p2)))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_signed_zero_config_writes_the_plain_bytes(self, tmp_path):
+        # -0.0 == 0.0 and both hash alike, so the two configs are equal and must write equal bytes
+        plain = short(apply_overrides(None, "constant", []), horizon_h=0.01, dt_s=0.5)
+        signed = short(apply_overrides(None, "constant", [
+            "simulation.initial_hot_trips=-0", "simulation.initial_gp_trips=-0",
+            "controller.a0=-0", "controller.b0=-0"]), horizon_h=0.01, dt_s=0.5)
+        assert signed == plain and hash(signed) == hash(plain)
+        assert math.copysign(1.0, signed.controller.a) == -1.0  # the config keeps the sign
+        p1, p2 = tmp_path / "plain.csv", tmp_path / "signed.csv"
+        list(csv_rows(quiet_run(plain), str(p1)))
+        list(csv_rows(quiet_run(signed), str(p2)))
+        assert p2.read_bytes() == p1.read_bytes()
+
     def test_header_names_every_field(self, tmp_path):
         cfg = short(apply_overrides(None, "constant", []), horizon_h=0.005, dt_s=0.5)
         path = tmp_path / "h.csv"

@@ -16,7 +16,10 @@ per-step work counts of the step loop from ``tools/counts.py``, the Python
 version, the CPU count, whether the host writes bytecode
 (``PYTHONDONTWRITEBYTECODE`` and ``sys.flags.dont_write_bytecode``; without
 it every fresh interpreter compiles ``src/`` again, which ``setup_s``
-carries), the median wall time of 5 bare ``python -c pass`` starts, every
+carries), the median wall time of 5 bare ``python -c pass`` starts, the
+host's parallel headroom (the median wall time of two concurrent CPU-bound
+children over that of one, from 3 tries: near 1 when a second CPU is free,
+near 2 when there is none, so two runs at once share one CPU), every
 run, and per (workload, seed) and metric the medians, quartiles, the
 number of pairs the change won and ``gain_shown``, the rule a claimed gain
 must meet: the change wins at least 9 of 10 pairs, ties counting for neither
@@ -92,6 +95,22 @@ def bare_start_s() -> float:
         subprocess.run([sys.executable, "-c", "pass"], check=True)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+SPIN = "for _ in range(3_000_000): pass"  # about 0.13 s of one CPU, the start-up included
+
+
+def parallel_ratio() -> float:
+    """The median wall time of two concurrent ``python -c SPIN`` children over that of one, from 3 tries."""
+    walls = {1: [], 2: []}
+    for _ in range(3):
+        for n in walls:
+            t0 = time.perf_counter()
+            children = [subprocess.Popen([sys.executable, "-c", SPIN]) for _ in range(n)]
+            if any([child.wait() for child in children]):  # wait for each before judging
+                raise RuntimeError(f"a {sys.executable} -c {SPIN!r} child failed")
+            walls[n].append(time.perf_counter() - t0)
+    return statistics.median(walls[2]) / statistics.median(walls[1])
 
 
 def step_counts(root: str) -> dict:
@@ -216,6 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "dont_write_bytecode": sys.flags.dont_write_bytecode,
         "bare_start_s": bare_start_s(),
+        "parallel_ratio": parallel_ratio(),
     })
     with open(os.path.join(args.parent_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]

@@ -33,6 +33,9 @@ ESTIMATION = "src/hotlanes/estimation.py"
 PRESETS = "src/hotlanes/presets.py"
 ANALYSIS = "src/hotlanes/analysis.py"
 NFD = "src/hotlanes/nfd.py"
+CHOICE = "src/hotlanes/lane_choice.py"
+CONTROLLER = "src/hotlanes/controller.py"
+CLI = "src/hotlanes/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -97,7 +100,7 @@ MUTANTS = [
            "the paying share splits the HOV rate"),
     Mutant(LOOP, "in1, in2 = e1t + e21, e2t - e21", "in1, in2 = e1t + e21, e2t",
            "paying SOVs enter both lane groups"),
-    Mutant(LOOP, "g1 = 0.0 if d1 == 0.0 else d1 / D * v1", "g1 = 0.0 if d1 == 0.0 else d1 / D * v2",
+    Mutant(LOOP, "g1 = d1 / D * v1", "g1 = d1 / D * v2",
            "HOT trips complete at the GP speed"),
     Mutant(LOOP, "xi = g1 - in1", "xi = in1 - g1",
            "the residual service rate changes sign"),
@@ -173,6 +176,72 @@ MUTANTS = [
            "a total density exactly at critical counts as overloaded"),
     Mutant(NFD, "cap + 1e-9 * cap", "cap + 1e-3 * cap",
            "a flow floor up to 0.1% above capacity is accepted"),
+    # the step loop reads a -0.0 config value as +0.0
+    Mutant(LOOP, "config.initial_hot_trips + 0.0", "config.initial_hot_trips",
+           "a -0 initial HOT count writes -0 where an equal config writes 0"),
+    Mutant(LOOP, "a, b = ctrl.a + 0.0, ctrl.b + 0.0", "a, b = ctrl.a, ctrl.b",
+           "a -0 coefficient writes -0 where an equal config writes 0"),
+    # the closed forms and the checks of their inputs
+    Mutant(ANALYSIS, "        if self.L1 <= 0:\n", "        if False:\n",
+           "a lane length of 0 or below reaches the loop matrix"),
+    Mutant(ANALYSIS, "    if not 0.0 <= rho_tot <= 2.0 * rho_j:\n", "    if False:\n",
+           "a total density outside [0, 2 rho_j] is characterized"),
+    Mutant(ANALYSIS, "        if self.H <= 0:", "        if self.H < 0:",
+           "a gap-price sensitivity of 0 divides by zero instead of being rejected"),
+    Mutant(ANALYSIS, "p0 = (L1 * capacity(config.fd_hot) - e1 * D)",
+           "p0 = (L1 * capacity(config.fd_hot) + e1 * D)",
+           "the equilibrium share adds the HOV demand to the managed-lane capacity"),
+    Mutant(ANALYSIS, "/ fd.c - 1.0 / config.fd_hot.u_f", "/ fd.c + 1.0 / config.fd_hot.u_f",
+           "the gap intercept adds the HOT free-flow pace"),
+    Mutant(ANALYSIS, "c.k1 + c.k3 / omega, c.k2 + c.k4 / omega", "c.k1 + c.k4 / omega, c.k2 + c.k3 / omega",
+           "the effective gains swap k3 and k4"),
+    Mutant(ANALYSIS, "g_c = scale * (2.0 * w * rho_j - rho_tot * w)",
+           "g_c = scale * (w * rho_j - rho_tot * w)",
+           "the both-congested outflow counts one jam density, not two"),
+    # the fundamental diagram
+    Mutant(NFD, "    if 0.0 > v:\n", "    if False:\n",
+           "a speed past the jam density without a floor is negative"),
+    Mutant(NFD, "params.c / rho > v:", "params.c / rho < v:",
+           "the flow floor replaces every speed above it"),
+    Mutant(NFD, "        return -params.w", "        return params.w",
+           "the congested flow slope is +w"),
+    Mutant(NFD, "params.rho_j / (params.u_f + params.w)", "params.rho_j / params.u_f",
+           "the critical density leaves the wave speed out of its denominator"),
+    # each choice model's toll line and its slope in p, and the logit VOT check
+    Mutant(CHOICE, "return -self.mean * math.log(p), 0.0", "return self.mean * math.log(p), 0.0",
+           "the exponential toll line has the wrong sign"),
+    Mutant(CHOICE, "-self.mean / p, 0.0", "self.mean / p, 0.0",
+           "the exponential line's slope in p has the wrong sign"),
+    Mutant(CHOICE, "self.low + (1.0 - p) * (self.high - self.low)", "self.low + p * (self.high - self.low)",
+           "the uniform toll line reads the share's lower tail"),
+    Mutant(CHOICE, "0.0, self.low - self.high, 0.0", "0.0, self.high - self.low, 0.0",
+           "the uniform line's slope in p has the wrong sign"),
+    Mutant(CHOICE, "return self.pi_star, math.log", "return self.alpha_star, math.log",
+           "the logit line's gap price is the scale, not the VOT"),
+    Mutant(CHOICE, "math.log(1.0 / p - 1.0) / alpha", "math.log(1.0 / p - 1.0) * alpha",
+           "the logit line's intercept multiplies by the scale"),
+    Mutant(CHOICE, "-1.0 / (alpha * p * (1.0 - p))", "-1.0 / (alpha * p)",
+           "the logit intercept's slope in p loses its 1 - p"),
+    Mutant(CHOICE, "        if self.pi_star < 0:\n", "        if False:\n",
+           "a negative logit VOT is accepted"),
+    # the controller's checks
+    Mutant(CONTROLLER, "min(self.k1, self.k2, self.k3, self.k4) <= 0", "min(self.k1, self.k2, self.k3) <= 0",
+           "a gain k4 of 0 or below is accepted"),
+    Mutant(CONTROLLER, "if self.toll_ceiling <= 0:", "if self.toll_ceiling < 0:",
+           "a toll ceiling of 0 is accepted"),
+    Mutant(CONTROLLER, "self.decimation >= 1", "self.decimation >= 0",
+           "a decimation of 0 is accepted, and the controller never ticks"),
+    # the command line's exit codes and where a warning goes
+    Mutant(CLI, "EXIT_CONFIG = 1", "EXIT_CONFIG = 2",
+           "a config error exits as a runtime abort"),
+    Mutant(CLI, "EXIT_RUNTIME = 2", "EXIT_RUNTIME = 1",
+           "a runtime abort exits as a config error"),
+    Mutant(CLI, "EXIT_ESTIMATION = 3", "EXIT_ESTIMATION = 1",
+           "an infeasible estimate exits as a config error"),
+    Mutant(CLI, "return EXIT_BROKEN_PIPE", "return EXIT_OK",
+           "a closed stdout exits 0"),
+    Mutant(CLI, 'print(f"warning: {message}", file=sys.stderr)', 'print(f"warning: {message}")',
+           "a warning goes to stdout, into what a caller reads as the result"),
 ]
 
 
